@@ -52,6 +52,7 @@ from .inference import (
     LinearCombo,
     confidence_interval,
     debias,
+    entry_variances,
     normal_cdf,
     normal_quantile,
     test_linear_combo,

@@ -4,8 +4,10 @@ Subcommands: ``estimate`` (solve, optionally debias), ``test``
 (linear-combination z-tests), ``tune`` (e-BIC grid), ``simulate`` (Monte
 Carlo experiments), ``diagnose`` (theory diagnostics on true precision
 matrices).  Every run writes a JSON report (plus CSV tables) into
-``--out-dir``; the report echoes the resolved configuration, so any run can
-be reproduced from it.
+``--out-dir``; the report echoes the resolved arguments, so any run can be
+reproduced from it.  ``--config`` takes a JSON object keyed by the
+subcommand's argument names (``out_dir``, ``c1``, ``ci_level``, ...); flags
+override its values and unknown keys are an error.
 
 Exit codes: 0 success, 1 configuration error, 2 data error,
 3 solver non-convergence.  Edge indices on the command line and in all
@@ -22,7 +24,7 @@ import time
 from dataclasses import asdict, dataclass, field
 
 from . import __version__
-from .core import sample_covariance
+from .core import PrecisionSet, sample_covariance
 from .diagnostics import diagnostics_report
 from .errors import (
     ConfigError,
@@ -41,25 +43,21 @@ from .io import (
     write_json_atomic,
     write_matrix_csv,
 )
-from .selection import TuningGrid, penalty_scale, score_table_rows, tune_penalties
-from .solver import PenaltyPair, SolverOptions, solve_ggl
+from .selection import (
+    DEFAULT_GRID_VALUES,
+    TuningGrid,
+    penalty_scale,
+    score_table_rows,
+    tune_penalties,
+)
+from .solver import PenaltyPair, solve_ggl
 
-REPORT_SCHEMA = 1
+REPORT_SCHEMA = 2
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_DATA = 2
 EXIT_NONCONVERGENCE = 3
-
-
-@dataclass
-class RunConfig:
-    command: str
-    params: dict
-    out_dir: str = "multiggm-out"
-    seed: int = 0
-    threads: int = 1
-    verbosity: int = 1
 
 
 @dataclass
@@ -120,6 +118,11 @@ def _edge_list(text: str) -> list[tuple[int, int]]:
 
 
 def build_parser() -> _Parser:
+    """The parser, holding every default; ``parser.commands`` maps names to subparsers.
+
+    No option is argparse-required, so that a config file can supply any of
+    them; commands check the values they need.
+    """
     parser = _Parser(prog="multiggm", description=__doc__)
     parser.add_argument(
         "--version",
@@ -127,25 +130,26 @@ def build_parser() -> _Parser:
         version=f"multiggm {__version__} (report schema {REPORT_SCHEMA})",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
-        p.add_argument("--out-dir", default=None, help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="base RNG seed")
-        p.add_argument("--threads", type=int, default=None, help="worker threads")
-        p.add_argument("-q", "--quiet", action="store_true", help="suppress progress output")
+        p.add_argument("--out-dir", default="multiggm-out", help="output directory")
+        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
+        p.add_argument("--threads", type=int, default=1, help="worker threads")
+        p.add_argument("-q", "--quiet", action="store_true", help="do not print output paths")
 
     def data_opts(p):
-        p.add_argument("--data", required=False, help="comma-separated CSV paths, one per population")
+        p.add_argument("--data", help="comma-separated CSV paths, one per population (required)")
         p.add_argument("--center", action="store_true")
         p.add_argument("--standardize", action="store_true")
         p.add_argument("--first-difference", action="store_true")
 
     def penalty_opts(p):
-        p.add_argument("--lam", type=float, default=None, help="l1 penalty (absolute)")
-        p.add_argument("--rho", type=float, default=None, help="group penalty (absolute)")
-        p.add_argument("--c1", type=float, default=None, help="l1 constant on the sqrt(log p / n) scale")
-        p.add_argument("--c2", type=float, default=None, help="group constant on the sqrt(log p / n) scale")
+        p.add_argument("--lam", type=float, help="l1 penalty (absolute); needs --rho")
+        p.add_argument("--rho", type=float, help="group penalty (absolute); needs --lam")
+        p.add_argument("--c1", type=float, help="l1 constant on the sqrt(log p / n) scale; needs --c2")
+        p.add_argument("--c2", type=float, help="group constant on the sqrt(log p / n) scale; needs --c1")
 
     p_est = sub.add_parser("estimate", help="fit precision matrices")
     common(p_est); data_opts(p_est); penalty_opts(p_est)
@@ -153,15 +157,16 @@ def build_parser() -> _Parser:
 
     p_test = sub.add_parser("test", help="z-tests on linear combinations across populations")
     common(p_test); data_opts(p_test); penalty_opts(p_test)
-    p_test.add_argument("--edges", required=True, help="semicolon-separated 1-based pairs, e.g. '1,2;2,3'")
-    p_test.add_argument("--coeffs", required=True, help="comma-separated combination coefficients, one per population")
+    p_test.add_argument("--edges", help="semicolon-separated 1-based pairs, e.g. '1,2;2,3' (required)")
+    p_test.add_argument("--coeffs", help="comma-separated combination coefficients, one per population (required)")
     p_test.add_argument("--alpha", type=float, default=0.05)
     p_test.add_argument("--ci-level", type=float, default=0.95)
 
+    default_grid = ",".join(str(v) for v in DEFAULT_GRID_VALUES)
     p_tune = sub.add_parser("tune", help="e-BIC grid search over penalty constants")
     common(p_tune); data_opts(p_tune)
-    p_tune.add_argument("--c1-grid", default=None, help="comma-separated C1 values")
-    p_tune.add_argument("--c2-grid", default=None, help="comma-separated C2 values")
+    p_tune.add_argument("--c1-grid", default=default_grid, help="comma-separated C1 values")
+    p_tune.add_argument("--c2-grid", default=default_grid, help="comma-separated C2 values")
     p_tune.add_argument("--gamma", type=float, default=0.5)
 
     p_sim = sub.add_parser("simulate", help="Monte Carlo experiments")
@@ -186,324 +191,293 @@ def build_parser() -> _Parser:
 
     p_diag = sub.add_parser("diagnose", help="theory diagnostics on true precision matrices")
     common(p_diag)
-    p_diag.add_argument("--precision", required=True, help="comma-separated matrix CSV paths, one per population")
+    p_diag.add_argument("--precision", help="comma-separated matrix CSV paths, one per population (required)")
     p_diag.add_argument("--lam", type=float, default=0.1)
     p_diag.add_argument("--rho", type=float, default=0.1)
     p_diag.add_argument("--psi", type=float, default=0.5)
     p_diag.add_argument("--gamma", type=float, default=2.5)
     p_diag.add_argument("--k1", type=float, default=1.0)
-    p_diag.add_argument("--eigen-bound", type=float, default=None)
-    p_diag.add_argument("--sample-sizes", default=None, help="comma-separated n_k")
+    p_diag.add_argument("--eigen-bound", type=float)
+    p_diag.add_argument("--sample-sizes", help="comma-separated n_k")
 
     return parser
 
 
-def _load_config_file(path: str) -> dict:
+def _file_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
+    """Read the config file at ``path`` and check it against subparser ``sub``.
+
+    Keys must be ``sub``'s argument names.  Values other than switches and
+    nulls are handed to argparse as text, so they pass the same type
+    conversion as flag values.
+    """
     try:
         with open(path) as fh:
-            obj = json.load(fh)
+            values = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(obj, dict):
+    if not isinstance(values, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    return obj
+    actions = {a.dest: a for a in sub._actions if a.dest not in ("help", "config")}
+    unknown = sorted(set(values) - set(actions))
+    if unknown:
+        raise ConfigError(f"unknown key(s) in config {path}: {', '.join(unknown)}")
+    defaults = {}
+    for key, value in values.items():
+        action = actions[key]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise ConfigError(f"config key {key!r} must be true or false")
+        elif action.choices is not None and value not in action.choices:
+            raise ConfigError(f"config key {key!r} must be one of {sorted(action.choices)}")
+        elif value is not None:
+            value = str(value)
+        defaults[key] = value
+    return defaults
 
 
-def resolve_config(argv) -> RunConfig:
-    """Parse flags, merge the optional config file (flags win), validate."""
-    args = build_parser().parse_args(argv)
-    params = dict(vars(args))
-    command = params.pop("command")
-    file_values = {}
-    config_path = params.pop("config", None)
-    if config_path:
-        file_values = _load_config_file(config_path)
-
-    def pick(name, default):
-        flag = params.pop(name, None)
-        if flag is not None:
-            return flag
-        if name in file_values:
-            return file_values[name]
-        return default
-
-    out_dir = pick("out_dir", "multiggm-out")
-    seed = int(pick("seed", 0))
-    threads = int(pick("threads", 1))
-    quiet = params.pop("quiet", False)
-    # Remaining file values fill in unset optional flags.
-    for key, value in file_values.items():
-        if key in params and (params[key] is None or params[key] is False):
-            params[key] = value
-    if threads < 1:
+def resolve_config(argv) -> argparse.Namespace:
+    """Parse flags over the optional config file's values (flags win)."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.config:
+        sub = parser.commands[args.command]
+        sub.set_defaults(**_file_defaults(sub, args.config))
+        args = parser.parse_args(argv)
+    if args.threads < 1:
         raise ConfigError("--threads must be at least 1")
-    return RunConfig(
-        command=command,
-        params=params,
-        out_dir=str(out_dir),
-        seed=seed,
-        threads=threads,
-        verbosity=0 if quiet else 1,
-    )
+    return args
 
 
-def _require_data(params) -> list[str]:
-    data = params.get("data")
-    if not data:
-        raise ConfigError("--data is required for this command")
-    paths = [p for p in str(data).split(",") if p.strip()]
+def _given(value, flag: str):
+    if value is None:
+        raise ConfigError(f"{flag} is required for this command")
+    return value
+
+
+def _existing_paths(text, name: str) -> list[str]:
+    paths = [] if text is None else [p for p in text.split(",") if p.strip()]
+    if not paths:
+        raise ConfigError(f"--{name} is required for this command")
     for p in paths:
         if not os.path.exists(p):
-            raise ConfigError(f"data file not found: {p}")
+            raise ConfigError(f"{name} file not found: {p}")
     return paths
 
 
-def _ingest(params) -> "MultiPopDataset":
-    paths = _require_data(params)
-    return ingest_csv(
-        paths,
-        center=bool(params.get("center")),
-        standardize=bool(params.get("standardize")),
-        first_difference=bool(params.get("first_difference")),
-    )
-
-
-def _resolve_penalty(params, p: int, n: int) -> PenaltyPair:
-    lam, rho = params.get("lam"), params.get("rho")
-    c1, c2 = params.get("c1"), params.get("c2")
-    if lam is None and c1 is None:
-        raise ConfigError("give either --lam/--rho or --c1/--c2")
-    if lam is not None:
-        return PenaltyPair(float(lam), float(rho or 0.0))
+def _resolve_penalty(args, p: int, n: int) -> PenaltyPair:
+    absolute, scaled = (args.lam, args.rho), (args.c1, args.c2)
+    given = [pair for pair in (absolute, scaled) if pair != (None, None)]
+    if len(given) != 1 or None in given[0]:
+        raise ConfigError("give one complete penalty pair: --lam with --rho, or --c1 with --c2")
+    if given[0] is absolute:
+        return PenaltyPair(*absolute)
     scale = penalty_scale(p, n)
-    return PenaltyPair(float(c1) * scale, float(c2 or 0.0) * scale)
+    return PenaltyPair(args.c1 * scale, args.c2 * scale)
 
 
-def _solver_options(params) -> SolverOptions:
-    return SolverOptions()
+def _emit(report: AnalysisReport, writer, obj, path: str) -> None:
+    writer(obj, path)
+    report.outputs.append(path)
 
 
-def run_command(config: RunConfig) -> tuple[AnalysisReport, int]:
-    """Dispatch one validated command; returns the report and an exit code."""
+def _covariances(args):
+    dataset = ingest_csv(
+        _existing_paths(args.data, "data"),
+        center=args.center,
+        standardize=args.standardize,
+        first_difference=args.first_difference,
+    )
+    return sample_covariance(dataset)
+
+
+def _fit(args):
+    """Covariances, penalty and solve, shared by estimate and test.
+
+    The data are read before the penalty is checked, so a malformed file is
+    reported as a data error whatever the flags.
+    """
+    covs = _covariances(args)
+    penalty = _resolve_penalty(args, covs.p, min(covs.sample_sizes))
+    solve = solve_ggl(covs, penalty)
+    return covs, penalty, solve, EXIT_OK if solve.converged else EXIT_NONCONVERGENCE
+
+
+def _estimate(args, report: AnalysisReport) -> int:
+    covs, penalty, solve, code = _fit(args)
+    matrices = [("estimate", solve.estimate)]
+    if args.debias:
+        matrices.append(("debiased", debias(solve.estimate, covs)))
+    for name, stack in matrices:
+        for k, m in enumerate(stack.matrices):
+            _emit(report, write_matrix_csv, m, f"{args.out_dir}/{name}_k{k + 1}.csv")
+    report.payload = {
+        "penalty": {"lam": penalty.lam, "rho": penalty.rho},
+        "converged": solve.converged,
+        "iterations": solve.iterations,
+        "kkt_violation": solve.kkt_violation,
+        "objective": solve.objective,
+        "sample_sizes": list(covs.sample_sizes),
+    }
+    return code
+
+
+def _test(args, report: AnalysisReport) -> int:
+    edges = _edge_list(_given(args.edges, "--edges"))
+    coeffs = _float_list(_given(args.coeffs, "--coeffs"))
+    covs, penalty, solve, code = _fit(args)
+    if len(coeffs) != covs.K:
+        raise ConfigError(f"{len(coeffs)} coefficients for {covs.K} populations")
+    deb = debias(solve.estimate, covs)
+    results = []
+    rows = [["i", "j", "estimate", "std_error", "z", "p_value", "reject"]]
+    for (i, j) in edges:
+        if not (0 <= i < covs.p and 0 <= j < covs.p):
+            raise ConfigError(f"edge ({i + 1},{j + 1}) out of range for p={covs.p}")
+        r = test_linear_combo(
+            deb, solve.estimate, covs, LinearCombo(coeffs, (i, j)), args.alpha
+        )
+        cis = [
+            confidence_interval(deb, solve.estimate, covs, k, i, j, args.ci_level)
+            for k in range(covs.K)
+        ]
+        results.append(
+            {
+                "edge": [i + 1, j + 1],
+                "estimate": r.estimate,
+                "std_error": r.std_error,
+                "z_stat": r.z_stat,
+                "p_value": r.p_value,
+                "reject": r.reject,
+                "alpha_level": r.alpha_level,
+                "intervals": [
+                    {"population": k + 1, "lower": c.lower, "upper": c.upper,
+                     "level": c.level}
+                    for k, c in enumerate(cis)
+                ],
+            }
+        )
+        rows.append([i + 1, j + 1, r.estimate, r.std_error, r.z_stat,
+                     r.p_value, int(r.reject)])
+    _emit(report, write_csv_atomic, rows, f"{args.out_dir}/tests.csv")
+    report.payload = {
+        "penalty": {"lam": penalty.lam, "rho": penalty.rho},
+        "converged": solve.converged,
+        "tests": results,
+    }
+    return code
+
+
+def _tune(args, report: AnalysisReport) -> int:
+    grid = TuningGrid(
+        c1_values=tuple(_float_list(args.c1_grid)),
+        c2_values=tuple(_float_list(args.c2_grid)),
+        gamma=args.gamma,
+    )
+    result = tune_penalties(_covariances(args), grid)
+    _emit(report, write_csv_atomic, score_table_rows(result), f"{args.out_dir}/score_table.csv")
+    report.payload = {
+        "best_constants": list(result.best_constants),
+        "best_penalty": {"lam": result.best_penalty.lam, "rho": result.best_penalty.rho},
+    }
+    return EXIT_OK
+
+
+def _simulate(args, report: AnalysisReport) -> int:
+    if args.graph == "star":
+        graph = GraphSpec(
+            kind="star",
+            star_d=args.star_d,
+            star_diag=tuple(_float_list(args.star_diag)),
+            star_offdiag=tuple(_float_list(args.star_offdiag)),
+            hub_seed=args.hub_seed,
+        )
+    else:
+        graph = GraphSpec(kind="chain", chain_rho=tuple(_float_list(args.chain_rho)))
+    exp_config = ExperimentConfig(
+        graph=graph,
+        dims=tuple(_int_list(args.p)),
+        sample_sizes=tuple(_int_list(args.n)),
+        replications=args.B,
+        base_seed=args.seed,
+        penalty_rule=args.penalty_rule,
+        fixed_constants=(args.c1, args.c2),
+        alpha_level=args.alpha,
+        ci_level=args.ci_level,
+        edges_of_interest=tuple(_edge_list(args.edges)) if args.experiment == "normality" else (),
+        retune_per_replication=args.retune_per_replication,
+        threads=args.threads,
+    )
+    result = RUNNERS[args.experiment](exp_config)
+    out = f"{args.out_dir}/{args.experiment}"
+    _emit(report, write_csv_atomic, result.csv_rows(), f"{out}.csv")
+    _emit(report, write_json_atomic, result.to_jsonable(), f"{out}.json")
+    report.payload = {"experiment": args.experiment, "cells": len(result.cells)}
+    return EXIT_OK
+
+
+def _diagnose(args, report: AnalysisReport) -> int:
+    mats = [read_matrix_csv(p) for p in _existing_paths(args.precision, "precision")]
+    try:
+        precisions = PrecisionSet([(m + m.T) / 2 for m in mats], positive_definite=True)
+    except NotPositiveDefiniteError as exc:
+        raise DataFormatError(str(exc))
+    sizes = None
+    if args.sample_sizes is not None:
+        sizes = _int_list(args.sample_sizes)
+        if len(sizes) != precisions.K:
+            raise ConfigError(f"{len(sizes)} sample sizes for {precisions.K} populations")
+    diag = json.loads(
+        diagnostics_report(
+            precisions,
+            PenaltyPair(args.lam, args.rho),
+            psi=args.psi,
+            sample_sizes=sizes,
+            gamma=args.gamma,
+            k1=args.k1,
+            eigen_bound_l=args.eigen_bound,
+        ).to_json()
+    )
+    _emit(report, write_json_atomic, diag, f"{args.out_dir}/diagnostics.json")
+    report.payload = diag
+    return EXIT_OK
+
+
+COMMANDS = {
+    "estimate": _estimate,
+    "test": _test,
+    "tune": _tune,
+    "simulate": _simulate,
+    "diagnose": _diagnose,
+}
+
+
+def run_command(args: argparse.Namespace) -> tuple[AnalysisReport, int]:
+    """Run one resolved command; returns the report and an exit code.
+
+    The report's ``config.params`` holds every resolved argument; saved as a
+    JSON file and passed to ``--config``, it reruns the command.
+    """
     t_start = time.perf_counter()
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     report = AnalysisReport(
         tool_version=__version__,
         schema=REPORT_SCHEMA,
-        command=config.command,
-        config={
-            "command": config.command,
-            "params": {k: v for k, v in config.params.items()},
-            "out_dir": config.out_dir,
-            "seed": config.seed,
-            "threads": config.threads,
-        },
+        command=args.command,
+        config={"command": args.command, "params": params},
     )
-    out = config.out_dir
-    code = EXIT_OK
-
-    if config.command == "estimate":
-        dataset = _ingest(config.params)
-        covs = sample_covariance(dataset)
-        penalty = _resolve_penalty(config.params, covs.p, min(covs.sample_sizes))
-        solve = solve_ggl(covs, penalty, _solver_options(config.params))
-        if not solve.converged:
-            code = EXIT_NONCONVERGENCE
-        for k, m in enumerate(solve.estimate.matrices):
-            path = f"{out}/estimate_k{k + 1}.csv"
-            write_matrix_csv(m, path)
-            report.outputs.append(path)
-        if config.params.get("debias"):
-            for k, m in enumerate(debias(solve.estimate, covs).matrices):
-                path = f"{out}/debiased_k{k + 1}.csv"
-                write_matrix_csv(m, path)
-                report.outputs.append(path)
-        report.payload = {
-            "penalty": {"lam": penalty.lam, "rho": penalty.rho},
-            "converged": solve.converged,
-            "iterations": solve.iterations,
-            "kkt_violation": solve.kkt_violation,
-            "objective": solve.objective,
-            "sample_sizes": list(covs.sample_sizes),
-        }
-
-    elif config.command == "test":
-        dataset = _ingest(config.params)
-        covs = sample_covariance(dataset)
-        penalty = _resolve_penalty(config.params, covs.p, min(covs.sample_sizes))
-        solve = solve_ggl(covs, penalty, _solver_options(config.params))
-        if not solve.converged:
-            code = EXIT_NONCONVERGENCE
-        deb = debias(solve.estimate, covs)
-        coeffs = _float_list(str(config.params["coeffs"]))
-        if len(coeffs) != covs.K:
-            raise ConfigError(f"{len(coeffs)} coefficients for {covs.K} populations")
-        alpha = float(config.params.get("alpha") or 0.05)
-        level = float(config.params.get("ci_level") or 0.95)
-        edges = _edge_list(str(config.params["edges"]))
-        results = []
-        rows = [["i", "j", "estimate", "std_error", "z", "p_value", "reject"]]
-        for (i, j) in edges:
-            if not (0 <= i < covs.p and 0 <= j < covs.p):
-                raise ConfigError(f"edge ({i + 1},{j + 1}) out of range for p={covs.p}")
-            r = test_linear_combo(
-                deb, solve.estimate, covs, LinearCombo(coeffs, (i, j)), alpha
-            )
-            cis = [
-                confidence_interval(deb, solve.estimate, covs, k, i, j, level)
-                for k in range(covs.K)
-            ]
-            results.append(
-                {
-                    "edge": [i + 1, j + 1],
-                    "estimate": r.estimate,
-                    "std_error": r.std_error,
-                    "z_stat": r.z_stat,
-                    "p_value": r.p_value,
-                    "reject": r.reject,
-                    "alpha_level": r.alpha_level,
-                    "intervals": [
-                        {"population": k + 1, "lower": c.lower, "upper": c.upper,
-                         "level": c.level}
-                        for k, c in enumerate(cis)
-                    ],
-                }
-            )
-            rows.append([i + 1, j + 1, r.estimate, r.std_error, r.z_stat,
-                         r.p_value, int(r.reject)])
-        path = f"{out}/tests.csv"
-        write_csv_atomic(rows, path)
-        report.outputs.append(path)
-        report.payload = {
-            "penalty": {"lam": penalty.lam, "rho": penalty.rho},
-            "converged": solve.converged,
-            "tests": results,
-        }
-
-    elif config.command == "tune":
-        dataset = _ingest(config.params)
-        covs = sample_covariance(dataset)
-        grid = TuningGrid(
-            c1_values=tuple(_float_list(config.params["c1_grid"]))
-            if config.params.get("c1_grid")
-            else TuningGrid().c1_values,
-            c2_values=tuple(_float_list(config.params["c2_grid"]))
-            if config.params.get("c2_grid")
-            else TuningGrid().c2_values,
-            gamma=float(config.params.get("gamma") or 0.5),
-        )
-        result = tune_penalties(covs, grid, _solver_options(config.params))
-        path = f"{out}/score_table.csv"
-        write_csv_atomic(score_table_rows(result), path)
-        report.outputs.append(path)
-        report.payload = {
-            "best_constants": list(result.best_constants),
-            "best_penalty": {
-                "lam": result.best_penalty.lam,
-                "rho": result.best_penalty.rho,
-            },
-        }
-
-    elif config.command == "simulate":
-        params = config.params
-        experiment = params["experiment"]
-        if params.get("graph") == "star":
-            graph = GraphSpec(
-                kind="star",
-                star_d=int(params.get("star_d") or 25),
-                star_diag=tuple(_float_list(str(params.get("star_diag") or "2.0,2.5"))),
-                star_offdiag=tuple(
-                    _float_list(str(params.get("star_offdiag") or "0.3,0.45"))
-                ),
-                hub_seed=int(params.get("hub_seed") or 0),
-            )
-        else:
-            graph = GraphSpec(
-                kind="chain",
-                chain_rho=tuple(_float_list(str(params.get("chain_rho") or "0.2,0.35"))),
-            )
-        edges = ()
-        if experiment == "normality":
-            edges = tuple(_edge_list(str(params.get("edges") or "1,2;2,3")))
-        exp_config = ExperimentConfig(
-            graph=graph,
-            dims=tuple(_int_list(str(params.get("p") or "50"))),
-            sample_sizes=tuple(_int_list(str(params.get("n") or "600"))),
-            replications=int(params.get("B") or 100),
-            base_seed=config.seed,
-            penalty_rule=str(params.get("penalty_rule") or "ebic_grid"),
-            fixed_constants=(
-                float(params.get("c1") or 1.0),
-                float(params.get("c2") or 3.5),
-            ),
-            alpha_level=float(params.get("alpha") or 0.05),
-            ci_level=float(params.get("ci_level") or 0.95),
-            edges_of_interest=edges,
-            retune_per_replication=bool(params.get("retune_per_replication")),
-            threads=config.threads,
-        )
-        result = RUNNERS[experiment](exp_config)
-        csv_path = f"{out}/{experiment}.csv"
-        json_path = f"{out}/{experiment}.json"
-        write_csv_atomic(result.csv_rows(), csv_path)
-        write_json_atomic(result.to_jsonable(), json_path)
-        report.outputs.extend([csv_path, json_path])
-        report.payload = {"experiment": experiment, "cells": len(result.cells)}
-
-    elif config.command == "diagnose":
-        paths = [
-            p for p in str(config.params.get("precision") or "").split(",") if p.strip()
-        ]
-        if not paths:
-            raise ConfigError("--precision is required")
-        for p in paths:
-            if not os.path.exists(p):
-                raise ConfigError(f"precision file not found: {p}")
-        from .core import PrecisionSet
-
-        mats = [read_matrix_csv(p) for p in paths]
-        try:
-            precisions = PrecisionSet([(m + m.T) / 2 for m in mats], positive_definite=True)
-        except NotPositiveDefiniteError as exc:
-            raise DataFormatError(str(exc))
-        sizes = (
-            _int_list(str(config.params["sample_sizes"]))
-            if config.params.get("sample_sizes")
-            else None
-        )
-        diag = diagnostics_report(
-            precisions,
-            PenaltyPair(
-                float(config.params.get("lam") or 0.1),
-                float(config.params.get("rho") or 0.1),
-            ),
-            psi=float(config.params.get("psi") or 0.5),
-            sample_sizes=sizes,
-            gamma=float(config.params.get("gamma") or 2.5),
-            k1=float(config.params.get("k1") or 1.0),
-            eigen_bound_l=config.params.get("eigen_bound"),
-        )
-        path = f"{out}/diagnostics.json"
-        write_json_atomic(json.loads(diag.to_json()), path)
-        report.outputs.append(path)
-        report.payload = json.loads(diag.to_json())
-
-    else:  # pragma: no cover - argparse restricts choices
-        raise ConfigError(f"unknown command {config.command!r}")
-
+    code = COMMANDS[args.command](args, report)
     report.timings = {"wall_seconds": time.perf_counter() - t_start}
-    report_path = f"{out}/report.json"
-    write_json_atomic(report.to_jsonable(), report_path)
-    report.outputs.append(report_path)
+    _emit(report, write_json_atomic, report.to_jsonable(), f"{args.out_dir}/report.json")
     return report, code
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     try:
-        config = resolve_config(argv)
-        report, code = run_command(config)
+        args = resolve_config(argv)
+        report, code = run_command(args)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
@@ -516,7 +490,7 @@ def main(argv=None) -> int:
     except MultiGGMError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if config.verbosity:
+    if not args.quiet:
         for path in report.outputs:
             print(path)
     return code

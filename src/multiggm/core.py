@@ -39,7 +39,7 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     """
     h = hashlib.blake2b(digest_size=8)
     for value in (base_seed, *indices):
-        h.update(struct.pack("<q", int(value) & _SEED_MASK))
+        h.update(struct.pack("<Q", int(value) & _SEED_MASK))
     return int.from_bytes(h.digest(), "little")
 
 

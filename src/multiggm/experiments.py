@@ -34,7 +34,7 @@ from .core import (
 )
 from .errors import DataFormatError
 from .graphs import GraphSpec
-from .inference import debias, upper_quantile, variance_estimate
+from .inference import debias, entry_variances, upper_quantile
 from .selection import TuningGrid, penalty_scale, tune_penalties
 from .solver import PenaltyPair, SolverOptions, solve_ggl
 
@@ -169,11 +169,7 @@ def _draw_covs(truth: PrecisionSet, n: int, rep_seed: int) -> CovarianceSet:
     return sample_covariance(data)
 
 
-def _cell_penalty(config: ExperimentConfig, p: int, n: int, covs: CovarianceSet) -> PenaltyPair:
-    scale = penalty_scale(p, n)
-    if config.penalty_rule == "fixed":
-        c1, c2 = config.fixed_constants
-        return PenaltyPair(c1 * scale, c2 * scale)
+def _tuned_penalty(config: ExperimentConfig, covs: CovarianceSet) -> PenaltyPair:
     return tune_penalties(covs, config.grid, config.solver).best_penalty
 
 
@@ -186,16 +182,25 @@ def _signed_pattern(matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 
 
 def _run_cell(config: ExperimentConfig, truth: PrecisionSet, p: int, n: int, worker):
-    """Shared per-cell engine: resolves the penalty, fans out replications."""
-    first_seed = _rep_seed(config.base_seed, p, n, 0)
-    penalty = None
-    if not config.retune_per_replication:
-        penalty = _cell_penalty(config, p, n, _draw_covs(truth, n, first_seed))
+    """Shared per-cell engine: resolves the penalty, fans out replications.
+
+    The e-BIC rule tunes once on the first replication's data, or on every
+    replication's data with ``retune_per_replication``.
+    """
+    if config.penalty_rule == "fixed":
+        c1, c2 = config.fixed_constants
+        scale = penalty_scale(p, n)
+        penalty = PenaltyPair(c1 * scale, c2 * scale)
+    elif config.retune_per_replication:
+        penalty = None
+    else:
+        first = _draw_covs(truth, n, _rep_seed(config.base_seed, p, n, 0))
+        penalty = _tuned_penalty(config, first)
 
     def one(b: int):
         rep_seed = _rep_seed(config.base_seed, p, n, b)
         covs = _draw_covs(truth, n, rep_seed)
-        pen = penalty if penalty is not None else _cell_penalty(config, p, n, covs)
+        pen = penalty if penalty is not None else _tuned_penalty(config, covs)
         report = _solve(covs, pen, config.solver)
         return worker(b, covs, report)
 
@@ -349,6 +354,7 @@ def run_normality(config: ExperimentConfig) -> ExperimentResult:
                 if not report.converged:
                     return None
                 deb = debias(report.estimate, covs)
+                variances = [entry_variances(m) for m in report.estimate.matrices]
                 out = {}
                 for (i, j) in config.edges_of_interest:
                     per_pop = []
@@ -356,7 +362,7 @@ def run_normality(config: ExperimentConfig) -> ExperimentResult:
                     diff = 0.0
                     true_diff = 0.0
                     for k in range(truth.K):
-                        sig2 = variance_estimate(report.estimate.matrices[k], i, j)
+                        sig2 = variances[k][i, j]
                         n_k = covs.sample_sizes[k]
                         per_pop.append(
                             np.sqrt(n_k)
@@ -416,8 +422,7 @@ def run_coverage(config: ExperimentConfig) -> ExperimentResult:
                 deb = debias(report.estimate, covs)
                 out = []
                 for k in range(truth.K):
-                    est = report.estimate.matrices[k]
-                    sig = np.sqrt(np.outer(np.diag(est), np.diag(est)) + est**2)
+                    sig = np.sqrt(entry_variances(report.estimate.matrices[k]))
                     half = tau * sig / np.sqrt(covs.sample_sizes[k])
                     inside = (np.abs(deb.matrices[k] - truth.matrices[k]) <= half)[iu]
                     length = (2.0 * half)[iu]

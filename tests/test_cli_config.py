@@ -1,0 +1,196 @@
+"""The CLI's one config path: argparse defaults, config-file values, flags."""
+
+import json
+
+import numpy as np
+import pytest
+
+from multiggm import ExperimentConfig, run_tpfp, two_population_chain_spec
+from multiggm.cli import EXIT_CONFIG, EXIT_OK, main
+from multiggm.io import write_csv_atomic, write_data_csv
+
+
+def run(argv, out):
+    return main([*argv, "--out-dir", str(out), "-q"])
+
+
+def report_of(out):
+    return json.loads((out / "report.json").read_text())
+
+
+def write_config(path, values):
+    path.write_text(json.dumps(values))
+    return str(path)
+
+
+@pytest.fixture()
+def pair_data(tmp_path):
+    truth = two_population_chain_spec().build(6)
+    rng = np.random.default_rng(8)
+    paths = []
+    for k, m in enumerate(truth.matrices):
+        x = rng.multivariate_normal(np.zeros(6), np.linalg.inv(m), size=120)
+        path = tmp_path / f"pop{k}.csv"
+        write_data_csv(x, path)
+        paths.append(str(path))
+    return ",".join(paths)
+
+
+TPFP_ARGV = ["simulate", "tpfp", "--p", "8", "--n", "100", "--penalty-rule", "fixed"]
+
+
+def tpfp_expected(tmp_path):
+    config = ExperimentConfig(
+        graph=two_population_chain_spec(),
+        dims=(8,),
+        sample_sizes=(100,),
+        replications=2,
+        base_seed=0,
+        penalty_rule="fixed",
+        fixed_constants=(1.0, 0.0),
+    )
+    path = tmp_path / "expected.csv"
+    write_csv_atomic(run_tpfp(config).csv_rows(), str(path))
+    return path.read_bytes()
+
+
+class TestZeroValuesKept:
+    def test_flags(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(TPFP_ARGV + ["--B", "2", "--c2", "0"], out) == EXIT_OK
+        params = report_of(out)["config"]["params"]
+        assert params["B"] == 2 and params["c2"] == 0.0
+        csv = (out / "tpfp.csv").read_bytes()
+        assert csv == tpfp_expected(tmp_path)
+        assert csv.decode().splitlines()[1] == "chain,8,100,2,6.25,2.5,0"
+
+    def test_config_file(self, tmp_path):
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "c.json", {"B": 2, "c2": 0.0})
+        assert run(TPFP_ARGV + ["--config", config], out) == EXIT_OK
+        assert (out / "tpfp.csv").read_bytes() == tpfp_expected(tmp_path)
+
+    def test_flags_override_file(self, tmp_path):
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "c.json", {"B": 5, "c2": 0.0})
+        assert run(TPFP_ARGV + ["--config", config, "--B", "2"], out) == EXIT_OK
+        assert (out / "tpfp.csv").read_bytes() == tpfp_expected(tmp_path)
+
+
+class TestConfigFileChecks:
+    @pytest.mark.parametrize("key", ["lamda", "max_iter", "command"])
+    def test_unknown_key_exits_1_and_is_named(self, tmp_path, pair_data, capsys, key):
+        config = write_config(tmp_path / "c.json", {key: 0.1, "lam": 0.1, "rho": 0.1})
+        code = run(["estimate", "--data", pair_data, "--config", config], tmp_path / "out")
+        assert code == EXIT_CONFIG
+        assert key in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_key_of_another_subcommand_is_unknown(self, tmp_path, pair_data):
+        config = write_config(tmp_path / "c.json", {"c1": 0.5, "c2": 1.0, "c1_grid": "1,2"})
+        code = run(["estimate", "--data", pair_data, "--config", config], tmp_path / "out")
+        assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("values", [
+        {"B": "two"},
+        {"B": 2.5},
+        {"graph": "ring"},
+        {"retune_per_replication": "yes"},
+        {"c1": True},
+    ])
+    def test_bad_values_exit_1(self, tmp_path, values):
+        config = write_config(tmp_path / "c.json", values)
+        assert run(TPFP_ARGV + ["--config", config], tmp_path / "out") == EXIT_CONFIG
+
+    def test_file_values_are_typed_like_flags(self, tmp_path, pair_data):
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "c.json", {"lam": 0, "rho": "0.1", "data": pair_data})
+        assert run(["estimate", "--config", config], out) == EXIT_OK
+        params = report_of(out)["config"]["params"]
+        assert params["lam"] == 0.0 and params["rho"] == 0.1
+
+    def test_not_a_json_object(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text("[1, 2]")
+        assert run(TPFP_ARGV + ["--config", str(config)], tmp_path / "out") == EXIT_CONFIG
+
+
+class TestReportReruns:
+    @pytest.mark.parametrize("argv, outputs", [
+        (["estimate", "--c1", "0.5", "--c2", "1.0", "--debias", "--standardize"],
+         ["estimate_k1.csv", "estimate_k2.csv", "debiased_k1.csv", "debiased_k2.csv"]),
+        (["test", "--lam", "0.05", "--rho", "0.1", "--edges", "1,2;2,3;1,4",
+          "--coeffs", "1,-1", "--alpha", "0.1", "--ci-level", "0.9"],
+         ["tests.csv"]),
+        (["tune", "--c1-grid", "0.5,1.0", "--c2-grid", "1.0,2.0", "--center"],
+         ["score_table.csv"]),
+    ])
+    def test_config_from_report_gives_identical_csvs(self, tmp_path, pair_data, argv, outputs):
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert run(argv + ["--data", pair_data], first) == EXIT_OK
+        params = dict(report_of(first)["config"]["params"], out_dir=str(second))
+        config = write_config(tmp_path / "rerun.json", params)
+        assert main([argv[0], "--config", config]) == EXIT_OK
+        for name in outputs:
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        assert report_of(second)["config"]["params"] == params
+
+    def test_simulate_rerun(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        argv = ["simulate", "normality", "--p", "6", "--n", "100", "--B", "2",
+                "--seed", "4", "--edges", "1,3", "--penalty-rule", "fixed"]
+        assert run(argv, first) == EXIT_OK
+        params = dict(report_of(first)["config"]["params"], out_dir=str(second))
+        config = write_config(tmp_path / "rerun.json", params)
+        assert main(["simulate", "normality", "--config", config]) == EXIT_OK
+        assert (first / "normality.csv").read_bytes() == (second / "normality.csv").read_bytes()
+
+
+class TestPenaltyPairs:
+    @pytest.mark.parametrize("flags", [
+        ["--lam", "0.1"],
+        ["--rho", "0.1"],
+        ["--c1", "0.5"],
+        ["--c2", "0.5"],
+        ["--lam", "0.1", "--rho", "0.1", "--c1", "0.5", "--c2", "0.5"],
+        ["--lam", "0.1", "--c2", "0.5"],
+    ])
+    def test_incomplete_or_mixed_pairs_exit_1(self, tmp_path, pair_data, flags):
+        code = run(["estimate", "--data", pair_data, *flags], tmp_path / "out")
+        assert code == EXIT_CONFIG
+
+    def test_zero_pair_is_a_complete_pair(self, tmp_path, pair_data):
+        out = tmp_path / "out"
+        assert run(["estimate", "--data", pair_data, "--c1", "0", "--c2", "0"], out) == EXIT_OK
+        assert report_of(out)["payload"]["penalty"] == {"lam": 0.0, "rho": 0.0}
+
+
+class TestRequiredValues:
+    def test_test_needs_edges_and_coeffs(self, tmp_path, pair_data):
+        base = ["test", "--data", pair_data, "--c1", "0.5", "--c2", "1.0"]
+        assert run(base + ["--coeffs", "1,-1"], tmp_path / "a") == EXIT_CONFIG
+        assert run(base + ["--edges", "1,2"], tmp_path / "b") == EXIT_CONFIG
+
+    def test_data_from_config_file(self, tmp_path, pair_data):
+        out = tmp_path / "out"
+        config = write_config(tmp_path / "c.json", {"data": pair_data})
+        assert run(["estimate", "--config", config, "--c1", "0.5", "--c2", "1.0"], out) == EXIT_OK
+
+    def test_diagnose_sample_sizes_one_per_population(self, tmp_path):
+        from multiggm import chain_precision
+        from multiggm.io import write_matrix_csv
+
+        paths = []
+        for k in range(2):
+            path = tmp_path / f"om{k}.csv"
+            write_matrix_csv(chain_precision(4, 0.2), str(path))
+            paths.append(str(path))
+        argv = ["diagnose", "--precision", ",".join(paths), "--sample-sizes"]
+        assert run(argv + ["600"], tmp_path / "a") == EXIT_CONFIG
+        assert run(argv + ["600,600"], tmp_path / "b") == EXIT_OK
+
+
+def test_negative_seed_runs(tmp_path):
+    argv = ["simulate", "consistency", "--p", "6", "--n", "100", "--B", "1",
+            "--penalty-rule", "fixed", "--seed", "-1"]
+    assert run(argv, tmp_path / "out") == EXIT_OK

@@ -162,3 +162,30 @@ class TestSetValidation:
         covs = CovarianceSet([np.eye(2)], [5])
         with pytest.raises(ValueError):
             covs.matrices[0][0, 0] = 2.0
+
+
+_INT64 = st.integers(-(2**63), 2**64 - 1)
+
+
+class TestSeedRange:
+    def test_pinned_value(self):
+        assert derive_seed(1, 2, 3) == 13041116711478803063
+
+    @given(_INT64, st.lists(_INT64, max_size=3))
+    @settings(max_examples=200, deadline=None)
+    def test_full_signed_and_unsigned_range(self, base, indices):
+        seed = derive_seed(base, *indices)
+        assert 0 <= seed < 2**64
+        mask = 2**64 - 1
+        assert seed == derive_seed(base & mask, *(i & mask for i in indices))
+
+    @given(st.integers(0, 2**63 - 1), st.lists(st.integers(0, 2**63 - 1), max_size=3))
+    @settings(max_examples=100, deadline=None)
+    def test_bytes_match_signed_packing_where_it_applies(self, base, indices):
+        import hashlib
+        import struct
+
+        h = hashlib.blake2b(digest_size=8)
+        for value in (base, *indices):
+            h.update(struct.pack("<q", value))
+        assert derive_seed(base, *indices) == int.from_bytes(h.digest(), "little")

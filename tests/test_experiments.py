@@ -252,3 +252,29 @@ class TestTuningIntegration:
         result = run_normality(config)
         assert len(result.samples) == 6
         assert all(len(v) == 3 for v in result.samples.values())
+
+
+class TestDrawCount:
+    def _count_draws(self, monkeypatch, config):
+        calls = []
+        real = experiments.draw_mvn
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "draw_mvn", counting)
+        run_tpfp(config)
+        return len(calls)
+
+    def test_fixed_rule_draws_each_replication_once(self, monkeypatch):
+        config = small_config(replications=3)
+        assert self._count_draws(monkeypatch, config) == 3 * 2
+
+    def test_ebic_rule_draws_the_tuning_data_once_more(self, monkeypatch):
+        config = small_config(
+            replications=2,
+            penalty_rule="ebic_grid",
+            grid=TuningGrid(c1_values=(1.0,), c2_values=(3.0,)),
+        )
+        assert self._count_draws(monkeypatch, config) == (2 + 1) * 2

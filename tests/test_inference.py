@@ -12,6 +12,7 @@ from multiggm import (
     PrecisionSet,
     confidence_interval,
     debias,
+    entry_variances,
     invert_pd,
     normal_cdf,
     normal_quantile,
@@ -168,3 +169,30 @@ class TestNormalAccuracy:
             normal_quantile(0.0)
         with pytest.raises(DataFormatError):
             normal_quantile(1.0)
+
+
+class TestTailPValues:
+    @pytest.mark.parametrize("z", [8.5, 10.0, 30.0])
+    def test_p_value_positive_and_accurate_far_in_the_tail(self, z):
+        # estimate = I and n = 1 give a unit standard error, so the
+        # statistic equals the debiased off-diagonal entry.
+        est, covs = _sets([np.eye(2)], [np.eye(2)], [1])
+        deb = DebiasedSet([np.array([[1.0, z], [z, 1.0]])])
+        result = linear_combo_test(deb, est, covs, LinearCombo([1.0], (0, 1)))
+        assert result.z_stat == z
+        mpmath.mp.dps = 40
+        exact = float(mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2)))
+        assert result.p_value > 0.0
+        assert result.p_value == pytest.approx(exact, rel=1e-10)
+
+
+class TestEntryVariances:
+    def test_matches_variance_estimate_at_every_entry(self):
+        rng = np.random.default_rng(21)
+        m = random_covariance_set(rng, 7, 1)[0]
+        table = entry_variances(m)
+        assert table.shape == (7, 7)
+        for i in range(7):
+            for j in range(7):
+                assert table[i, j] == variance_estimate(m, i, j)
+                assert table[i, j] == m[i, i] * m[j, j] + m[i, j] ** 2
