@@ -19,11 +19,15 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import sys
 import time
 from dataclasses import asdict, dataclass, field
 
-from . import __version__
+import numpy
+import scipy
+
+from . import __version__, _blas
 from .core import PrecisionSet, sample_covariance
 from .diagnostics import diagnostics_report
 from .errors import (
@@ -52,7 +56,7 @@ from .selection import (
 )
 from .solver import PenaltyPair, solve_ggl
 
-REPORT_SCHEMA = 2
+REPORT_SCHEMA = 3
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -66,6 +70,7 @@ class AnalysisReport:
     schema: int
     command: str
     config: dict
+    environment: dict = field(default_factory=dict)
     timings: dict = field(default_factory=dict)
     payload: dict = field(default_factory=dict)
     outputs: list = field(default_factory=list)
@@ -453,6 +458,16 @@ COMMANDS = {
 }
 
 
+def environment() -> dict:
+    """Versions, and each OpenBLAS with the thread count solves run at."""
+    return {
+        "python": platform.python_version(),
+        "numpy": numpy.__version__,
+        "scipy": scipy.__version__,
+        "openblas": _blas.describe(),
+    }
+
+
 def run_command(args: argparse.Namespace) -> tuple[AnalysisReport, int]:
     """Run one resolved command; returns the report and an exit code.
 
@@ -466,6 +481,7 @@ def run_command(args: argparse.Namespace) -> tuple[AnalysisReport, int]:
         schema=REPORT_SCHEMA,
         command=args.command,
         config={"command": args.command, "params": params},
+        environment=environment(),
     )
     code = COMMANDS[args.command](args, report)
     report.timings = {"wall_seconds": time.perf_counter() - t_start}

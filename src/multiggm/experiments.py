@@ -32,7 +32,7 @@ from .core import (
     population_seed,
     sample_covariance,
 )
-from .errors import DataFormatError
+from .errors import ConfigError, DataFormatError
 from .graphs import GraphSpec
 from .inference import debias, entry_variances, upper_quantile
 from .selection import TuningGrid, penalty_scale, tune_penalties
@@ -61,11 +61,11 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.replications < 1:
-            raise DataFormatError("need at least one replication")
+            raise ConfigError("need at least one replication")
         if self.penalty_rule not in ("ebic_grid", "fixed"):
-            raise DataFormatError(f"unknown penalty rule {self.penalty_rule!r}")
+            raise ConfigError(f"unknown penalty rule {self.penalty_rule!r}")
         if not self.dims or not self.sample_sizes:
-            raise DataFormatError("dims and sample_sizes must be nonempty")
+            raise ConfigError("dims and sample_sizes must be nonempty")
         object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
         object.__setattr__(
             self, "sample_sizes", tuple(int(n) for n in self.sample_sizes)

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .core import (
     CovarianceSet,
     PrecisionSet,
@@ -207,6 +208,7 @@ def kkt_residual(
     return worst
 
 
+@_blas.single_threaded()
 def solve_ggl(
     covs: CovarianceSet, penalty: PenaltyPair, opts: SolverOptions = SolverOptions()
 ) -> SolveReport:
@@ -216,6 +218,10 @@ def solve_ggl(
     stationarity violation, and the objective value.  Non-convergence within
     ``max_iter`` returns the best iterate with ``converged=False``; a
     covariance with non-positive diagonal is a hard error.
+
+    The solve runs numpy's and scipy's OpenBLAS at one thread each and
+    restores the caller's thread counts when the last concurrent solve
+    returns (see :mod:`multiggm._blas`).
     """
     covs.require_positive_diagonal()
     K, p = covs.K, covs.p

@@ -1,0 +1,147 @@
+"""Solves run numpy's and scipy's OpenBLAS at one thread, then restore."""
+
+import json
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
+import numpy as np
+import pytest
+
+from multiggm import (
+    CovarianceSet,
+    DataFormatError,
+    PenaltyPair,
+    draw_mvn_dataset,
+    sample_covariance,
+    solve_ggl,
+    two_population_chain_spec,
+)
+from multiggm import _blas, solver
+from multiggm.cli import REPORT_SCHEMA, main
+from multiggm.io import write_data_csv
+from multiggm.selection import penalty_scale
+
+LIBRARIES = _blas.libraries()
+pytestmark = pytest.mark.skipif(not LIBRARIES, reason="no OpenBLAS thread symbols found")
+
+
+def counts():
+    return [lib.get_num_threads() for lib in LIBRARIES]
+
+
+@pytest.fixture()
+def caller_counts():
+    """Give each library its own count (2, 3, ...) and undo it afterwards."""
+    before = counts()
+    wanted = [2 + i for i in range(len(LIBRARIES))]
+    for lib, n in zip(LIBRARIES, wanted):
+        lib.set_num_threads(n)
+    assert counts() == wanted
+    yield wanted
+    for lib, n in zip(LIBRARIES, before):
+        lib.set_num_threads(n)
+
+
+@pytest.fixture()
+def seen_inside(monkeypatch):
+    """Thread counts read at every ADMM iteration, from inside the solve."""
+    seen = []
+    prox = solver._prox_offdiag_stack
+
+    def recording(*args):
+        seen.append(tuple(counts()))
+        return prox(*args)
+
+    monkeypatch.setattr(solver, "_prox_offdiag_stack", recording)
+    return seen
+
+
+def chain_problem(p, seed=5):
+    truth = two_population_chain_spec().build(p)
+    covs = sample_covariance(draw_mvn_dataset(truth, (600, 600), seed))
+    scale = penalty_scale(p, 600)
+    return covs, PenaltyPair(1.0 * scale, 3.5 * scale)
+
+
+def test_solve_runs_single_threaded(caller_counts, seen_inside):
+    solve_ggl(*chain_problem(20))
+    assert seen_inside and set(seen_inside) == {(1,) * len(LIBRARIES)}
+
+
+def test_counts_restored_after_return(caller_counts):
+    solve_ggl(*chain_problem(20))
+    assert counts() == caller_counts
+
+
+def test_counts_restored_after_raise(caller_counts):
+    s = np.eye(4)
+    s[2, 2] = 0.0
+    covs = CovarianceSet([s, np.eye(4)], (50, 50))
+    with pytest.raises(DataFormatError, match="diagonal"):
+        solve_ggl(covs, PenaltyPair(0.1, 0.1))
+    assert counts() == caller_counts
+
+
+def test_concurrent_solves(caller_counts, seen_inside):
+    problems = [chain_problem(15, seed) for seed in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(4) as pool:
+            futures = [pool.submit(solve_ggl, *prob) for prob in problems]
+            reports = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(r.converged for r in reports)
+    assert len(seen_inside) == sum(r.iterations for r in reports)
+    assert set(seen_inside) == {(1,) * len(LIBRARIES)}
+    assert counts() == caller_counts
+
+
+def test_without_libraries_nothing_changes(caller_counts, seen_inside, monkeypatch):
+    problem = chain_problem(20)
+    expected = solve_ggl(*problem)
+    seen_inside.clear()
+    monkeypatch.setattr(_blas, "_libraries", [])
+    got = solve_ggl(*problem)
+    assert set(seen_inside) == {tuple(caller_counts)}
+    for a, b in zip(got.estimate.matrices, expected.estimate.matrices):
+        assert np.array_equal(a, b)
+
+
+def test_estimate_does_not_depend_on_caller_threads():
+    problem = chain_problem(100)
+    before = counts()
+    estimates = []
+    try:
+        for n in (1, 2):
+            for lib in LIBRARIES:
+                lib.set_num_threads(n)
+            estimates.append(solve_ggl(*problem))
+    finally:
+        for lib, n in zip(LIBRARIES, before):
+            lib.set_num_threads(n)
+    one, two = estimates
+    assert one.iterations == two.iterations
+    for a, b in zip(one.estimate.matrices, two.estimate.matrices):
+        assert np.array_equal(a, b)
+
+
+def test_cli_restores_counts_and_reports_environment(tmp_path, caller_counts):
+    truth = two_population_chain_spec().build(8)
+    paths = []
+    for k, x in enumerate(draw_mvn_dataset(truth, (100, 100), 3).data):
+        paths.append(str(tmp_path / f"pop{k}.csv"))
+        write_data_csv(x, paths[-1])
+    out = tmp_path / "out"
+    argv = ["estimate", "--data", ",".join(paths), "--c1", "0.5", "--c2", "1.5",
+            "--out-dir", str(out), "-q"]
+    assert main(argv) == 0
+    assert counts() == caller_counts
+    report = json.loads((out / "report.json").read_text())
+    assert report["schema"] == REPORT_SCHEMA == 3
+    env = report["environment"]
+    assert env["numpy"] == np.__version__
+    assert [lib["library"] for lib in env["openblas"]] == [lib.name for lib in LIBRARIES]
+    assert all(lib["solve_threads"] == 1 for lib in env["openblas"])
+    assert all(lib["config"].startswith("OpenBLAS") for lib in env["openblas"])

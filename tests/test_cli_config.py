@@ -109,6 +109,10 @@ class TestConfigFileChecks:
         params = report_of(out)["config"]["params"]
         assert params["lam"] == 0.0 and params["rho"] == 0.1
 
+    def test_zero_replications_exit_1(self, tmp_path, capsys):
+        assert run(TPFP_ARGV + ["--B", "0"], tmp_path / "out") == EXIT_CONFIG
+        assert "configuration error: need at least one replication" in capsys.readouterr().err
+
     def test_not_a_json_object(self, tmp_path):
         config = tmp_path / "c.json"
         config.write_text("[1, 2]")
