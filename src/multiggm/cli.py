@@ -56,7 +56,7 @@ from .selection import (
 )
 from .solver import PenaltyPair, solve_ggl
 
-REPORT_SCHEMA = 3
+REPORT_SCHEMA = 4
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -141,7 +141,6 @@ def build_parser() -> _Parser:
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out-dir", default="multiggm-out", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="base RNG seed")
-        p.add_argument("--threads", type=int, default=1, help="worker threads")
         p.add_argument("-q", "--quiet", action="store_true", help="do not print output paths")
 
     def data_opts(p):
@@ -177,6 +176,7 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo experiments")
     common(p_sim)
     p_sim.add_argument("experiment", choices=sorted(RUNNERS))
+    p_sim.add_argument("--threads", type=int, default=1, help="replications run side by side")
     p_sim.add_argument("--graph", choices=["chain", "star"], default="chain")
     p_sim.add_argument("--p", default="50", help="comma-separated dimensions")
     p_sim.add_argument("--n", default="600", help="comma-separated sample sizes")
@@ -250,8 +250,6 @@ def resolve_config(argv) -> argparse.Namespace:
         sub = parser.commands[args.command]
         sub.set_defaults(**_file_defaults(sub, args.config))
         args = parser.parse_args(argv)
-    if args.threads < 1:
-        raise ConfigError("--threads must be at least 1")
     return args
 
 
@@ -309,6 +307,11 @@ def _fit(args):
     return covs, penalty, solve, EXIT_OK if solve.converged else EXIT_NONCONVERGENCE
 
 
+def _blocks(solve) -> dict:
+    """The screening blocks of a solve, for the report payload."""
+    return {"blocks": len(solve.block_sizes), "largest_block": max(solve.block_sizes)}
+
+
 def _estimate(args, report: AnalysisReport) -> int:
     covs, penalty, solve, code = _fit(args)
     matrices = [("estimate", solve.estimate)]
@@ -321,6 +324,7 @@ def _estimate(args, report: AnalysisReport) -> int:
         "penalty": {"lam": penalty.lam, "rho": penalty.rho},
         "converged": solve.converged,
         "iterations": solve.iterations,
+        **_blocks(solve),
         "kkt_violation": solve.kkt_violation,
         "objective": solve.objective,
         "sample_sizes": list(covs.sample_sizes),
@@ -369,6 +373,7 @@ def _test(args, report: AnalysisReport) -> int:
     report.payload = {
         "penalty": {"lam": penalty.lam, "rho": penalty.rho},
         "converged": solve.converged,
+        **_blocks(solve),
         "tests": results,
     }
     return code
@@ -390,6 +395,8 @@ def _tune(args, report: AnalysisReport) -> int:
 
 
 def _simulate(args, report: AnalysisReport) -> int:
+    if args.threads < 1:
+        raise ConfigError("--threads must be at least 1")
     if args.graph == "star":
         graph = GraphSpec(
             kind="star",

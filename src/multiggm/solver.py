@@ -27,22 +27,33 @@ Convergence requires the standard primal/dual residual test *and* a
 stationarity certificate: the subgradient-inclusion residual of the sparse
 iterate must fall below ``10 * tol_abs``.  The returned estimate is the Z
 iterate, which carries exact zeros produced by the group prox.
+
+Screening.  Before any ADMM iteration the vertices are split by the exact
+rule of Danaher, Wang & Witten (2014, *The joint graphical lasso*, JRSS-B,
+Thm 2) and Witten, Friedman & Simon (2011, JCGS): the pair ``(i, j)`` is
+zero at the optimum in every population, and the solution is block-diagonal
+across it, whenever ``||soft(w_k S_k[i, j], lam)||_2 <= rho``.  The blocks
+are the connected components of the pairs that fail this test.  A single
+vertex has the closed form ``W_k[i, i] = 1 / S_k[i, i]`` for any weights,
+since diagonals are not penalized; ADMM runs on each larger block alone.
+The certificate stays exact when taken block by block: the inverse of a
+block-diagonal estimate is block-diagonal, so an off-block gradient is
+``w_k S_k[i, j]``, which the screening rule already keeps within the
+subdifferential, and the full problem's violation is the largest block
+violation.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import cho_solve
 
 from . import _blas
-from .core import (
-    CovarianceSet,
-    PrecisionSet,
-    invert_pd,
-    is_positive_definite,
-    symmetrize,
-)
+from .core import CovarianceSet, PrecisionSet, is_positive_definite, symmetrize
 from .errors import DataFormatError, NotPositiveDefiniteError
 
 
@@ -84,6 +95,7 @@ class SolveReport:
     converged: bool
     kkt_violation: float
     objective: float
+    block_sizes: tuple[int, ...]
 
 
 def prox_sparse_group(values: np.ndarray, lam_eff: float, rho_eff: float) -> np.ndarray:
@@ -167,16 +179,34 @@ def kkt_residual(
     """
     if estimate.p != covs.p or estimate.K != covs.K:
         raise DataFormatError("estimate and covariances do not match")
-    lam, rho = penalty.lam, penalty.rho
-    w = _weights(covs, weights)
-    grads = np.stack(
-        [
-            w[k] * (covs.matrices[k] - invert_pd(m))
-            for k, m in enumerate(estimate.matrices)
-        ]
+    value = _stationarity_violation(
+        np.stack(estimate.matrices),
+        covs.matrices,
+        penalty.lam,
+        penalty.rho,
+        _weights(covs, weights),
     )
-    omegas = np.stack(estimate.matrices)
-    p = covs.p
+    if value == np.inf:
+        raise NotPositiveDefiniteError("estimate is not positive definite")
+    return value
+
+
+def _stationarity_violation(omegas, s, lam, rho, w) -> float:
+    """Array-level core of :func:`kkt_residual`; ``inf`` if a matrix is not PD.
+
+    Takes a (K, p, p) stack of symmetric estimates and the K covariances,
+    and factors each estimate once: the inverse comes from ``cho_solve`` on
+    that factor, exactly as :func:`multiggm.core.invert_pd` computes it.
+    """
+    p = omegas.shape[1]
+    eye = np.eye(p)
+    try:
+        inverses = [
+            symmetrize(cho_solve((np.linalg.cholesky(m), True), eye)) for m in omegas
+        ]
+    except np.linalg.LinAlgError:
+        return np.inf
+    grads = np.stack([w[k] * (s[k] - inv) for k, inv in enumerate(inverses)])
     idx = np.arange(p)
     worst = float(np.max(np.abs(grads[:, idx, idx])))
 
@@ -208,6 +238,35 @@ def kkt_residual(
     return worst
 
 
+def _screened_blocks(s, w, lam: float, rho: float) -> list[np.ndarray]:
+    """Vertex sets of the connected components of the screening graph.
+
+    Vertices ``i != j`` are adjacent when ``||soft(w_k S_k[i, j], lam)||_2 >
+    rho``.  Each set is sorted; sets come in the order of their smallest
+    vertex.
+    """
+    p = s.shape[1]
+    soft = np.maximum(np.abs(w[:, None, None] * s) - lam, 0.0)
+    adjacent = np.sqrt(np.einsum("kij,kij->ij", soft, soft)) > rho
+    np.fill_diagonal(adjacent, False)
+    isolated = ~adjacent.any(axis=1)
+    labelled = np.zeros(p, dtype=bool)
+    blocks = []
+    for root in range(p):
+        if isolated[root]:
+            blocks.append(np.array([root]))
+        elif not labelled[root]:
+            reached = np.zeros(p, dtype=bool)
+            reached[root] = True
+            frontier = reached
+            while frontier.any():
+                frontier = adjacent[frontier].any(axis=0) & ~reached
+                reached |= frontier
+            labelled |= reached
+            blocks.append(np.flatnonzero(reached))
+    return blocks
+
+
 @_blas.single_threaded()
 def solve_ggl(
     covs: CovarianceSet, penalty: PenaltyPair, opts: SolverOptions = SolverOptions()
@@ -219,19 +278,69 @@ def solve_ggl(
     ``max_iter`` returns the best iterate with ``converged=False``; a
     covariance with non-positive diagonal is a hard error.
 
+    The problem is split into the blocks of the screening rule (see the
+    module docstring) and ADMM runs on each block of two or more vertices,
+    with ``max_iter`` per block.  ``iterations`` is the sum over blocks, the
+    residuals are the root-sum-square over blocks, ``kkt_violation`` is the
+    largest block certificate, and ``block_sizes`` lists every block's size.
+
     The solve runs numpy's and scipy's OpenBLAS at one thread each and
     restores the caller's thread counts when the last concurrent solve
     returns (see :mod:`multiggm._blas`).
     """
     covs.require_positive_diagonal()
-    K, p = covs.K, covs.p
-    eta = opts.admm_step
+    lam, rho = penalty.lam, penalty.rho
     w = (
         np.asarray(covs.sample_sizes, dtype=float)
         if opts.weighted_by_n
-        else np.ones(K)
+        else np.ones(covs.K)
     )
     s = np.stack(covs.matrices)
+    blocks = _screened_blocks(s, w, lam, rho)
+
+    mats = np.zeros_like(s)
+    idx = np.arange(covs.p)
+    mats[:, idx, idx] = 1.0 / s[:, idx, idx]
+    solved = []
+    for ix in blocks:
+        if ix.size > 1:
+            sub = np.ix_(np.arange(covs.K), ix, ix)
+            mats[sub], result = _admm(s[sub], w, lam, rho, opts)
+            solved.append(result)
+
+    estimate = PrecisionSet(list(mats), positive_definite=True)
+    objective = ggl_objective(
+        estimate.matrices, covs, penalty, w if opts.weighted_by_n else None
+    )
+    return SolveReport(
+        estimate=estimate,
+        iterations=sum(r.iterations for r in solved),
+        primal_residual=math.hypot(*(r.primal for r in solved)),
+        dual_residual=math.hypot(*(r.dual for r in solved)),
+        converged=all(r.converged for r in solved),
+        kkt_violation=max((r.kkt for r in solved), default=0.0),
+        objective=objective,
+        block_sizes=tuple(int(ix.size) for ix in blocks),
+    )
+
+
+class _BlockResult(NamedTuple):
+    iterations: int
+    primal: float
+    dual: float
+    converged: bool
+    kkt: float
+
+
+def _admm(s, w, lam: float, rho: float, opts: SolverOptions):
+    """ADMM on one (K, q, q) block of the problem.
+
+    Returns the block's estimate and its :class:`_BlockResult`.  The estimate
+    is the symmetrized sparse iterate, or the eigenvalue-map iterate when an
+    unconverged sparse iterate is not PD.
+    """
+    K, p = s.shape[0], s.shape[1]
+    eta = opts.admm_step
 
     omega = np.zeros_like(s)
     idx = np.arange(p)
@@ -239,8 +348,8 @@ def solve_ggl(
     z = omega.copy()
     u = np.zeros_like(s)
 
-    lam_eff = penalty.lam / eta
-    rho_eff = penalty.rho / eta
+    lam_eff = lam / eta
+    rho_eff = rho / eta
     sqrt_dim = np.sqrt(K * p * p)
     kkt_value = np.inf
     primal = dual = np.inf
@@ -268,38 +377,21 @@ def solve_ggl(
             eta * np.linalg.norm(u)
         )
         if primal <= eps_pri and dual <= eps_dual:
-            kkt_value = _kkt_of_iterate(z, omega, covs, penalty, w)
+            kkt_value = _stationarity_violation(_symmetrized(z), s, lam, rho, w)
             if kkt_value <= 10.0 * opts.tol_abs:
                 converged = True
                 break
 
-    estimate_mats = [symmetrize(m) for m in z]
-    if not all(is_positive_definite(m) for m in estimate_mats):
-        # The prox iterate can lose definiteness when stopped early; the
-        # eigenvalue-map iterate is PD by construction.
-        estimate_mats = [symmetrize(m) for m in omega]
-    estimate = PrecisionSet(estimate_mats, positive_definite=True)
+    mats = _symmetrized(z)
+    # A certified iterate was factored by the certificate; an unconverged
+    # prox iterate can lose definiteness, while the eigenvalue-map iterate is
+    # PD by construction.
+    if not converged and not all(is_positive_definite(m) for m in mats):
+        mats = _symmetrized(omega)
     if not np.isfinite(kkt_value):
-        kkt_value = kkt_residual(estimate, covs, penalty, w if opts.weighted_by_n else None)
-    objective = ggl_objective(
-        estimate.matrices, covs, penalty, w if opts.weighted_by_n else None
-    )
-    return SolveReport(
-        estimate=estimate,
-        iterations=iterations,
-        primal_residual=primal,
-        dual_residual=dual,
-        converged=converged,
-        kkt_violation=float(kkt_value),
-        objective=objective,
-    )
+        kkt_value = _stationarity_violation(mats, s, lam, rho, w)
+    return mats, _BlockResult(iterations, primal, dual, converged, float(kkt_value))
 
 
-def _kkt_of_iterate(z, omega, covs, penalty, w) -> float:
-    """Stationarity violation of the sparse iterate, inf if not invertible."""
-    mats = [symmetrize(m) for m in z]
-    if not all(is_positive_definite(m) for m in mats):
-        return np.inf
-    estimate = PrecisionSet(mats, positive_definite=True)
-    weights = None if np.all(w == 1.0) else w
-    return kkt_residual(estimate, covs, penalty, weights)
+def _symmetrized(stack: np.ndarray) -> np.ndarray:
+    return (stack + stack.transpose(0, 2, 1)) / 2.0

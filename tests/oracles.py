@@ -64,14 +64,15 @@ def prox_inclusion_violation(x, v, l1, l2) -> float:
 # --- proximal gradient solver for the joint objective ------------------------
 
 
-def pg_objective(mats, covs, lam, rho) -> float:
+def pg_objective(mats, covs, lam, rho, weights=None) -> float:
     total = 0.0
     p = mats[0].shape[0]
-    for w, s in zip(mats, covs):
+    weights = [1.0] * len(mats) if weights is None else weights
+    for w, s, n in zip(mats, covs, weights):
         sign, logdet = np.linalg.slogdet(w)
         if sign <= 0:
             return np.inf
-        total += float(np.sum(s * w)) - logdet
+        total += n * (float(np.sum(s * w)) - logdet)
     for i in range(p):
         for j in range(p):
             if i != j:
@@ -109,6 +110,7 @@ def pg_solve(
     stall: float = 1e-10,
     max_iter: int = 500000,
     adaptive: bool = False,
+    weights=None,
 ):
     """Proximal gradient descent on the joint objective.
 
@@ -116,21 +118,23 @@ def pg_solve(
     stops when successive objective values differ by less than ``stall``.
     With ``adaptive=True`` the step grows gently and backtracks whenever the
     objective fails to decrease or an iterate loses definiteness, which only
-    tightens the final stall point.
+    tightens the final stall point.  ``weights`` multiply each population's
+    likelihood term (1 by default).
     """
     covs = [np.asarray(s, dtype=float) for s in covs]
     mats = [np.diag(1.0 / np.diag(s)) for s in covs]
     t = step if step is not None else 1e-3
-    f = pg_objective(mats, covs, lam, rho)
+    weights = [1.0] * len(covs) if weights is None else list(weights)
+    f = pg_objective(mats, covs, lam, rho, weights)
     for _ in range(max_iter):
-        grads = [s - np.linalg.inv(w) for w, s in zip(mats, covs)]
+        grads = [n * (s - np.linalg.inv(w)) for w, s, n in zip(mats, covs, weights)]
         if adaptive:
             t = min(t * 1.2, 10.0)
             while True:
                 cand = _pg_prox(
                     [w - t * g for w, g in zip(mats, grads)], t * lam, t * rho
                 )
-                f_new = pg_objective(cand, covs, lam, rho)
+                f_new = pg_objective(cand, covs, lam, rho, weights)
                 if np.isfinite(f_new) and f_new <= f + 1e-15:
                     break
                 t *= 0.5
@@ -140,7 +144,7 @@ def pg_solve(
             cand = _pg_prox(
                 [w - t * g for w, g in zip(mats, grads)], t * lam, t * rho
             )
-            f_new = pg_objective(cand, covs, lam, rho)
+            f_new = pg_objective(cand, covs, lam, rho, weights)
             if not np.isfinite(f_new):
                 t *= 0.5
                 continue

@@ -194,6 +194,37 @@ class TestRequiredValues:
         assert run(argv + ["600,600"], tmp_path / "b") == EXIT_OK
 
 
+class TestThreadsOnlyForSimulate:
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--c1", "0.5", "--c2", "1.0"],
+        ["test", "--c1", "0.5", "--c2", "1.0", "--edges", "1,2", "--coeffs", "1,-1"],
+        ["tune", "--c1-grid", "1.0", "--c2-grid", "1.0"],
+    ])
+    def test_flag_and_key_exit_1(self, tmp_path, pair_data, capsys, argv):
+        argv = argv + ["--data", pair_data]
+        assert run(argv + ["--threads", "4"], tmp_path / "a") == EXIT_CONFIG
+        config = write_config(tmp_path / "c.json", {"threads": 4})
+        assert run(argv + ["--config", config], tmp_path / "b") == EXIT_CONFIG
+        assert "threads" in capsys.readouterr().err
+        assert run(argv, tmp_path / "c") == EXIT_OK
+        assert "threads" not in report_of(tmp_path / "c")["config"]["params"]
+
+    def test_diagnose_rejects_threads(self, tmp_path):
+        from multiggm import chain_precision
+        from multiggm.io import write_matrix_csv
+
+        path = tmp_path / "om.csv"
+        write_matrix_csv(chain_precision(4, 0.2), str(path))
+        argv = ["diagnose", "--precision", str(path), "--threads", "2"]
+        assert run(argv, tmp_path / "out") == EXIT_CONFIG
+
+    def test_simulate_keeps_threads(self, tmp_path):
+        out = tmp_path / "out"
+        assert run(TPFP_ARGV + ["--B", "2", "--threads", "2"], out) == EXIT_OK
+        assert report_of(out)["config"]["params"]["threads"] == 2
+        assert run(TPFP_ARGV + ["--threads", "0"], tmp_path / "zero") == EXIT_CONFIG
+
+
 def test_negative_seed_runs(tmp_path):
     argv = ["simulate", "consistency", "--p", "6", "--n", "100", "--B", "1",
             "--penalty-rule", "fixed", "--seed", "-1"]

@@ -42,6 +42,7 @@ def truth_injecting_solve(truth: PrecisionSet):
             converged=True,
             kkt_violation=0.0,
             objective=0.0,
+            block_sizes=(truth.p,),
         )
 
     return fake

@@ -108,6 +108,20 @@ class TestCli:
         assert report["payload"]["converged"]
         assert report["tool_version"]
 
+    def test_payload_counts_screening_blocks(self, tmp_path, diag_data):
+        # Columns 1 and 2 are correlated, column 3 is orthogonal to both.
+        x = np.array([[1.0, 0.8, 0.0], [-1.0, -0.6, 0.0], [0.5, 0.7, 1.0],
+                      [-0.5, -0.7, 1.0], [0.3, 0.1, 0.0], [-0.3, -0.6, 0.0]])
+        linked = tmp_path / "linked.csv"
+        write_data_csv(x, linked)
+        for data, blocks in ((diag_data, [2, 1]), (linked, [2, 2])):
+            for argv in (["estimate"], ["test", "--edges", "1,2", "--coeffs", "1"]):
+                out = tmp_path / f"{data.stem}_{argv[0]}"
+                assert main([*argv, "--data", str(data), "--lam", "0.05", "--rho", "0.05",
+                             "--out-dir", str(out), "-q"]) == EXIT_OK
+                payload = json.loads((out / "report.json").read_text())["payload"]
+                assert [payload["blocks"], payload["largest_block"]] == blocks
+
     def test_identical_files_give_unit_p_values(self, tmp_path, diag_data):
         out = tmp_path / "out"
         code = main([

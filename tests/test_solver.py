@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiggm import (
     CovarianceSet,
@@ -13,6 +19,7 @@ from multiggm import (
     prox_sparse_group,
     solve_ggl,
 )
+from multiggm import solver
 from multiggm.graphs import chain_precision
 
 from oracles import (
@@ -215,3 +222,165 @@ class TestSolverProperties:
         )
         for a, b in zip(plain.estimate.matrices, weighted.estimate.matrices):
             assert np.max(np.abs(a - b)) <= 1e-5
+
+
+def split_instance(seed, K, weighted, blocks=(3, 2), singles=2):
+    """Covariances that screening splits, with the penalty and solver weights.
+
+    Random PD blocks and single vertices are interleaved by a random
+    permutation.  Every pair across two of them gets nonzero entries whose
+    weighted soft-thresholded group norm stays below ``rho``, so the pair is
+    screened out without being zero in ``S``.
+    """
+    rng = np.random.default_rng(seed)
+    # Small unequal weights: ADMM's fixed step needs thousands of
+    # iterations at weights near typical sample sizes.
+    sizes = [2 + k for k in range(K)] if weighted else [50] * K
+    w = np.array(sizes, dtype=float) if weighted else np.ones(K)
+    scale = float(np.mean(w))
+    lam = float(rng.choice([0.0, 0.05, 0.1])) * scale
+    rho = float(rng.choice([0.05, 0.1, 0.2])) * scale
+    parts = list(blocks) + [1] * singles
+    p = sum(parts)
+    order = rng.permutation(p)
+    owner = np.repeat(np.arange(len(parts)), parts)[order]
+    mats = np.zeros((K, p, p))
+    for b, size in enumerate(parts):
+        ix = np.flatnonzero(owner == b)
+        for k, m in enumerate(random_covariance_set(rng, size, K)):
+            mats[k][np.ix_(ix, ix)] = m
+    for i in range(p):
+        for j in range(i + 1, p):
+            if owner[i] == owner[j]:
+                continue
+            t = rng.standard_normal(K)
+            t *= 0.9 * rng.uniform() / np.linalg.norm(t)
+            v = np.sign(t) * (lam + rho * np.abs(t)) / w
+            mats[:, i, j] = mats[:, j, i] = v
+    for k in range(K):
+        mats[k] += np.diag(np.abs(mats[k]).sum(axis=1) - np.abs(np.diag(mats[k])))
+    covs = CovarianceSet(list(mats), sizes)
+    opts = SolverOptions(weighted_by_n=weighted)
+    return covs, PenaltyPair(lam, rho), opts, (w if weighted else None)
+
+
+def screened_singles(covs, pen, w):
+    """Vertices the screening rule separates from all others, checked pair by pair."""
+    w = np.ones(covs.K) if w is None else w
+    singles = []
+    for i in range(covs.p):
+        alone = True
+        for j in range(covs.p):
+            if i != j:
+                g = np.array([w[k] * m[i, j] for k, m in enumerate(covs.matrices)])
+                soft = np.sign(g) * np.maximum(np.abs(g) - pen.lam, 0.0)
+                alone = alone and np.linalg.norm(soft) <= pen.rho
+        if alone:
+            singles.append(i)
+    return singles
+
+
+instances = st.tuples(
+    st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]), st.booleans()
+)
+
+
+class TestScreening:
+    @settings(max_examples=25, deadline=None)
+    @given(instances)
+    def test_matches_oracle(self, instance):
+        covs, pen, opts, w = split_instance(*instance)
+        report = solve_ggl(covs, pen, SolverOptions(tol_abs=1e-9, weighted_by_n=opts.weighted_by_n))
+        assert report.converged and len(report.block_sizes) >= 3
+        mats = list(covs.matrices)
+        oracle, _ = pg_solve(mats, pen.lam, pen.rho, adaptive=True, stall=1e-13, weights=w)
+        for est, ref in zip(report.estimate.matrices, oracle):
+            assert np.max(np.abs(est - ref)) <= 1e-4
+        assert abs(ggl_objective(oracle, covs, pen, w) - report.objective) <= 1e-8
+
+    @settings(max_examples=50, deadline=None)
+    @given(instances)
+    def test_certificate_on_full_problem(self, instance):
+        covs, pen, opts, w = split_instance(*instance)
+        report = solve_ggl(covs, pen, opts)
+        full = kkt_residual(report.estimate, covs, pen, w)
+        assert report.converged
+        assert full <= 10 * opts.tol_abs
+        assert abs(full - report.kkt_violation) <= 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(instances)
+    def test_single_vertices_closed_form(self, instance):
+        covs, pen, opts, w = split_instance(*instance)
+        report = solve_ggl(covs, pen, opts)
+        singles = screened_singles(covs, pen, w)
+        assert len(singles) >= 2
+        assert report.block_sizes.count(1) == len(singles)
+        assert sum(report.block_sizes) == covs.p
+        for est, s in zip(report.estimate.matrices, covs.matrices):
+            for i in singles:
+                assert est[i, i] == 1.0 / s[i, i]
+                assert np.count_nonzero(est[i]) == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(instances, st.integers(0, 2**32 - 1))
+    def test_permutation_equivariance(self, instance, perm_seed):
+        covs, pen, opts, w = split_instance(*instance)
+        perm = np.random.default_rng(perm_seed).permutation(covs.p)
+        permuted = CovarianceSet(
+            [s[np.ix_(perm, perm)] for s in covs.matrices], covs.sample_sizes
+        )
+        tight = SolverOptions(tol_abs=1e-11, weighted_by_n=opts.weighted_by_n)
+        base = solve_ggl(covs, pen, tight)
+        moved = solve_ggl(permuted, pen, tight)
+        assert sorted(base.block_sizes) == sorted(moved.block_sizes)
+        for a, b in zip(base.estimate.matrices, moved.estimate.matrices):
+            assert np.max(np.abs(a[np.ix_(perm, perm)] - b)) <= 1e-8
+
+    @settings(max_examples=25, deadline=None)
+    @given(instances)
+    def test_one_prox_call_per_counted_iteration(self, instance):
+        covs, pen, opts, w = split_instance(*instance)
+        calls = []
+        prox = solver._prox_offdiag_stack
+
+        def counting(*args):
+            calls.append(args[0].shape)
+            return prox(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_prox_offdiag_stack", counting)
+            report = solve_ggl(covs, pen, opts)
+        assert len(calls) == report.iterations
+        assert {shape[1] for shape in calls} <= {n for n in report.block_sizes if n > 1}
+
+    @settings(max_examples=25, deadline=None)
+    @given(instances)
+    def test_all_single_vertices(self, instance):
+        covs, pen, opts, w = split_instance(*instance, blocks=(), singles=5)
+        report = solve_ggl(covs, pen, opts)
+        assert report.iterations == 0 and report.converged
+        assert report.block_sizes == (1,) * 5
+        for est, s in zip(report.estimate.matrices, covs.matrices):
+            assert np.array_equal(est, np.diag(1.0 / np.diag(s)))
+        assert kkt_residual(report.estimate, covs, pen, w) <= 1e-12
+
+    def test_one_block_when_nothing_splits(self):
+        rng = np.random.default_rng(4)
+        covs = CovarianceSet(random_covariance_set(rng, 6, 2), [50, 50])
+        assert solve_ggl(covs, PenaltyPair(0.0, 0.0)).block_sizes == (6,)
+
+
+def test_solve_does_not_import_scipy_sparse():
+    code = (
+        "import sys\n"
+        "from multiggm import CovarianceSet, PenaltyPair, solve_ggl\n"
+        "solve_ggl(CovarianceSet([[[2.0, 0.5], [0.5, 1.0]]], [20]), PenaltyPair(0.1, 0.1))\n"
+        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(solver.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert result.returncode == 0, result.stderr
