@@ -22,6 +22,7 @@ import os
 import platform
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 
 import numpy
@@ -56,7 +57,7 @@ from .selection import (
 )
 from .solver import PenaltyPair, solve_ggl
 
-REPORT_SCHEMA = 4
+REPORT_SCHEMA = 5
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -280,30 +281,43 @@ def _resolve_penalty(args, p: int, n: int) -> PenaltyPair:
     return PenaltyPair(args.c1 * scale, args.c2 * scale)
 
 
+@contextmanager
+def _phase(report: AnalysisReport, name: str):
+    """Add the wall time of the ``with`` body to ``report.timings[name]``."""
+    start = time.perf_counter()
+    try:
+        yield
+    finally:
+        report.timings[name] = report.timings.get(name, 0.0) + time.perf_counter() - start
+
+
 def _emit(report: AnalysisReport, writer, obj, path: str) -> None:
-    writer(obj, path)
+    with _phase(report, "write_s"):
+        writer(obj, path)
     report.outputs.append(path)
 
 
-def _covariances(args):
-    dataset = ingest_csv(
-        _existing_paths(args.data, "data"),
-        center=args.center,
-        standardize=args.standardize,
-        first_difference=args.first_difference,
-    )
+def _covariances(args, report: AnalysisReport):
+    with _phase(report, "read_s"):
+        dataset = ingest_csv(
+            _existing_paths(args.data, "data"),
+            center=args.center,
+            standardize=args.standardize,
+            first_difference=args.first_difference,
+        )
     return sample_covariance(dataset)
 
 
-def _fit(args):
+def _fit(args, report: AnalysisReport):
     """Covariances, penalty and solve, shared by estimate and test.
 
     The data are read before the penalty is checked, so a malformed file is
     reported as a data error whatever the flags.
     """
-    covs = _covariances(args)
+    covs = _covariances(args, report)
     penalty = _resolve_penalty(args, covs.p, min(covs.sample_sizes))
-    solve = solve_ggl(covs, penalty)
+    with _phase(report, "solve_s"):
+        solve = solve_ggl(covs, penalty)
     return covs, penalty, solve, EXIT_OK if solve.converged else EXIT_NONCONVERGENCE
 
 
@@ -313,10 +327,11 @@ def _blocks(solve) -> dict:
 
 
 def _estimate(args, report: AnalysisReport) -> int:
-    covs, penalty, solve, code = _fit(args)
+    covs, penalty, solve, code = _fit(args, report)
     matrices = [("estimate", solve.estimate)]
-    if args.debias:
-        matrices.append(("debiased", debias(solve.estimate, covs)))
+    with _phase(report, "inference_s"):
+        if args.debias:
+            matrices.append(("debiased", debias(solve.estimate, covs)))
     for name, stack in matrices:
         for k, m in enumerate(stack.matrices):
             _emit(report, write_matrix_csv, m, f"{args.out_dir}/{name}_k{k + 1}.csv")
@@ -335,40 +350,41 @@ def _estimate(args, report: AnalysisReport) -> int:
 def _test(args, report: AnalysisReport) -> int:
     edges = _edge_list(_given(args.edges, "--edges"))
     coeffs = _float_list(_given(args.coeffs, "--coeffs"))
-    covs, penalty, solve, code = _fit(args)
+    covs, penalty, solve, code = _fit(args, report)
     if len(coeffs) != covs.K:
         raise ConfigError(f"{len(coeffs)} coefficients for {covs.K} populations")
-    deb = debias(solve.estimate, covs)
-    results = []
-    rows = [["i", "j", "estimate", "std_error", "z", "p_value", "reject"]]
-    for (i, j) in edges:
-        if not (0 <= i < covs.p and 0 <= j < covs.p):
-            raise ConfigError(f"edge ({i + 1},{j + 1}) out of range for p={covs.p}")
-        r = test_linear_combo(
-            deb, solve.estimate, covs, LinearCombo(coeffs, (i, j)), args.alpha
-        )
-        cis = [
-            confidence_interval(deb, solve.estimate, covs, k, i, j, args.ci_level)
-            for k in range(covs.K)
-        ]
-        results.append(
-            {
-                "edge": [i + 1, j + 1],
-                "estimate": r.estimate,
-                "std_error": r.std_error,
-                "z_stat": r.z_stat,
-                "p_value": r.p_value,
-                "reject": r.reject,
-                "alpha_level": r.alpha_level,
-                "intervals": [
-                    {"population": k + 1, "lower": c.lower, "upper": c.upper,
-                     "level": c.level}
-                    for k, c in enumerate(cis)
-                ],
-            }
-        )
-        rows.append([i + 1, j + 1, r.estimate, r.std_error, r.z_stat,
-                     r.p_value, int(r.reject)])
+    with _phase(report, "inference_s"):
+        deb = debias(solve.estimate, covs)
+        results = []
+        rows = [["i", "j", "estimate", "std_error", "z", "p_value", "reject"]]
+        for (i, j) in edges:
+            if not (0 <= i < covs.p and 0 <= j < covs.p):
+                raise ConfigError(f"edge ({i + 1},{j + 1}) out of range for p={covs.p}")
+            r = test_linear_combo(
+                deb, solve.estimate, covs, LinearCombo(coeffs, (i, j)), args.alpha
+            )
+            cis = [
+                confidence_interval(deb, solve.estimate, covs, k, i, j, args.ci_level)
+                for k in range(covs.K)
+            ]
+            results.append(
+                {
+                    "edge": [i + 1, j + 1],
+                    "estimate": r.estimate,
+                    "std_error": r.std_error,
+                    "z_stat": r.z_stat,
+                    "p_value": r.p_value,
+                    "reject": r.reject,
+                    "alpha_level": r.alpha_level,
+                    "intervals": [
+                        {"population": k + 1, "lower": c.lower, "upper": c.upper,
+                         "level": c.level}
+                        for k, c in enumerate(cis)
+                    ],
+                }
+            )
+            rows.append([i + 1, j + 1, r.estimate, r.std_error, r.z_stat,
+                         r.p_value, int(r.reject)])
     _emit(report, write_csv_atomic, rows, f"{args.out_dir}/tests.csv")
     report.payload = {
         "penalty": {"lam": penalty.lam, "rho": penalty.rho},
@@ -385,7 +401,9 @@ def _tune(args, report: AnalysisReport) -> int:
         c2_values=tuple(_float_list(args.c2_grid)),
         gamma=args.gamma,
     )
-    result = tune_penalties(_covariances(args), grid)
+    covs = _covariances(args, report)
+    with _phase(report, "tune_s"):
+        result = tune_penalties(covs, grid)
     _emit(report, write_csv_atomic, score_table_rows(result), f"{args.out_dir}/score_table.csv")
     report.payload = {
         "best_constants": list(result.best_constants),
@@ -491,8 +509,10 @@ def run_command(args: argparse.Namespace) -> tuple[AnalysisReport, int]:
         environment=environment(),
     )
     code = COMMANDS[args.command](args, report)
-    report.timings = {"wall_seconds": time.perf_counter() - t_start}
-    _emit(report, write_json_atomic, report.to_jsonable(), f"{args.out_dir}/report.json")
+    report.timings["wall_seconds"] = time.perf_counter() - t_start
+    path = f"{args.out_dir}/report.json"
+    write_json_atomic(report.to_jsonable(), path)
+    report.outputs.append(path)
     return report, code
 
 

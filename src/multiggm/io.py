@@ -1,8 +1,30 @@
 """CSV ingestion, report serialization, and atomic file output.
 
-CSV numbers are written with 17 significant digits so every float
-round-trips exactly; JSON uses Python's shortest-repr floats, which also
-round-trip.  All writes go through a temp file plus rename.
+Reading.  A numeric CSV is read once into lines.  Rows whose cells are all
+whitespace are dropped.  The first remaining row is the header when
+``float()`` rejects one of its cells; it goes through ``csv.reader``, so
+quoted names may hold commas.  The data lines go to ``np.loadtxt`` (comma
+delimiter, ``"`` quotes, no comment character, so ``1,2 # note`` is still a
+bad cell).  numpy's reader and ``float()`` both hand the digits to CPython's
+correctly rounded string-to-double routine, so every cell parses to the same
+bits either way.
+
+Errors.  When ``loadtxt`` raises, or the header's width differs from the
+data's, ``_scan_rows`` parses the lines cell by cell with ``csv`` and
+``float()``.  It raises the positioned ``DataFormatError`` (ragged row,
+non-numeric cell at row and column, header width, empty file, header with
+no data) or, where the file is good, returns its own parse: ``float()``
+accepts cells numpy does not, such as ``1_000`` or non-ASCII digits.  The
+scan also takes, before numpy sees them, the files numpy's reader could
+accept where the scan does not: numbers padded with the separator controls
+U+001C..U+001F, a quoted cell that spans lines, and a cell longer than the
+``csv`` module's field size limit.
+
+Writing.  CSV numbers are written with 17 significant digits (``%.17g``,
+the same CPython routine as ``format(x, ".17g")``) so every float
+round-trips exactly; a float matrix is formatted through one row template.
+JSON uses Python's shortest-repr floats, which also round-trip.  All writes
+go through a temp file plus rename.
 """
 
 from __future__ import annotations
@@ -17,11 +39,67 @@ import numpy as np
 from .core import MultiPopDataset
 from .errors import DataFormatError, DimensionMismatchError
 
+# U+001C..U+001F: whitespace to str.strip() and numpy's reader, not to float().
+_SEPARATOR_CONTROLS = "\x1c\x1d\x1e\x1f"
+
 
 def _parse_csv_file(path: str):
     """Rows of floats plus optional header names from one numeric CSV."""
     with open(path, newline="") as fh:
-        raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+        lines = fh.readlines()
+    reader = csv.reader(lines)
+    start = 0
+    for row in reader:
+        if row and any(c.strip() for c in row):
+            break
+        start = reader.line_num
+    else:
+        return _scan_rows(path, lines)
+    header = None
+    try:
+        for cell in row:
+            float(cell)
+    except ValueError:
+        header = [c.strip() for c in row]
+        start = reader.line_num
+    data = [line for line in lines[start:] if line.replace(",", "").strip()]
+    if not data or _reader_may_differ(data):
+        return _scan_rows(path, lines)
+    try:
+        x = np.loadtxt(
+            data, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float
+        )
+    except ValueError:
+        return _scan_rows(path, lines)
+    if header is not None and len(header) != x.shape[1]:
+        return _scan_rows(path, lines)
+    return x, header
+
+
+def _reader_may_differ(data) -> bool:
+    """Whether numpy's reader could accept data lines that ``_scan_rows`` rejects.
+
+    That is a line with a separator control, which numpy strips around a
+    number and ``float()`` does not; an odd count of quotes, which leaves a
+    quoted cell open across lines that dropping blank lines could cut into;
+    or a cell longer than the ``csv`` module's field size limit.
+    """
+    limit = csv.field_size_limit()
+    return any(
+        line.count('"') % 2
+        or any(c in line for c in _SEPARATOR_CONTROLS)
+        or (len(line) > limit and max(map(len, line.split(","))) > limit)
+        for line in data
+    )
+
+
+def _scan_rows(path: str, lines):
+    """Cell-by-cell parse of a CSV's lines with ``csv`` and ``float()``.
+
+    Raises the positioned ``DataFormatError`` for a bad file; returns the
+    rows and header for a good one that numpy's reader did not take.
+    """
+    raw = [row for row in csv.reader(lines) if row and any(c.strip() for c in row)]
     if not raw:
         raise DataFormatError(f"{path}: empty file")
 
@@ -140,8 +218,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _format_rows(matrix) -> str:
+    """A float matrix as CSV lines of 17-significant-digit numbers."""
+    matrix = np.asarray(matrix, dtype=float)
+    template = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    return "".join([template % tuple(row.tolist()) for row in matrix])
+
+
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
-    write_csv_atomic(np.asarray(matrix, dtype=float).tolist(), path)
+    _atomic_write(path, _format_rows(matrix) or "\n")
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -152,8 +237,7 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 
 def write_data_csv(matrix: np.ndarray, path: str, names=None) -> None:
-    rows = []
+    text = _format_rows(matrix)
     if names is not None:
-        rows.append(list(names))
-    rows.extend(np.asarray(matrix, dtype=float).tolist())
-    write_csv_atomic(rows, path)
+        text = ",".join(_format_cell(c) for c in names) + "\n" + text
+    _atomic_write(path, text or "\n")

@@ -2,12 +2,18 @@
 
 Nothing here may import from multiggm.solver's internals: the proximal
 gradient solver, the prox grid search, and the dense Kronecker constructions
-are written from scratch so they can certify the main implementations.
+are written from scratch so they can certify the main implementations.  The
+CSV parser and writers are the cell-by-cell ``csv``/``float()``/``format()``
+code that ``multiggm.io`` replaced with numpy's reader and row templates.
 """
 
 from __future__ import annotations
 
+import csv
+
 import numpy as np
+
+from multiggm.errors import DataFormatError
 
 
 # --- prox oracle -------------------------------------------------------------
@@ -216,3 +222,69 @@ def random_covariance_set(rng, p, K, well_conditioned=True):
             s += 0.5 * np.eye(p)
         mats.append((s + s.T) / 2.0)
     return mats
+
+
+# --- CSV oracles -------------------------------------------------------------
+
+
+def parse_csv_oracle(path: str):
+    """Rows of floats plus optional header names from one numeric CSV."""
+    with open(path, newline="") as fh:
+        raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
+    if not raw:
+        raise DataFormatError(f"{path}: empty file")
+
+    def try_floats(row):
+        try:
+            return [float(c) for c in row]
+        except ValueError:
+            return None
+
+    header = None
+    first = try_floats(raw[0])
+    if first is None:
+        header = [c.strip() for c in raw[0]]
+        raw = raw[1:]
+        if not raw:
+            raise DataFormatError(f"{path}: header but no data rows")
+
+    width = len(raw[0])
+    rows = []
+    for r_idx, row in enumerate(raw):
+        if len(row) != width:
+            raise DataFormatError(
+                f"{path}: ragged row {r_idx + 1} has {len(row)} cells, expected {width}"
+            )
+        parsed = []
+        for c_idx, cell in enumerate(row):
+            try:
+                parsed.append(float(cell))
+            except ValueError:
+                raise DataFormatError(
+                    f"{path}: non-numeric cell at row {r_idx + 1}, column {c_idx + 1}: "
+                    f"{cell!r}"
+                ) from None
+        rows.append(parsed)
+    if header is not None and len(header) != width:
+        raise DataFormatError(
+            f"{path}: header has {len(header)} names for {width} columns"
+        )
+    return np.array(rows, dtype=float), header
+
+
+def _format_cell(value) -> str:
+    if isinstance(value, float) or isinstance(value, np.floating):
+        return format(float(value), ".17g")
+    return str(value)
+
+
+def csv_text_oracle(rows) -> str:
+    """The text of a CSV of rows, floats at 17 significant digits."""
+    return "\n".join(",".join(_format_cell(c) for c in row) for row in rows) + "\n"
+
+
+def data_csv_oracle(matrix, names=None) -> str:
+    """The text of a float matrix's CSV, under an optional row of names."""
+    rows = [] if names is None else [list(names)]
+    rows.extend(np.asarray(matrix, dtype=float).tolist())
+    return csv_text_oracle(rows)

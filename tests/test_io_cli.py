@@ -1,9 +1,12 @@
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import multiggm
 from multiggm import DataFormatError, DimensionMismatchError, ingest_csv
 from multiggm.cli import (
     EXIT_CONFIG,
@@ -107,6 +110,24 @@ class TestCli:
         report = json.loads((out / "report.json").read_text())
         assert report["payload"]["converged"]
         assert report["tool_version"]
+
+    def test_report_times_each_phase(self, tmp_path, diag_data):
+        data = ["--data", f"{diag_data},{diag_data}"]
+        runs = {
+            "estimate": (["estimate", *data, "--debias", "--lam", "0.1", "--rho", "0.1"],
+                         {"read_s", "solve_s", "inference_s", "write_s"}),
+            "test": (["test", *data, "--lam", "0.1", "--rho", "0.1", "--edges", "1,2",
+                      "--coeffs", "1,-1"], {"read_s", "solve_s", "inference_s", "write_s"}),
+            "tune": (["tune", *data, "--c1-grid", "0.5", "--c2-grid", "0.5"],
+                     {"read_s", "tune_s", "write_s"}),
+        }
+        for name, (argv, phases) in runs.items():
+            out = tmp_path / name
+            assert main([*argv, "--out-dir", str(out), "-q"]) == EXIT_OK
+            timings = json.loads((out / "report.json").read_text())["timings"]
+            assert set(timings) == phases | {"wall_seconds"}
+            assert all(timings[k] >= 0.0 for k in phases)
+            assert sum(timings[k] for k in phases) <= timings["wall_seconds"]
 
     def test_payload_counts_screening_blocks(self, tmp_path, diag_data):
         # Columns 1 and 2 are correlated, column 3 is orthogonal to both.
@@ -267,3 +288,26 @@ class TestCli:
         assert exc.value.code == 0
         out = capsys.readouterr().out
         assert "multiggm" in out and "report schema" in out
+
+
+def test_cli_estimate_imports_neither_pandas_nor_scipy_sparse(tmp_path):
+    rng = np.random.default_rng(2)
+    paths = []
+    for k in range(2):
+        paths.append(str(tmp_path / f"pop{k}.csv"))
+        write_data_csv(rng.standard_normal((40, 5)), paths[-1], [f"x{j}" for j in range(5)])
+    argv = ["estimate", "--data", ",".join(paths), "--c1", "0.5", "--c2", "1.0",
+            "--debias", "--out-dir", str(tmp_path / "out"), "-q"]
+    code = (
+        "import sys\n"
+        "from multiggm import cli\n"
+        f"assert cli.main({argv!r}) == 0\n"
+        "loaded = [m for m in ('pandas', 'scipy.sparse') if m in sys.modules]\n"
+        "assert not loaded, f'{loaded} imported'\n"
+    )
+    package_root = os.path.dirname(os.path.dirname(multiggm.__file__))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=package_root),
+    )
+    assert result.returncode == 0, result.stderr
