@@ -10,7 +10,8 @@ subcommand's argument names (``out_dir``, ``c1``, ``ci_level``, ...); flags
 override its values and unknown keys are an error.
 
 Exit codes: 0 success, 1 configuration error, 2 data error,
-3 solver non-convergence.  Edge indices on the command line and in all
+3 solver non-convergence (``estimate`` and ``test`` still write their
+outputs and warn on stderr).  Edge indices on the command line and in all
 output files are 1-based.
 """
 
@@ -57,7 +58,7 @@ from .selection import (
 )
 from .solver import PenaltyPair, solve_ggl
 
-REPORT_SCHEMA = 5
+REPORT_SCHEMA = 6
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -318,6 +319,13 @@ def _fit(args, report: AnalysisReport):
     penalty = _resolve_penalty(args, covs.p, min(covs.sample_sizes))
     with _phase(report, "solve_s"):
         solve = solve_ggl(covs, penalty)
+    if not solve.converged:
+        print(
+            f"warning: the solve did not converge ({solve.iterations} iterations, "
+            f"KKT violation {solve.kkt_violation:.3g}); outputs are written and "
+            f"the exit code is {EXIT_NONCONVERGENCE}",
+            file=sys.stderr,
+        )
     return covs, penalty, solve, EXIT_OK if solve.converged else EXIT_NONCONVERGENCE
 
 
@@ -408,6 +416,9 @@ def _tune(args, report: AnalysisReport) -> int:
     report.payload = {
         "best_constants": list(result.best_constants),
         "best_penalty": {"lam": result.best_penalty.lam, "rho": result.best_penalty.rho},
+        "cells": len(result.table),
+        "converged_cells": sum(cell.converged for cell in result.table),
+        "iterations": sum(cell.iterations for cell in result.table),
     }
     return EXIT_OK
 

@@ -9,9 +9,11 @@ bad cell).  numpy's reader and ``float()`` both hand the digits to CPython's
 correctly rounded string-to-double routine, so every cell parses to the same
 bits either way.
 
-Errors.  When ``loadtxt`` raises, or the header's width differs from the
-data's, ``_scan_rows`` parses the lines cell by cell with ``csv`` and
-``float()``.  It raises the positioned ``DataFormatError`` (ragged row,
+Errors.  A file that cannot be opened or decoded as UTF-8, or that holds a
+cell longer than the ``csv`` module's field size limit, is a
+``DataFormatError``.  When ``loadtxt`` raises, or the header's width
+differs from the data's, ``_scan_rows`` parses the lines cell by cell with
+``csv`` and ``float()``.  It raises the positioned ``DataFormatError`` (ragged row,
 non-numeric cell at row and column, header width, empty file, header with
 no data) or, where the file is good, returns its own parse: ``float()``
 accepts cells numpy does not, such as ``1_000`` or non-ASCII digits.  The
@@ -23,13 +25,16 @@ U+001C..U+001F, a quoted cell that spans lines, and a cell longer than the
 Writing.  CSV numbers are written with 17 significant digits (``%.17g``,
 the same CPython routine as ``format(x, ".17g")``) so every float
 round-trips exactly; a float matrix is formatted through one row template.
-JSON uses Python's shortest-repr floats, which also round-trip.  All writes
-go through a temp file plus rename.
+A data file's header row goes through ``csv.writer``, so a name holding a
+comma or a quote is quoted and reads back whole.  JSON uses Python's
+shortest-repr floats, which also round-trip.  All writes go through a temp
+file plus rename.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import tempfile
@@ -141,6 +146,14 @@ def _scan_rows(path: str, lines):
     return np.array(rows, dtype=float), header
 
 
+def _read_csv(path):
+    """:func:`_parse_csv_file`, with a file it cannot read or decode as a data error."""
+    try:
+        return _parse_csv_file(str(path))
+    except (OSError, UnicodeDecodeError, csv.Error) as exc:
+        raise DataFormatError(f"cannot read {path}: {exc}") from exc
+
+
 def ingest_csv(
     paths,
     center: bool = False,
@@ -158,10 +171,7 @@ def ingest_csv(
     mats = []
     names = None
     for k, path in enumerate(paths):
-        try:
-            x, header = _parse_csv_file(str(path))
-        except OSError as exc:
-            raise DataFormatError(f"cannot read {path}: {exc}") from exc
+        x, header = _read_csv(path)
         if k == 0:
             names = header
         elif header is not None and names is not None and header != names:
@@ -230,14 +240,17 @@ def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
-    x, header = _parse_csv_file(str(path))
+    x, header = _read_csv(path)
     if header is not None:
         raise DataFormatError(f"{path}: matrix files must not carry headers")
     return x
 
 
 def write_data_csv(matrix: np.ndarray, path: str, names=None) -> None:
+    """A data matrix, with ``names`` as a header row quoted the ``csv`` way."""
     text = _format_rows(matrix)
     if names is not None:
-        text = ",".join(_format_cell(c) for c in names) + "\n" + text
+        header = io.StringIO()
+        csv.writer(header, lineterminator="\n").writerow(map(_format_cell, names))
+        text = header.getvalue() + text
     _atomic_write(path, text or "\n")

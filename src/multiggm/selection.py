@@ -56,7 +56,7 @@ class TuningGrid:
 
 @dataclass(frozen=True)
 class TuningCell:
-    """One grid evaluation; ``valid`` is False when the solve did not converge."""
+    """One grid evaluation; ``converged`` is False when the solve did not converge."""
 
     c1: float
     c2: float
@@ -65,6 +65,7 @@ class TuningCell:
     score: float
     edge_counts: tuple[int, ...]
     converged: bool
+    iterations: int
 
 
 @dataclass(frozen=True)
@@ -129,54 +130,53 @@ def tune_penalties(
 ) -> TuningResult:
     """Grid search over (C1, C2) minimizing the e-BIC.
 
-    Every cell is an independent solve at lam = C1 * scale, rho = C2 * scale.
-    Non-converged cells are kept in the table but excluded from the argmin;
-    exact score ties break toward the lexicographically larger (C1, C2), i.e.
-    the sparser model.  Raises :class:`ConvergenceError` when no cell is
-    valid.
+    Each cell solves at lam = C1 * scale, rho = C2 * scale.  The cells of
+    one C2 value form a path from the largest C1 down: each cell is
+    warm-started from the previous cell's solve, and a path's first cell, as
+    well as any cell after a non-converged one, starts cold.  The table
+    lists the cells C1-major whatever the solve order.  Non-converged cells
+    are kept in the table but excluded from the argmin; exact score ties
+    break toward the lexicographically larger (C1, C2), i.e. the sparser
+    model.  Raises :class:`ConvergenceError` when no cell is valid.
     """
     covs.require_positive_diagonal()
     scale = penalty_scale(covs.p, min(covs.sample_sizes))
-    cells = []
-    best = None  # (score, (c1, c2), PenaltyPair)
-    for c1 in grid.c1_values:
-        for c2 in grid.c2_values:
+    cells = {}
+    for c2 in grid.c2_values:
+        previous = None
+        for c1 in reversed(grid.c1_values):
             penalty = PenaltyPair(c1 * scale, c2 * scale)
-            report = solve_ggl(covs, penalty, opts)
-            if report.converged:
-                score = ebic(
-                    report.estimate, covs, grid.gamma, edge_tol, (c1, c2)
-                )
-                cells.append(
-                    TuningCell(
-                        c1=c1,
-                        c2=c2,
-                        lam=penalty.lam,
-                        rho=penalty.rho,
-                        score=score.value,
-                        edge_counts=score.edge_counts,
-                        converged=True,
-                    )
-                )
-                key = (score.value, (-c1, -c2))
-                if best is None or key < best[0]:
-                    best = (key, (c1, c2), penalty)
-            else:
-                cells.append(
-                    TuningCell(
-                        c1=c1,
-                        c2=c2,
-                        lam=penalty.lam,
-                        rho=penalty.rho,
-                        score=float("nan"),
-                        edge_counts=tuple([-1] * covs.K),
-                        converged=False,
-                    )
-                )
-    if best is None:
+            report = solve_ggl(covs, penalty, opts, init=previous)
+            previous = report if report.converged else None
+            cells[c1, c2] = _cell(covs, grid, edge_tol, c1, c2, penalty, report)
+    table = tuple(cells[c1, c2] for c1 in grid.c1_values for c2 in grid.c2_values)
+    valid = [c for c in table if c.converged]
+    if not valid:
         raise ConvergenceError("no grid cell converged; cannot select penalties")
+    best = min(valid, key=lambda c: (c.score, (-c.c1, -c.c2)))
     return TuningResult(
-        best_constants=best[1], best_penalty=best[2], table=tuple(cells)
+        best_constants=(best.c1, best.c2),
+        best_penalty=PenaltyPair(best.lam, best.rho),
+        table=table,
+    )
+
+
+def _cell(covs, grid, edge_tol, c1, c2, penalty, report) -> TuningCell:
+    """The table entry of one solved grid cell."""
+    if report.converged:
+        score = ebic(report.estimate, covs, grid.gamma, edge_tol, (c1, c2))
+        value, counts = score.value, score.edge_counts
+    else:
+        value, counts = float("nan"), tuple([-1] * covs.K)
+    return TuningCell(
+        c1=c1,
+        c2=c2,
+        lam=penalty.lam,
+        rho=penalty.rho,
+        score=value,
+        edge_counts=counts,
+        converged=report.converged,
+        iterations=report.iterations,
     )
 
 

@@ -18,10 +18,18 @@ The solver is ADMM with the consensus split ``W_k = Z_k``:
   ``A = eta * (Z_k - U_k) - w_k * S_k = Q diag(d) Q'``, the minimizer has the
   same eigenvectors and eigenvalues ``(d + sqrt(d^2 + 4 * eta * w_k)) /
   (2 * eta)``, which are strictly positive, so every W iterate is PD.
+* over-relaxation (Boyd et al. 2011, *Distributed Optimization and
+  Statistical Learning via ADMM*, sec. 3.4.3): ``W_hat = alpha * W + (1 -
+  alpha) * Z_old`` with the fixed constant ``alpha = 1.8``;
 * Z-step: the closed-form proximal operator of the combined penalty applied
-  per off-diagonal group (soft-threshold, then group shrinkage); diagonals
-  are copied through.
-* scaled dual update ``U += W - Z``.
+  to ``W_hat + U`` per off-diagonal group (soft-threshold, then group
+  shrinkage); diagonals are copied through.
+* scaled dual update ``U += W_hat - Z``.
+
+The primal residual stays ``||W - Z||`` and the dual residual
+``eta * ||Z - Z_old||``.  Over-relaxation roughly halves the iterations;
+``alpha = 1.8`` is the upper end of Boyd's 1.5--1.8 range and is not an
+option.
 
 Convergence requires the standard primal/dual residual test *and* a
 stationarity certificate: the subgradient-inclusion residual of the sparse
@@ -41,6 +49,12 @@ block-diagonal estimate is block-diagonal, so an off-block gradient is
 ``w_k S_k[i, j]``, which the screening rule already keeps within the
 subdifferential, and the full problem's violation is the largest block
 violation.
+
+Warm starts.  ``solve_ggl(..., init=report)`` starts every block from the
+estimate and the scaled dual of an earlier report, restricted to that
+block, instead of from ``diag(1 / S_k[i, i])`` and a zero dual.  Along a path of decreasing penalties the screening blocks only merge, so
+each new block holds whole blocks of the earlier solve.
+:func:`multiggm.selection.tune_penalties` walks its grid this way.
 """
 
 from __future__ import annotations
@@ -55,6 +69,9 @@ from scipy.linalg import cho_solve
 from . import _blas
 from .core import CovarianceSet, PrecisionSet, is_positive_definite, symmetrize
 from .errors import DataFormatError, NotPositiveDefiniteError
+
+# Over-relaxation constant of the Z-step and the dual update.
+RELAXATION = 1.8
 
 
 @dataclass(frozen=True)
@@ -96,6 +113,7 @@ class SolveReport:
     kkt_violation: float
     objective: float
     block_sizes: tuple[int, ...]
+    dual: np.ndarray
 
 
 def prox_sparse_group(values: np.ndarray, lam_eff: float, rho_eff: float) -> np.ndarray:
@@ -269,7 +287,10 @@ def _screened_blocks(s, w, lam: float, rho: float) -> list[np.ndarray]:
 
 @_blas.single_threaded()
 def solve_ggl(
-    covs: CovarianceSet, penalty: PenaltyPair, opts: SolverOptions = SolverOptions()
+    covs: CovarianceSet,
+    penalty: PenaltyPair,
+    opts: SolverOptions = SolverOptions(),
+    init: SolveReport | None = None,
 ) -> SolveReport:
     """Solve the group graphical lasso for all populations jointly.
 
@@ -283,12 +304,27 @@ def solve_ggl(
     with ``max_iter`` per block.  ``iterations`` is the sum over blocks, the
     residuals are the root-sum-square over blocks, ``kkt_violation`` is the
     largest block certificate, and ``block_sizes`` lists every block's size.
+    ``dual`` is the (K, p, p) scaled dual: each block's final ``U``, and
+    outside the blocks its optimal value ``-w_k S_k[i, j] / eta`` (zero on
+    the diagonal).
+
+    ``init``, the report of an earlier solve, warm-starts each block from
+    its estimate and dual restricted to the block.  Any start converges to
+    the same solution, a close one in fewer iterations; the dual is scaled
+    by ``admm_step``, so ``init`` should come from a solve with the same
+    options.  A report of another dimension or population count raises
+    :class:`DataFormatError`.
 
     The solve runs numpy's and scipy's OpenBLAS at one thread each and
     restores the caller's thread counts when the last concurrent solve
     returns (see :mod:`multiggm._blas`).
     """
     covs.require_positive_diagonal()
+    if init is not None and init.dual.shape != (covs.K, covs.p, covs.p):
+        raise DataFormatError(
+            f"init holds K={init.dual.shape[0]}, p={init.dual.shape[1]}; "
+            f"the covariances have K={covs.K}, p={covs.p}"
+        )
     lam, rho = penalty.lam, penalty.rho
     w = (
         np.asarray(covs.sample_sizes, dtype=float)
@@ -301,11 +337,19 @@ def solve_ggl(
     mats = np.zeros_like(s)
     idx = np.arange(covs.p)
     mats[:, idx, idx] = 1.0 / s[:, idx, idx]
+    # Outside the ADMM blocks the estimate is block-diagonal, so the optimal
+    # scaled dual w_k (W_k^{-1} - S_k) / eta is -w_k S_k / eta off the
+    # diagonal and 0 on it.
+    dual = s * (-w / opts.admm_step)[:, None, None]
+    dual[:, idx, idx] = 0.0
+    if init is not None:
+        init_z = np.stack(init.estimate.matrices)
     solved = []
     for ix in blocks:
         if ix.size > 1:
             sub = np.ix_(np.arange(covs.K), ix, ix)
-            mats[sub], result = _admm(s[sub], w, lam, rho, opts)
+            warm = None if init is None else (init_z[sub], init.dual[sub])
+            mats[sub], dual[sub], result = _admm(s[sub], w, lam, rho, opts, warm)
             solved.append(result)
 
     estimate = PrecisionSet(list(mats), positive_definite=True)
@@ -321,6 +365,7 @@ def solve_ggl(
         kkt_violation=max((r.kkt for r in solved), default=0.0),
         objective=objective,
         block_sizes=tuple(int(ix.size) for ix in blocks),
+        dual=dual,
     )
 
 
@@ -332,21 +377,25 @@ class _BlockResult(NamedTuple):
     kkt: float
 
 
-def _admm(s, w, lam: float, rho: float, opts: SolverOptions):
-    """ADMM on one (K, q, q) block of the problem.
+def _admm(s, w, lam: float, rho: float, opts: SolverOptions, warm=None):
+    """Over-relaxed ADMM on one (K, q, q) block of the problem.
 
-    Returns the block's estimate and its :class:`_BlockResult`.  The estimate
-    is the symmetrized sparse iterate, or the eigenvalue-map iterate when an
+    ``warm`` is an optional (Z, U) pair to start from; by default Z is
+    ``diag(1 / S_k[i, i])`` and U is zero.  Returns the block's estimate,
+    its final scaled dual and its :class:`_BlockResult`.  The estimate is
+    the symmetrized sparse iterate, or the eigenvalue-map iterate when an
     unconverged sparse iterate is not PD.
     """
     K, p = s.shape[0], s.shape[1]
     eta = opts.admm_step
 
-    omega = np.zeros_like(s)
-    idx = np.arange(p)
-    omega[:, idx, idx] = 1.0 / s[:, idx, idx]
-    z = omega.copy()
-    u = np.zeros_like(s)
+    if warm is None:
+        z = np.zeros_like(s)
+        idx = np.arange(p)
+        z[:, idx, idx] = 1.0 / s[:, idx, idx]
+        u = np.zeros_like(s)
+    else:
+        z, u = warm
 
     lam_eff = lam / eta
     rho_eff = rho / eta
@@ -365,8 +414,9 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions):
         omega = (omega + omega.transpose(0, 2, 1)) / 2.0
 
         z_old = z
-        z = _prox_offdiag_stack(omega + u, lam_eff, rho_eff)
-        u = u + omega - z
+        relaxed = RELAXATION * omega + (1.0 - RELAXATION) * z_old
+        z = _prox_offdiag_stack(relaxed + u, lam_eff, rho_eff)
+        u = u + relaxed - z
 
         primal = float(np.linalg.norm(omega - z))
         dual = float(eta * np.linalg.norm(z - z_old))
@@ -390,7 +440,7 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions):
         mats = _symmetrized(omega)
     if not np.isfinite(kkt_value):
         kkt_value = _stationarity_violation(mats, s, lam, rho, w)
-    return mats, _BlockResult(iterations, primal, dual, converged, float(kkt_value))
+    return mats, u, _BlockResult(iterations, primal, dual, converged, float(kkt_value))
 
 
 def _symmetrized(stack: np.ndarray) -> np.ndarray:

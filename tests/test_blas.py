@@ -139,7 +139,7 @@ def test_cli_restores_counts_and_reports_environment(tmp_path, caller_counts):
     assert main(argv) == 0
     assert counts() == caller_counts
     report = json.loads((out / "report.json").read_text())
-    assert report["schema"] == REPORT_SCHEMA == 5
+    assert report["schema"] == REPORT_SCHEMA == 6
     env = report["environment"]
     assert env["numpy"] == np.__version__
     assert [lib["library"] for lib in env["openblas"]] == [lib.name for lib in LIBRARIES]

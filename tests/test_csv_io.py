@@ -15,8 +15,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import multiggm.io
+from multiggm.cli import EXIT_DATA, main
 from multiggm.errors import DataFormatError
-from multiggm.io import _parse_csv_file, write_data_csv, write_matrix_csv
+from multiggm.io import _parse_csv_file, ingest_csv, write_data_csv, write_matrix_csv
 
 from oracles import data_csv_oracle, parse_csv_oracle
 
@@ -220,3 +221,40 @@ class TestWritersAgainstOracle:
             x, header = _parse_csv_file(csv_path)
             assert np.array_equal(x.view(np.uint64), expected.view(np.uint64))
         assert header == names
+
+
+class TestTypedReadErrors:
+    """Files the reader cannot decode or split are data errors, not tracebacks."""
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"\xff\xfe1,2\n3,4\n", b"1,2\n3," + b"4" * (csv.field_size_limit() + 1) + b"\n"],
+        ids=["not-utf8", "cell-over-field-limit"],
+    )
+    def test_data_error_and_exit_code(self, tmp_path, capsys, content):
+        path = tmp_path / "t.csv"
+        path.write_bytes(content)
+        with pytest.raises(DataFormatError, match="cannot read"):
+            ingest_csv([str(path)])
+        code = main(["estimate", "--data", str(path), "--lam", "0.1", "--rho", "0.1",
+                     "--out-dir", str(tmp_path / "out"), "-q"])
+        err = capsys.readouterr().err
+        assert code == EXIT_DATA
+        assert err.startswith("data error: cannot read") and "Traceback" not in err
+
+
+class TestQuotedNames:
+    @pytest.mark.parametrize(
+        "names", [["last, first", "b"], ['say "hi"', "x,y,z"], ["a", "b"]]
+    )
+    def test_names_read_back(self, tmp_path, names):
+        path = tmp_path / "t.csv"
+        matrix = np.arange(6.0).reshape(3, 2) / 7
+        write_data_csv(matrix, str(path), names)
+        dataset = ingest_csv([str(path)])
+        assert list(dataset.variable_names) == names
+        assert np.array_equal(dataset.data[0], matrix)
+        header, rows = read_bytes(str(path)).split(b"\n", 1)
+        assert rows == data_csv_oracle(matrix).encode()
+        if names == ["a", "b"]:
+            assert header == b"a,b"

@@ -282,6 +282,30 @@ class TestCli:
         assert main(["estimate", "--data", str(sing), "--lam", "0", "--rho", "0", "-q",
                      "--out-dir", str(tmp_path / "d")]) == EXIT_NONCONVERGENCE
 
+    def test_nonconvergence_warns_on_stderr(self, tmp_path, capsys):
+        # Unpenalized fit on a singular covariance (n < p) cannot converge.
+        sing = tmp_path / "sing.csv"
+        write_lines(sing, ["1,1,0.5", "-1,0.5,1"])
+        runs = {"estimate": [], "test": ["--edges", "1,2", "--coeffs", "1"]}
+        for name, extra in runs.items():
+            out = tmp_path / name
+            code = main([name, "--data", str(sing), "--lam", "0", "--rho", "0", *extra,
+                         "-q", "--out-dir", str(out)])
+            assert code == EXIT_NONCONVERGENCE
+            err = capsys.readouterr().err
+            assert err.startswith("warning: the solve did not converge (10000 iterations")
+            assert json.loads((out / "report.json").read_text())["payload"]["converged"] is False
+
+    def test_tune_payload_counts_iterations(self, tmp_path):
+        path = tmp_path / "p.csv"
+        write_data_csv(np.random.default_rng(3).standard_normal((60, 4)), path)
+        out = tmp_path / "out"
+        assert main(["tune", "--data", f"{path},{path}", "--c1-grid", "0.1,0.2",
+                     "--c2-grid", "0.1", "--out-dir", str(out), "-q"]) == EXIT_OK
+        payload = json.loads((out / "report.json").read_text())["payload"]
+        assert payload["cells"] == payload["converged_cells"] == 2
+        assert isinstance(payload["iterations"], int) and payload["iterations"] > 0
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["--version"])

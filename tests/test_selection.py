@@ -16,7 +16,8 @@ from multiggm import (
     solve_ggl,
     tune_penalties,
 )
-from multiggm.selection import score_table_rows
+from multiggm import selection
+from multiggm.selection import EbicScore, score_table_rows
 
 from oracles import random_covariance_set
 
@@ -147,3 +148,75 @@ class TestTunePenalties:
             TuningGrid(c1_values=(0.5, 0.5))
         with pytest.raises(DataFormatError):
             TuningGrid(c1_values=(-1.0, 0.5))
+
+
+def chain_covs(p=10, n=120, seed=5):
+    rng = np.random.default_rng(seed)
+    mats = []
+    for rho in (0.3, 0.45):
+        prec = np.eye(p) + rho * (np.eye(p, k=1) + np.eye(p, k=-1))
+        x = rng.multivariate_normal(np.zeros(p), np.linalg.inv(prec), size=n)
+        mats.append(np.cov(x, rowvar=False))
+    return CovarianceSet(mats, [n, n])
+
+
+class TestTuningPath:
+    """The warm-started solve order must not show in the result."""
+
+    GRID = TuningGrid(c1_values=(0.25, 0.5, 1.0), c2_values=(0.5, 1.0, 2.0))
+
+    def test_table_is_c1_major(self):
+        result = tune_penalties(chain_covs(), self.GRID)
+        assert [(c.c1, c.c2) for c in result.table] == [
+            (c1, c2) for c1 in self.GRID.c1_values for c2 in self.GRID.c2_values
+        ]
+
+    def test_exact_tie_picks_the_sparser_model(self, monkeypatch):
+        def flat(estimate, covs, gamma, edge_tol, constants):
+            return EbicScore(1.0, 1.0, (0,) * covs.K, gamma, constants)
+
+        monkeypatch.setattr(selection, "ebic", flat)
+        result = tune_penalties(chain_covs(), self.GRID)
+        assert result.best_constants == (1.0, 2.0)
+
+    def test_reruns_are_bit_identical(self):
+        covs = chain_covs()
+        a, b = tune_penalties(covs, self.GRID), tune_penalties(covs, self.GRID)
+        assert a == b
+        scores = [np.float64([c.score for c in r.table]).view(np.uint64) for r in (a, b)]
+        assert np.array_equal(*scores)
+
+    def test_cells_match_cold_solves(self):
+        covs = chain_covs()
+        result = tune_penalties(covs, self.GRID)
+        for cell in result.table:
+            cold = solve_ggl(covs, PenaltyPair(cell.lam, cell.rho))
+            score = ebic(cold.estimate, covs, self.GRID.gamma)
+            assert cell.converged and cold.converged
+            assert cell.edge_counts == score.edge_counts
+            # Both solves stop within the solver's tolerances, not at one point.
+            assert cell.score == pytest.approx(score.value, rel=1e-5)
+
+    def test_each_path_runs_down_c1_and_restarts_after_a_failure(self, monkeypatch):
+        calls = []
+        solve = selection.solve_ggl
+
+        def recording(covs, penalty, opts, init=None):
+            report = solve(covs, penalty, opts, init=init)
+            calls.append((penalty, init, report))
+            return report
+
+        monkeypatch.setattr(selection, "solve_ggl", recording)
+        # Few iterations, so that some cells stop unconverged.
+        tune_penalties(chain_covs(), self.GRID, SolverOptions(max_iter=40))
+        assert any(not report.converged for _, _, report in calls)
+        assert any(init is not None for _, init, _ in calls)
+        scale = penalty_scale(10, 120)
+        order = [(c1, c2) for c2 in self.GRID.c2_values for c1 in reversed(self.GRID.c1_values)]
+        for n, ((c1, c2), (penalty, init, _)) in enumerate(zip(order, calls)):
+            assert penalty == PenaltyPair(c1 * scale, c2 * scale)
+            previous = calls[n - 1][2] if n else None
+            if c1 == self.GRID.c1_values[-1] or not previous.converged:
+                assert init is None
+            else:
+                assert init is previous

@@ -371,6 +371,55 @@ class TestScreening:
         assert solve_ggl(covs, PenaltyPair(0.0, 0.0)).block_sizes == (6,)
 
 
+class TestWarmStart:
+    @settings(max_examples=25, deadline=None)
+    @given(instances, st.floats(1.0, 3.0), st.floats(1.05, 3.0))
+    def test_warm_solve_matches_cold_and_oracle(self, instance, lam_up, rho_up):
+        covs, pen2, opts, w = split_instance(*instance)
+        pen1 = PenaltyPair(pen2.lam * lam_up, pen2.rho * rho_up)
+        tight = SolverOptions(tol_abs=1e-9, weighted_by_n=opts.weighted_by_n)
+        first = solve_ggl(covs, pen1, tight)
+        warm = solve_ggl(covs, pen2, tight, init=first)
+        cold = solve_ggl(covs, pen2, tight)
+        assert first.converged and warm.converged
+        assert kkt_residual(warm.estimate, covs, pen2, w) <= 10 * tight.tol_abs
+        oracle, _ = pg_solve(
+            list(covs.matrices), pen2.lam, pen2.rho, adaptive=True, stall=1e-13, weights=w
+        )
+        for est, ref, base in zip(warm.estimate.matrices, oracle, cold.estimate.matrices):
+            assert np.max(np.abs(est - ref)) <= 1e-4
+            assert np.max(np.abs(est - base)) <= 1e-4
+        assert abs(ggl_objective(oracle, covs, pen2, w) - warm.objective) <= 1e-8
+
+    def test_dual_is_the_closed_form_outside_the_blocks(self):
+        covs, pen, opts, w = split_instance(3, 2, False)
+        report = solve_ggl(covs, pen, SolverOptions(tol_abs=1e-9))
+        assert report.dual.shape == (covs.K, covs.p, covs.p)
+        inside = np.zeros((covs.p, covs.p), dtype=bool)
+        for ix in solver._screened_blocks(
+                np.stack(covs.matrices), np.ones(covs.K), pen.lam, pen.rho):
+            if ix.size > 1:
+                inside[np.ix_(ix, ix)] = True
+        s = np.stack(covs.matrices)
+        outside = ~inside & ~np.eye(covs.p, dtype=bool)
+        assert np.array_equal(report.dual[:, outside], -s[:, outside])
+        assert np.all(report.dual[:, ~inside & np.eye(covs.p, dtype=bool)] == 0.0)
+        # Inside a block, a converged dual is the same closed form up to tolerance.
+        inv = np.stack([np.linalg.inv(m) for m in report.estimate.matrices])
+        assert np.max(np.abs(report.dual - (inv - s))[:, inside]) <= 1e-4
+
+    @pytest.mark.parametrize("other", [(6, 2), (7, 1), (7, 3)])
+    def test_init_of_another_shape_is_refused(self, other):
+        rng = np.random.default_rng(6)
+        covs = CovarianceSet(random_covariance_set(rng, 7, 2), [50, 50])
+        p, K = other
+        init = solve_ggl(
+            CovarianceSet(random_covariance_set(rng, p, K), [50] * K), PenaltyPair(0.1, 0.1)
+        )
+        with pytest.raises(DataFormatError, match="init"):
+            solve_ggl(covs, PenaltyPair(0.1, 0.1), init=init)
+
+
 def test_solve_does_not_import_scipy_sparse():
     code = (
         "import sys\n"
