@@ -55,10 +55,11 @@ from .selection import (
     penalty_scale,
     score_table_rows,
     tune_penalties,
+    usable_cpus,
 )
 from .solver import PenaltyPair, solve_ggl
 
-REPORT_SCHEMA = 6
+REPORT_SCHEMA = 7
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -419,6 +420,7 @@ def _tune(args, report: AnalysisReport) -> int:
         "cells": len(result.table),
         "converged_cells": sum(cell.converged for cell in result.table),
         "iterations": sum(cell.iterations for cell in result.table),
+        "grid_threads": result.grid_threads,
     }
     return EXIT_OK
 
@@ -500,6 +502,7 @@ def environment() -> dict:
         "python": platform.python_version(),
         "numpy": numpy.__version__,
         "scipy": scipy.__version__,
+        "cpus": usable_cpus(),
         "openblas": _blas.describe(),
     }
 

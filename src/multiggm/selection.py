@@ -9,20 +9,38 @@ the dimensionless constants (C1, C2).  The score per fitted model is
 
 where |E_k| counts unordered off-diagonal pairs with |W_k[i, j]| above
 ``edge_tol``.  gamma = 0 recovers ordinary BIC; gamma = 0.5 is the default.
+
+:func:`tune_penalties` walks each C2 column of the grid as one warm-started
+path from the largest C1 down.  The paths share nothing, so from the main
+thread, and at a dimension where the solves are mostly BLAS work, they run
+side by side on the caller and helper threads, one per usable CPU up to
+the number of columns; from any other thread, which is already one of a
+pool's workers, they run one after another.  The whole grid runs at one
+OpenBLAS thread, so the result is the same bit for bit.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import _blas
 from .core import CovarianceSet, PrecisionSet
 from .errors import ConvergenceError, DataFormatError, NotPositiveDefiniteError
 from .solver import PenaltyPair, SolverOptions, solve_ggl
 
 DEFAULT_GRID_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
+
+# Smallest dimension at which a grid's C2 paths run side by side.  Below it
+# the solves are mostly interpreter work on small blocks, and two threads
+# contending for the GIL ran 5x5 grids on chain and star draws at p = 20-40
+# up to 50% slower than one thread; from p = 48 on, chain draws ran 10-40%
+# faster (2 cores).
+PARALLEL_MIN_P = 48
 
 
 @dataclass(frozen=True)
@@ -73,6 +91,7 @@ class TuningResult:
     best_constants: tuple[float, float]
     best_penalty: PenaltyPair
     table: tuple[TuningCell, ...]
+    grid_threads: int
 
 
 def edge_count(matrix: np.ndarray, edge_tol: float = 1e-8) -> int:
@@ -122,6 +141,14 @@ def ebic(
     )
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the OS has one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
 def tune_penalties(
     covs: CovarianceSet,
     grid: TuningGrid = TuningGrid(),
@@ -133,22 +160,64 @@ def tune_penalties(
     Each cell solves at lam = C1 * scale, rho = C2 * scale.  The cells of
     one C2 value form a path from the largest C1 down: each cell is
     warm-started from the previous cell's solve, and a path's first cell, as
-    well as any cell after a non-converged one, starts cold.  The table
-    lists the cells C1-major whatever the solve order.  Non-converged cells
-    are kept in the table but excluded from the argmin; exact score ties
-    break toward the lexicographically larger (C1, C2), i.e. the sparser
-    model.  Raises :class:`ConvergenceError` when no cell is valid.
+    well as any cell after a non-converged one, starts cold.  Called from
+    the main thread with ``p >= PARALLEL_MIN_P``, the calling thread and
+    ``min(len(c2_values), usable_cpus()) - 1`` helper threads take the C2
+    paths from one shared queue.  Otherwise, and in particular from any
+    other thread, which already runs inside a pool that owns the cores, it
+    walks the paths one after another.  The paths
+    never read each other and every solve and score runs at one OpenBLAS
+    thread, so the table is bit-identical either way.  An exception in any
+    path stops the hand-out of further paths and is raised here once every
+    helper has returned.
+
+    The table lists the cells C1-major whatever the solve order.
+    Non-converged cells are kept in the table but excluded from the argmin;
+    exact score ties break toward the lexicographically larger (C1, C2),
+    i.e. the sparser model.  ``grid_threads`` is the number of threads that
+    took paths.  Raises :class:`ConvergenceError` when no cell is valid.
     """
     covs.require_positive_diagonal()
     scale = penalty_scale(covs.p, min(covs.sample_sizes))
     cells = {}
-    for c2 in grid.c2_values:
-        previous = None
-        for c1 in reversed(grid.c1_values):
-            penalty = PenaltyPair(c1 * scale, c2 * scale)
-            report = solve_ggl(covs, penalty, opts, init=previous)
-            previous = report if report.converged else None
-            cells[c1, c2] = _cell(covs, grid, edge_tol, c1, c2, penalty, report)
+    paths = iter(grid.c2_values)
+    lock = threading.Lock()
+    errors = []
+
+    def walk_paths():
+        while True:
+            with lock:
+                c2 = None if errors else next(paths, None)
+            if c2 is None:
+                return
+            try:
+                previous = None
+                for c1 in reversed(grid.c1_values):
+                    penalty = PenaltyPair(c1 * scale, c2 * scale)
+                    report = solve_ggl(covs, penalty, opts, init=previous)
+                    previous = report if report.converged else None
+                    cells[c1, c2] = _cell(covs, grid, edge_tol, c1, c2, penalty, report)
+            except BaseException as exc:  # handed to the caller below
+                with lock:
+                    errors.append(exc)
+                return
+
+    n_threads = 1
+    if covs.p >= PARALLEL_MIN_P and threading.current_thread() is threading.main_thread():
+        n_threads = min(len(grid.c2_values), usable_cpus())
+    helpers = [threading.Thread(target=walk_paths) for _ in range(n_threads - 1)]
+    with _blas.single_threaded():
+        try:
+            for helper in helpers:
+                helper.start()
+            walk_paths()
+        finally:
+            for helper in helpers:
+                if helper.ident is not None:
+                    helper.join()
+    if errors:
+        raise errors[0]
+
     table = tuple(cells[c1, c2] for c1 in grid.c1_values for c2 in grid.c2_values)
     valid = [c for c in table if c.converged]
     if not valid:
@@ -158,6 +227,7 @@ def tune_penalties(
         best_constants=(best.c1, best.c2),
         best_penalty=PenaltyPair(best.lam, best.rho),
         table=table,
+        grid_threads=n_threads,
     )
 
 

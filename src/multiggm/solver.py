@@ -404,9 +404,10 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions, warm=None):
     primal = dual = np.inf
     converged = False
     iterations = 0
+    weighted_s = w[:, None, None] * s
 
     for iterations in range(1, opts.max_iter + 1):
-        a = eta * (z - u) - w[:, None, None] * s
+        a = eta * (z - u) - weighted_s
         a = (a + a.transpose(0, 2, 1)) / 2.0
         d, q = np.linalg.eigh(a)
         eig = (d + np.sqrt(d * d + 4.0 * eta * w[:, None])) / (2.0 * eta)

@@ -2,6 +2,7 @@
 
 import json
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -16,10 +17,10 @@ from multiggm import (
     solve_ggl,
     two_population_chain_spec,
 )
-from multiggm import _blas, solver
+from multiggm import _blas, selection, solver
 from multiggm.cli import REPORT_SCHEMA, main
 from multiggm.io import write_data_csv
-from multiggm.selection import penalty_scale
+from multiggm.selection import TuningGrid, penalty_scale
 
 LIBRARIES = _blas.libraries()
 pytestmark = pytest.mark.skipif(not LIBRARIES, reason="no OpenBLAS thread symbols found")
@@ -98,6 +99,28 @@ def test_concurrent_solves(caller_counts, seen_inside):
     assert counts() == caller_counts
 
 
+def test_grid_runs_single_threaded_and_leaves_no_thread(caller_counts, seen_inside, monkeypatch):
+    monkeypatch.setattr(selection, "usable_cpus", lambda: 4)
+    monkeypatch.setattr(selection, "PARALLEL_MIN_P", 1)
+    scored = []
+    score = selection.ebic
+
+    def recording(*args):
+        scored.append(tuple(counts()))
+        return score(*args)
+
+    monkeypatch.setattr(selection, "ebic", recording)
+    covs, _ = chain_problem(20)
+    before = set(threading.enumerate())
+    grid = TuningGrid((0.5, 1.0), (0.5, 1.0, 2.0))
+    result = selection.tune_penalties(covs, grid)
+    assert set(threading.enumerate()) == before
+    assert counts() == caller_counts
+    assert result.grid_threads == 3
+    assert len(scored) == 6 and set(scored) == {(1,) * len(LIBRARIES)}
+    assert seen_inside and set(seen_inside) == {(1,) * len(LIBRARIES)}
+
+
 def test_without_libraries_nothing_changes(caller_counts, seen_inside, monkeypatch):
     problem = chain_problem(20)
     expected = solve_ggl(*problem)
@@ -139,9 +162,10 @@ def test_cli_restores_counts_and_reports_environment(tmp_path, caller_counts):
     assert main(argv) == 0
     assert counts() == caller_counts
     report = json.loads((out / "report.json").read_text())
-    assert report["schema"] == REPORT_SCHEMA == 6
+    assert report["schema"] == REPORT_SCHEMA == 7
     env = report["environment"]
     assert env["numpy"] == np.__version__
+    assert env["cpus"] == selection.usable_cpus() >= 1
     assert [lib["library"] for lib in env["openblas"]] == [lib.name for lib in LIBRARIES]
     assert all(lib["solve_threads"] == 1 for lib in env["openblas"])
     assert all(lib["config"].startswith("OpenBLAS") for lib in env["openblas"])

@@ -1,12 +1,18 @@
+import dataclasses
 import math
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from multiggm import (
     ConvergenceError,
     CovarianceSet,
     DataFormatError,
+    NotPositiveDefiniteError,
     PenaltyPair,
     PrecisionSet,
     SolverOptions,
@@ -17,7 +23,7 @@ from multiggm import (
     tune_penalties,
 )
 from multiggm import selection
-from multiggm.selection import EbicScore, score_table_rows
+from multiggm.selection import DEFAULT_GRID_VALUES, EbicScore, score_table_rows
 
 from oracles import random_covariance_set
 
@@ -198,12 +204,16 @@ class TestTuningPath:
             assert cell.score == pytest.approx(score.value, rel=1e-5)
 
     def test_each_path_runs_down_c1_and_restarts_after_a_failure(self, monkeypatch):
+        # Paths may run on several threads, so only the order within one
+        # path (one rho) is fixed.
         calls = []
+        lock = threading.Lock()
         solve = selection.solve_ggl
 
         def recording(covs, penalty, opts, init=None):
             report = solve(covs, penalty, opts, init=init)
-            calls.append((penalty, init, report))
+            with lock:
+                calls.append((penalty, init, report))
             return report
 
         monkeypatch.setattr(selection, "solve_ggl", recording)
@@ -212,11 +222,125 @@ class TestTuningPath:
         assert any(not report.converged for _, _, report in calls)
         assert any(init is not None for _, init, _ in calls)
         scale = penalty_scale(10, 120)
-        order = [(c1, c2) for c2 in self.GRID.c2_values for c1 in reversed(self.GRID.c1_values)]
-        for n, ((c1, c2), (penalty, init, _)) in enumerate(zip(order, calls)):
-            assert penalty == PenaltyPair(c1 * scale, c2 * scale)
-            previous = calls[n - 1][2] if n else None
-            if c1 == self.GRID.c1_values[-1] or not previous.converged:
-                assert init is None
-            else:
-                assert init is previous
+        assert len(calls) == len(self.GRID.c1_values) * len(self.GRID.c2_values)
+        for c2 in self.GRID.c2_values:
+            path = [call for call in calls if call[0].rho == c2 * scale]
+            for n, (c1, (penalty, init, _)) in enumerate(zip(reversed(self.GRID.c1_values), path)):
+                assert penalty == PenaltyPair(c1 * scale, c2 * scale)
+                previous = path[n - 1][2] if n else None
+                if c1 == self.GRID.c1_values[-1] or not previous.converged:
+                    assert init is None
+                else:
+                    assert init is previous
+
+
+def _tune_or_error(covs, grid, opts):
+    try:
+        return tune_penalties(covs, grid, opts)
+    except ConvergenceError as exc:
+        return type(exc)
+
+
+def _in_worker_thread(fn, *args):
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args).result(timeout=300)
+
+
+def _without_scores(table):
+    return [dataclasses.replace(cell, score=0.0) for cell in table]
+
+
+def _score_bits(table):
+    return np.float64([cell.score for cell in table]).view(np.uint64)
+
+
+def grid_values(max_size):
+    return st.lists(
+        st.sampled_from(DEFAULT_GRID_VALUES), min_size=1, max_size=max_size, unique=True
+    ).map(lambda values: tuple(sorted(values)))
+
+
+class TestThreadedGrid:
+    """Paths run side by side from the main thread and serially elsewhere."""
+
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        c1_values=grid_values(4),
+        c2_values=grid_values(5),
+        K=st.sampled_from([1, 2]),
+        max_iter=st.sampled_from([40, SolverOptions().max_iter]),
+    )
+    def test_matches_the_serial_walk(self, monkeypatch, c1_values, c2_values, K, max_iter):
+        # Helpers start even on a one-CPU machine and at this small p.
+        monkeypatch.setattr(selection, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(selection, "PARALLEL_MIN_P", 1)
+        full = chain_covs()
+        covs = CovarianceSet(full.matrices[:K], full.sample_sizes[:K])
+        grid = TuningGrid(c1_values, c2_values)
+        opts = SolverOptions(max_iter=max_iter)
+        threaded = _tune_or_error(covs, grid, opts)
+        serial = _in_worker_thread(_tune_or_error, covs, grid, opts)
+        if isinstance(serial, type):
+            assert threaded is serial
+            return
+        assert threaded.grid_threads == min(len(c2_values), 4)
+        assert serial.grid_threads == 1
+        assert threaded.best_constants == serial.best_constants
+        assert threaded.best_penalty == serial.best_penalty
+        assert _without_scores(threaded.table) == _without_scores(serial.table)
+        assert np.array_equal(_score_bits(threaded.table), _score_bits(serial.table))
+
+    def test_worker_thread_starts_no_helper(self, monkeypatch):
+        monkeypatch.setattr(selection, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(selection, "PARALLEL_MIN_P", 1)
+        threads = set()
+        solve = selection.solve_ggl
+
+        def recording(covs, penalty, opts, init=None):
+            threads.add(threading.get_ident())
+            return solve(covs, penalty, opts, init=init)
+
+        monkeypatch.setattr(selection, "solve_ggl", recording)
+
+        def run():
+            return threading.get_ident(), tune_penalties(chain_covs(), TestTuningPath.GRID)
+
+        worker, result = _in_worker_thread(run)
+        assert threads == {worker}
+        assert result.grid_threads == 1
+
+    def test_small_dimension_starts_no_helper(self, monkeypatch):
+        monkeypatch.setattr(selection, "usable_cpus", lambda: 4)
+        covs = chain_covs(p=selection.PARALLEL_MIN_P - 1)
+        assert tune_penalties(covs, TestTuningPath.GRID).grid_threads == 1
+
+    def test_helper_error_reaches_the_caller(self, monkeypatch):
+        monkeypatch.setattr(selection, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(selection, "PARALLEL_MIN_P", 1)
+        caller_started, helper_failed = threading.Event(), threading.Event()
+        rhos = set()
+        lock = threading.Lock()
+        solve = selection.solve_ggl
+
+        def failing_in_helper(covs, penalty, opts, init=None):
+            with lock:
+                rhos.add(penalty.rho)
+            # The caller and the helper each take one path before the
+            # helper fails.
+            if threading.current_thread() is not threading.main_thread():
+                assert caller_started.wait(timeout=60)
+                helper_failed.set()
+                raise NotPositiveDefiniteError("injected")
+            caller_started.set()
+            assert helper_failed.wait(timeout=60)
+            return solve(covs, penalty, opts, init=init)
+
+        monkeypatch.setattr(selection, "solve_ggl", failing_in_helper)
+        before = set(threading.enumerate())
+        grid = TuningGrid(c2_values=(0.5, 1.0, 2.0, 4.0))
+        with pytest.raises(NotPositiveDefiniteError, match="injected"):
+            tune_penalties(chain_covs(), grid)
+        assert set(threading.enumerate()) == before
+        # The caller finishes its path; no further path is handed out.
+        assert len(rhos) == 2
