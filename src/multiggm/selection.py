@@ -38,8 +38,10 @@ DEFAULT_GRID_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
 # Smallest dimension at which a grid's C2 paths run side by side.  Below it
 # the solves are mostly interpreter work on small blocks, and two threads
 # contending for the GIL ran 5x5 grids on chain and star draws at p = 20-40
-# up to 50% slower than one thread; from p = 48 on, chain draws ran 10-40%
-# faster (2 cores).
+# up to 50% slower than one thread.  Timed again on the normalized solver
+# (n = 600, medians of 5, 2 cores, threaded / serial): chain p = 40 / 48 /
+# 64 / 80 / 100 at 1.06 / 0.90 / 0.73 / 0.70 / 0.68, star with hub degree
+# 25 at p = 48 / 64 / 80 / 100 at 1.01 / 1.00 / 0.91 / 0.84.
 PARALLEL_MIN_P = 48
 
 

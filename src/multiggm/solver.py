@@ -12,29 +12,46 @@ covariance of population ``k``.  Both penalty sums run over ordered pairs
 penalized.  The weights ``w_k`` are 1 by default (plain sum over populations)
 or ``n_k`` when ``weighted_by_n`` is set.
 
-The solver is ADMM with the consensus split ``W_k = Z_k``:
+Normalization.  ADMM runs on each block divided by ``s_bar * w_bar``,
+where ``s_bar`` is the mean of ``diag(S_k)`` over the block's vertices and
+populations and ``w_bar`` is the mean weight: ``S'_k = S_k / s_bar``,
+``w'_k = w_k / w_bar``, ``lam' = lam / (s_bar * w_bar)`` and ``rho' = rho /
+(s_bar * w_bar)``.  With ``W' = s_bar * W`` the objective is ``s_bar * w_bar``
+times the normalized one plus a constant, so the minimizers agree exactly
+and the solver returns ``W = W' / s_bar``.  Both factors are uniform
+scalars; per-variable scaling would change the penalty.  So the iterates do
+not depend on the units of the data or on the size of the weights: data
+times ``c`` with penalties times ``c`` runs the same normalized iterates
+and returns ``W / c``.  Only the certificate, which stays in the units of
+the data, can ask for more iterations when ``c`` is large.
+
+The solver is ADMM with the consensus split ``W'_k = Z_k`` on the
+normalized problem, with step ``eta = admm_step``:
 
 * W-step: per population, the closed-form eigendecomposition update.  With
-  ``A = eta * (Z_k - U_k) - w_k * S_k = Q diag(d) Q'``, the minimizer has the
-  same eigenvectors and eigenvalues ``(d + sqrt(d^2 + 4 * eta * w_k)) /
+  ``A = eta * (Z_k - U_k) - w'_k * S'_k = Q diag(d) Q'``, the minimizer has
+  the same eigenvectors and eigenvalues ``(d + sqrt(d^2 + 4 * eta * w'_k)) /
   (2 * eta)``, which are strictly positive, so every W iterate is PD.
 * over-relaxation (Boyd et al. 2011, *Distributed Optimization and
   Statistical Learning via ADMM*, sec. 3.4.3): ``W_hat = alpha * W + (1 -
   alpha) * Z_old`` with the fixed constant ``alpha = 1.8``;
-* Z-step: the closed-form proximal operator of the combined penalty applied
-  to ``W_hat + U`` per off-diagonal group (soft-threshold, then group
-  shrinkage); diagonals are copied through.
+* Z-step: the closed-form proximal operator of the combined penalty
+  (``lam' / eta``, ``rho' / eta``) applied to ``W_hat + U`` per off-diagonal
+  group (soft-threshold, then group shrinkage); diagonals are copied
+  through.
 * scaled dual update ``U += W_hat - Z``.
 
-The primal residual stays ``||W - Z||`` and the dual residual
-``eta * ||Z - Z_old||``.  Over-relaxation roughly halves the iterations;
-``alpha = 1.8`` is the upper end of Boyd's 1.5--1.8 range and is not an
-option.
+The primal residual is ``||W - Z||`` and the dual residual
+``eta * ||Z - Z_old||``, both on the normalized problem.  Over-relaxation
+roughly halves the iterations; ``alpha = 1.8`` is the upper end of Boyd's
+1.5--1.8 range and is not an option.
 
 Convergence requires the standard primal/dual residual test *and* a
-stationarity certificate: the subgradient-inclusion residual of the sparse
-iterate must fall below ``10 * tol_abs``.  The returned estimate is the Z
-iterate, which carries exact zeros produced by the group prox.
+stationarity certificate on the original problem: the
+subgradient-inclusion residual of the sparse iterate ``Z / s_bar`` against
+``S``, ``lam``, ``rho`` and ``w`` must fall below ``10 * tol_abs``.  The
+returned estimate is that iterate, which carries exact zeros produced by
+the group prox.
 
 Screening.  Before any ADMM iteration the vertices are split by the exact
 rule of Danaher, Wang & Witten (2014, *The joint graphical lasso*, JRSS-B,
@@ -50,11 +67,19 @@ block-diagonal estimate is block-diagonal, so an off-block gradient is
 subdifferential, and the full problem's violation is the largest block
 violation.
 
-Warm starts.  ``solve_ggl(..., init=report)`` starts every block from the
-estimate and the scaled dual of an earlier report, restricted to that
-block, instead of from ``diag(1 / S_k[i, i])`` and a zero dual.  Along a path of decreasing penalties the screening blocks only merge, so
-each new block holds whole blocks of the earlier solve.
-:func:`multiggm.selection.tune_penalties` walks its grid this way.
+Starts.  Each block starts from an estimate and the dual ``Lambda_k =
+w_k (W_k^{-1} - S_k)`` in the units of the data; ADMM's scaled dual is
+``U = Lambda / (eta * s_bar * w_bar)``.  A cold block starts from
+``diag(1 / S_k[i, i])``, at which ``Lambda_k`` is ``-w_k S_k`` off the
+diagonal and 0 on it, projected onto the penalty's subdifferential at zero
+(``x - prox(x)``, by Moreau's decomposition).  Outside the blocks the
+screening rule makes that projection the identity, and the value is the
+optimal dual there.  ``solve_ggl(..., init=report)`` instead starts every
+block from the estimate and the dual of an earlier report, restricted to
+that block.  Since the dual is unscaled, the earlier solve may have run at
+any ``admm_step``.  Along a path of decreasing penalties the screening
+blocks only merge, so each new block holds whole blocks of the earlier
+solve.  :func:`multiggm.selection.tune_penalties` walks its grid this way.
 """
 
 from __future__ import annotations
@@ -88,6 +113,15 @@ class PenaltyPair:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """ADMM settings.
+
+    ``admm_step`` is the step ``eta`` of the normalized problem (see the
+    module docstring), so one value suits data of any scale and any
+    weights.  ``tol_abs`` and ``tol_rel`` set the residual test on the
+    normalized problem; ``10 * tol_abs`` also bounds the certificate on the
+    original one.  ``max_iter`` applies to each screening block.
+    """
+
     admm_step: float = 1.0
     max_iter: int = 10000
     tol_abs: float = 1e-6
@@ -105,6 +139,19 @@ class SolverOptions:
 
 @dataclass
 class SolveReport:
+    """Outcome of :func:`solve_ggl`.
+
+    ``estimate`` is in the units of the data.  ``iterations`` and the two
+    residuals describe ADMM on the normalized problem, summed (iterations)
+    or root-sum-squared (residuals) over the screening blocks;
+    ``kkt_violation`` is the stationarity certificate of the original
+    problem, the largest over the blocks, and ``converged`` says that every
+    block passed both the residual test and the certificate.  ``dual`` is the
+    (K, p, p) dual ``w_k (W_k^{-1} - S_k)`` in the units of the data, which
+    does not depend on ``admm_step``; pass the report as ``init=`` to
+    warm-start another solve on the same covariances.
+    """
+
     estimate: PrecisionSet
     iterations: int
     primal_residual: float
@@ -132,18 +179,25 @@ def prox_sparse_group(values: np.ndarray, lam_eff: float, rho_eff: float) -> np.
     return soft * (1.0 - rho_eff / norm)
 
 
+def _group_shrink(v: np.ndarray, lam_eff: float, rho_eff: float) -> np.ndarray:
+    """Group prox applied to every entry of a (K, p, p) stack.
+
+    Groups run across the population axis.
+    """
+    soft = np.sign(v) * np.maximum(np.abs(v) - lam_eff, 0.0)
+    norms = np.sqrt(np.einsum("kij,kij->ij", soft, soft))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        scale = np.where(norms > rho_eff, 1.0 - rho_eff / norms, 0.0)
+    return soft * scale[None, :, :]
+
+
 def _prox_offdiag_stack(v: np.ndarray, lam_eff: float, rho_eff: float) -> np.ndarray:
     """Group prox applied to every off-diagonal entry of a (K, p, p) stack.
 
     Groups run across the population axis; diagonals are copied unchanged.
     """
-    k, p, _ = v.shape
-    soft = np.sign(v) * np.maximum(np.abs(v) - lam_eff, 0.0)
-    norms = np.sqrt(np.einsum("kij,kij->ij", soft, soft))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        scale = np.where(norms > rho_eff, 1.0 - rho_eff / norms, 0.0)
-    out = soft * scale[None, :, :]
-    idx = np.arange(p)
+    out = _group_shrink(v, lam_eff, rho_eff)
+    idx = np.arange(v.shape[1])
     out[:, idx, idx] = v[:, idx, idx]
     return out
 
@@ -304,16 +358,18 @@ def solve_ggl(
     with ``max_iter`` per block.  ``iterations`` is the sum over blocks, the
     residuals are the root-sum-square over blocks, ``kkt_violation`` is the
     largest block certificate, and ``block_sizes`` lists every block's size.
-    ``dual`` is the (K, p, p) scaled dual: each block's final ``U``, and
-    outside the blocks its optimal value ``-w_k S_k[i, j] / eta`` (zero on
-    the diagonal).
+    ``dual`` is the (K, p, p) dual ``w_k (W_k^{-1} - S_k)`` in the units of
+    the data: each block's final ADMM dual, and outside the blocks its
+    optimal value ``-w_k S_k[i, j]`` (zero on the diagonal).  It does not
+    depend on ``admm_step``.  The residuals are those of the normalized
+    problem (see the module docstring); the certificate is that of the
+    original one.
 
     ``init``, the report of an earlier solve, warm-starts each block from
     its estimate and dual restricted to the block.  Any start converges to
-    the same solution, a close one in fewer iterations; the dual is scaled
-    by ``admm_step``, so ``init`` should come from a solve with the same
-    options.  A report of another dimension or population count raises
-    :class:`DataFormatError`.
+    the same solution, a close one in fewer iterations, whatever step the
+    earlier solve ran at.  A report of another dimension or population
+    count raises :class:`DataFormatError`.
 
     The solve runs numpy's and scipy's OpenBLAS at one thread each and
     restores the caller's thread counts when the last concurrent solve
@@ -338,9 +394,8 @@ def solve_ggl(
     idx = np.arange(covs.p)
     mats[:, idx, idx] = 1.0 / s[:, idx, idx]
     # Outside the ADMM blocks the estimate is block-diagonal, so the optimal
-    # scaled dual w_k (W_k^{-1} - S_k) / eta is -w_k S_k / eta off the
-    # diagonal and 0 on it.
-    dual = s * (-w / opts.admm_step)[:, None, None]
+    # dual w_k (W_k^{-1} - S_k) is -w_k S_k off the diagonal and 0 on it.
+    dual = s * -w[:, None, None]
     dual[:, idx, idx] = 0.0
     if init is not None:
         init_z = np.stack(init.estimate.matrices)
@@ -348,8 +403,13 @@ def solve_ggl(
     for ix in blocks:
         if ix.size > 1:
             sub = np.ix_(np.arange(covs.K), ix, ix)
-            warm = None if init is None else (init_z[sub], init.dual[sub])
-            mats[sub], dual[sub], result = _admm(s[sub], w, lam, rho, opts, warm)
+            if init is None:
+                # The same value at the diagonal start, projected onto the
+                # penalty's subdifferential at zero: x - prox(x).
+                start = mats[sub], dual[sub] - _group_shrink(dual[sub], lam, rho)
+            else:
+                start = init_z[sub], init.dual[sub]
+            mats[sub], dual[sub], result = _admm(s[sub], w, lam, rho, opts, *start)
             solved.append(result)
 
     estimate = PrecisionSet(list(mats), positive_definite=True)
@@ -377,40 +437,41 @@ class _BlockResult(NamedTuple):
     kkt: float
 
 
-def _admm(s, w, lam: float, rho: float, opts: SolverOptions, warm=None):
+def _admm(s, w, lam: float, rho: float, opts: SolverOptions, z0, dual0):
     """Over-relaxed ADMM on one (K, q, q) block of the problem.
 
-    ``warm`` is an optional (Z, U) pair to start from; by default Z is
-    ``diag(1 / S_k[i, i])`` and U is zero.  Returns the block's estimate,
-    its final scaled dual and its :class:`_BlockResult`.  The estimate is
-    the symmetrized sparse iterate, or the eigenvalue-map iterate when an
-    unconverged sparse iterate is not PD.
+    Starts from the estimate ``z0`` and the dual ``dual0``, both in the
+    units of ``s``, and runs on the block divided by ``s_bar * w_bar`` (see
+    the module docstring).  Returns the block's estimate, its final dual
+    ``w_k (W_k^{-1} - S_k)`` and its :class:`_BlockResult`, all in the units
+    of ``s``.  The estimate is the symmetrized sparse iterate, or the
+    eigenvalue-map iterate when an unconverged sparse iterate is not PD.
     """
     K, p = s.shape[0], s.shape[1]
     eta = opts.admm_step
+    s_bar = float(np.mean(np.diagonal(s, axis1=1, axis2=2)))
+    w_bar = float(np.mean(w))
+    w_norm = w / w_bar
+    # The scaled dual of the normalized problem is U = dual / unit, and its
+    # prox thresholds are lam / unit and rho / unit.
+    unit = eta * s_bar * w_bar
+    z = z0 * s_bar
+    u = dual0 / unit
 
-    if warm is None:
-        z = np.zeros_like(s)
-        idx = np.arange(p)
-        z[:, idx, idx] = 1.0 / s[:, idx, idx]
-        u = np.zeros_like(s)
-    else:
-        z, u = warm
-
-    lam_eff = lam / eta
-    rho_eff = rho / eta
+    lam_eff = lam / unit
+    rho_eff = rho / unit
     sqrt_dim = np.sqrt(K * p * p)
     kkt_value = np.inf
     primal = dual = np.inf
     converged = False
     iterations = 0
-    weighted_s = w[:, None, None] * s
+    weighted_s = (w_norm / s_bar)[:, None, None] * s
 
     for iterations in range(1, opts.max_iter + 1):
         a = eta * (z - u) - weighted_s
         a = (a + a.transpose(0, 2, 1)) / 2.0
         d, q = np.linalg.eigh(a)
-        eig = (d + np.sqrt(d * d + 4.0 * eta * w[:, None])) / (2.0 * eta)
+        eig = (d + np.sqrt(d * d + 4.0 * eta * w_norm[:, None])) / (2.0 * eta)
         omega = q @ (eig[:, :, None] * q.transpose(0, 2, 1))
         omega = (omega + omega.transpose(0, 2, 1)) / 2.0
 
@@ -428,20 +489,23 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions, warm=None):
             eta * np.linalg.norm(u)
         )
         if primal <= eps_pri and dual <= eps_dual:
-            kkt_value = _stationarity_violation(_symmetrized(z), s, lam, rho, w)
+            mats = _symmetrized(z) / s_bar
+            kkt_value = _stationarity_violation(mats, s, lam, rho, w)
             if kkt_value <= 10.0 * opts.tol_abs:
                 converged = True
                 break
 
-    mats = _symmetrized(z)
+    mats = _symmetrized(z) / s_bar
     # A certified iterate was factored by the certificate; an unconverged
     # prox iterate can lose definiteness, while the eigenvalue-map iterate is
     # PD by construction.
     if not converged and not all(is_positive_definite(m) for m in mats):
-        mats = _symmetrized(omega)
+        mats = _symmetrized(omega) / s_bar
     if not np.isfinite(kkt_value):
         kkt_value = _stationarity_violation(mats, s, lam, rho, w)
-    return mats, u, _BlockResult(iterations, primal, dual, converged, float(kkt_value))
+    return mats, u * unit, _BlockResult(
+        iterations, primal, dual, converged, float(kkt_value)
+    )
 
 
 def _symmetrized(stack: np.ndarray) -> np.ndarray:

@@ -218,7 +218,7 @@ class TestTuningPath:
 
         monkeypatch.setattr(selection, "solve_ggl", recording)
         # Few iterations, so that some cells stop unconverged.
-        tune_penalties(chain_covs(), self.GRID, SolverOptions(max_iter=40))
+        tune_penalties(chain_covs(), self.GRID, SolverOptions(max_iter=23))
         assert any(not report.converged for _, _, report in calls)
         assert any(init is not None for _, init, _ in calls)
         scale = penalty_scale(10, 120)
@@ -269,7 +269,7 @@ class TestThreadedGrid:
         c1_values=grid_values(4),
         c2_values=grid_values(5),
         K=st.sampled_from([1, 2]),
-        max_iter=st.sampled_from([40, SolverOptions().max_iter]),
+        max_iter=st.sampled_from([23, SolverOptions().max_iter]),
     )
     def test_matches_the_serial_walk(self, monkeypatch, c1_values, c2_values, K, max_iter):
         # Helpers start even on a one-CPU machine and at this small p.

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -233,9 +234,7 @@ def split_instance(seed, K, weighted, blocks=(3, 2), singles=2):
     screened out without being zero in ``S``.
     """
     rng = np.random.default_rng(seed)
-    # Small unequal weights: ADMM's fixed step needs thousands of
-    # iterations at weights near typical sample sizes.
-    sizes = [2 + k for k in range(K)] if weighted else [50] * K
+    sizes = [int(n) for n in rng.integers(50, 501, size=K)] if weighted else [50] * K
     w = np.array(sizes, dtype=float) if weighted else np.ones(K)
     scale = float(np.mean(w))
     lam = float(rng.choice([0.0, 0.05, 0.1])) * scale
@@ -262,6 +261,23 @@ def split_instance(seed, K, weighted, blocks=(3, 2), singles=2):
     covs = CovarianceSet(list(mats), sizes)
     opts = SolverOptions(weighted_by_n=weighted)
     return covs, PenaltyPair(lam, rho), opts, (w if weighted else None)
+
+
+def oracle_solve(covs, pen, w):
+    """``pg_solve`` on the problem divided by the mean weight.
+
+    That problem has the same minimizer, and its objective stays near unit
+    scale, where the oracle's absolute stall test is reachable.  The stall
+    of 1e-15 keeps the oracle's objective within 1e-8 of the optimum in the
+    units of the weighted problem, at weights up to 500.
+    """
+    w_bar = 1.0 if w is None else float(np.mean(w))
+    weights = None if w is None else np.asarray(w, dtype=float) / w_bar
+    oracle, _ = pg_solve(
+        list(covs.matrices), pen.lam / w_bar, pen.rho / w_bar,
+        adaptive=True, stall=1e-15, weights=weights,
+    )
+    return oracle
 
 
 def screened_singles(covs, pen, w):
@@ -292,8 +308,7 @@ class TestScreening:
         covs, pen, opts, w = split_instance(*instance)
         report = solve_ggl(covs, pen, SolverOptions(tol_abs=1e-9, weighted_by_n=opts.weighted_by_n))
         assert report.converged and len(report.block_sizes) >= 3
-        mats = list(covs.matrices)
-        oracle, _ = pg_solve(mats, pen.lam, pen.rho, adaptive=True, stall=1e-13, weights=w)
+        oracle = oracle_solve(covs, pen, w)
         for est, ref in zip(report.estimate.matrices, oracle):
             assert np.max(np.abs(est - ref)) <= 1e-4
         assert abs(ggl_objective(oracle, covs, pen, w) - report.objective) <= 1e-8
@@ -383,9 +398,7 @@ class TestWarmStart:
         cold = solve_ggl(covs, pen2, tight)
         assert first.converged and warm.converged
         assert kkt_residual(warm.estimate, covs, pen2, w) <= 10 * tight.tol_abs
-        oracle, _ = pg_solve(
-            list(covs.matrices), pen2.lam, pen2.rho, adaptive=True, stall=1e-13, weights=w
-        )
+        oracle = oracle_solve(covs, pen2, w)
         for est, ref, base in zip(warm.estimate.matrices, oracle, cold.estimate.matrices):
             assert np.max(np.abs(est - ref)) <= 1e-4
             assert np.max(np.abs(est - base)) <= 1e-4
@@ -418,6 +431,72 @@ class TestWarmStart:
         )
         with pytest.raises(DataFormatError, match="init"):
             solve_ggl(covs, PenaltyPair(0.1, 0.1), init=init)
+
+
+class TestNormalizedProblem:
+    """ADMM runs on the problem divided by s_bar * w_bar; nothing depends on units."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(instances, st.floats(-4.0, 4.0))
+    def test_scaled_problem_gives_scaled_estimate(self, instance, log_c):
+        # Data times c and penalties times c: the exact solution is W / c.
+        c = 10.0**log_c
+        covs, pen, opts, w = split_instance(*instance)
+        scaled = CovarianceSet([c * s for s in covs.matrices], covs.sample_sizes)
+        scaled_pen = PenaltyPair(c * pen.lam, c * pen.rho)
+        base = solve_ggl(covs, pen, opts)
+        moved = solve_ggl(scaled, scaled_pen, opts)
+        assert base.converged and moved.converged
+        # The certificate holds in the units of each problem.
+        assert kkt_residual(moved.estimate, scaled, scaled_pen, w) <= 10 * opts.tol_abs
+        oracle = oracle_solve(covs, pen, w)
+        for a, b, ref in zip(base.estimate.matrices, moved.estimate.matrices, oracle):
+            assert np.max(np.abs(c * b - a)) <= 1e-4
+            assert np.max(np.abs(a - ref)) <= 1e-4
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
+    def test_weighted_by_n_converges_at_realistic_sample_sizes(self, seed, K):
+        rng = np.random.default_rng(seed)
+        sizes = [int(n) for n in rng.integers(50, 501, size=K)]
+        mats = random_covariance_set(rng, int(rng.integers(3, 8)), K)
+        covs = CovarianceSet(mats, sizes)
+        scale = float(np.mean(sizes))
+        pen = PenaltyPair(float(rng.uniform(0.0, 0.2)) * scale, float(rng.uniform(0.0, 0.2)) * scale)
+        opts = SolverOptions(weighted_by_n=True)
+        report = solve_ggl(covs, pen, opts)
+        assert report.converged and report.iterations <= opts.max_iter // 20
+        assert kkt_residual(report.estimate, covs, pen, sizes) <= 10 * opts.tol_abs
+        oracle = oracle_solve(covs, pen, sizes)
+        for est, ref in zip(report.estimate.matrices, oracle):
+            assert np.max(np.abs(est - ref)) <= 1e-4
+
+    @settings(max_examples=25, deadline=None)
+    @given(instances, st.sampled_from([0.25, 4.0]), st.floats(1.0, 3.0))
+    def test_init_from_another_step_reaches_the_cold_solution(self, instance, step, up):
+        covs, pen, opts, w = split_instance(*instance)
+        first = solve_ggl(
+            covs, PenaltyPair(up * pen.lam, up * pen.rho), replace(opts, admm_step=step)
+        )
+        warm = solve_ggl(covs, pen, opts, init=first)
+        cold = solve_ggl(covs, pen, opts)
+        assert first.converged and warm.converged and cold.converged
+        oracle = oracle_solve(covs, pen, w)
+        for est, base, ref in zip(warm.estimate.matrices, cold.estimate.matrices, oracle):
+            assert np.max(np.abs(est - base)) <= 1e-4
+            assert np.max(np.abs(est - ref)) <= 1e-4
+
+    @settings(max_examples=25, deadline=None)
+    @given(instances)
+    def test_dual_does_not_depend_on_the_step(self, instance):
+        # report.dual is w_k (W_k^{-1} - S_k), whatever step the solve ran at.
+        covs, pen, opts, w = split_instance(*instance)
+        tight = replace(opts, tol_abs=1e-9)
+        duals = [solve_ggl(covs, pen, replace(tight, admm_step=step)).dual
+                 for step in (0.25, 1.0, 4.0)]
+        weights = np.ones(covs.K) if w is None else w
+        for dual in duals:
+            assert np.max(np.abs(dual - duals[1])) <= 1e-4 * weights.max()
 
 
 def test_solve_does_not_import_scipy_sparse():
