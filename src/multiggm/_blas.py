@@ -3,20 +3,30 @@
 numpy and scipy each bundle their own OpenBLAS, and each starts one worker
 thread per core.  The solver's matrices (p <= a few hundred) are too small
 for that: on 2 cores an ADMM iteration at p=50 took 8.2 ms with two threads
-and 1.6 ms with one.  :func:`single_threaded` sets every bundled OpenBLAS to
+and 1.6 ms with one.  :func:`single_threaded` sets every loaded OpenBLAS to
 one thread while at least one caller is inside it, and restores the counts
 it found when the last caller leaves.  Parallelism comes from running solves
 side by side (the experiments' ``threads`` pool), not from inside BLAS.
 
-The thread count is a property of the whole process, so the entry count and
-the saved counts are module state, guarded by one lock.  Libraries are
-looked up on first use, never at import, so importing the package leaves
-numpy alone.  Without a library or a symbol the manager does nothing.
+numpy's OpenBLAS is always loaded.  scipy's is loaded only once a scipy
+module that links it (``scipy.linalg``, ``scipy.special``) is imported, and
+estimation, tuning and most simulations never import one.  So the manager
+binds only libraries that the process has loaded already (``dlopen`` with
+``RTLD_NOLOAD``, which never loads one), and looks again on every entry: a
+``diagnose`` that loads ``scipy.linalg`` after a solve still runs its
+later solves with both libraries at one thread.
+
+The thread count is a property of the whole process, so the entry count,
+the bound libraries and the saved counts are module state, guarded by one
+lock.  Libraries are looked up on first use, never at import.  Without a
+library or a symbol the manager does nothing.
 """
 
 from __future__ import annotations
 
 import ctypes
+import os
+import sys
 import threading
 from collections.abc import Callable
 from contextlib import contextmanager
@@ -26,6 +36,7 @@ from pathlib import Path
 # (prefix, suffix) of the exported names: numpy's 64-bit-integer build,
 # scipy's build, and a plain OpenBLAS.
 _SYMBOL_FORMS = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
+_PACKAGES = ("numpy", "scipy")
 
 
 @dataclass(frozen=True)
@@ -39,13 +50,20 @@ class OpenBlas:
 
 
 _lock = threading.Lock()
-_libraries: list[OpenBlas] | None = None
+# Package name -> its bundled OpenBLAS files, listed once.
+_files: dict[str, list[Path]] = {}
+# Package name -> its bound libraries; a package enters once one is loaded.
+_bound: dict[str, list[OpenBlas]] = {}
 _depth = 0
 _saved: list[tuple[OpenBlas, int]] = []
 
 
 def _bind(path: Path) -> OpenBlas | None:
-    lib = ctypes.CDLL(str(path))
+    """Bind the library at ``path`` if the process has loaded it, else None."""
+    try:
+        lib = ctypes.CDLL(str(path), mode=os.RTLD_NOLOAD)
+    except OSError:
+        return None
     for prefix, suffix in _SYMBOL_FORMS:
         get = getattr(lib, f"{prefix}get_num_threads{suffix}", None)
         set_ = getattr(lib, f"{prefix}set_num_threads{suffix}", None)
@@ -59,48 +77,41 @@ def _bind(path: Path) -> OpenBlas | None:
     return None
 
 
-def _find() -> list[OpenBlas]:
-    # The package's own imports (numpy, scipy.linalg) have loaded these
-    # libraries already, so CDLL returns the handles in use.
-    import numpy
-    import scipy
-
-    found = []
-    for package in (numpy, scipy):
-        libdir = Path(package.__file__).resolve().parent.parent / f"{package.__name__}.libs"
-        for path in sorted(libdir.glob("*openblas*.so*")):
-            try:
-                lib = _bind(path)
-            except OSError:
-                continue
-            if lib is not None:
-                found.append(lib)
-    return found
+def _refresh() -> list[OpenBlas]:
+    """Bind what has been loaded since the last call; the caller holds the lock."""
+    for name in _PACKAGES:
+        package = sys.modules.get(name)
+        if name in _bound or package is None:
+            continue
+        if name not in _files:
+            libdir = Path(package.__file__).resolve().parent.parent / f"{name}.libs"
+            _files[name] = sorted(libdir.glob("*openblas*.so*"))
+        found = [lib for lib in map(_bind, _files[name]) if lib]
+        if found:
+            _bound[name] = found
+    return [lib for libs in _bound.values() for lib in libs]
 
 
 def libraries() -> list[OpenBlas]:
-    """The bundled OpenBLAS libraries, looked up on the first call."""
-    global _libraries
+    """The bundled OpenBLAS libraries loaded in this process, numpy's first."""
     with _lock:
-        if _libraries is None:
-            _libraries = _find()
-        return _libraries
+        return _refresh()
 
 
 @contextmanager
 def single_threaded():
-    """Run the body with every bundled OpenBLAS at one thread.
+    """Run the body with every loaded OpenBLAS at one thread.
 
-    Re-entrant and thread-safe: the first caller to enter saves each
-    library's count and sets it to 1, the last to leave restores the saved
-    counts, also when the body raises.
+    Re-entrant and thread-safe.  Each entry binds the libraries loaded since
+    the last one; a library not yet pinned has its count saved and set to
+    1.  The last caller to leave restores the saved counts, also when the
+    body raises.
     """
-    global _depth, _saved
-    libs = libraries()
+    global _depth
     with _lock:
-        if _depth == 0:
-            _saved = [(lib, lib.get_num_threads()) for lib in libs]
-            for lib in libs:
+        for lib in _refresh():
+            if all(lib is not pinned for pinned, _ in _saved):
+                _saved.append((lib, lib.get_num_threads()))
                 lib.set_num_threads(1)
         _depth += 1
     try:
@@ -111,6 +122,7 @@ def single_threaded():
             if _depth == 0:
                 for lib, count in _saved:
                     lib.set_num_threads(count)
+                _saved.clear()
 
 
 def describe() -> list[dict]:

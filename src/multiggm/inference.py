@@ -106,8 +106,8 @@ class ConfidenceIntervalResult:
 # --- standard normal CDF / quantile ---------------------------------------
 #
 # scipy.special is imported inside the functions that use it: loading it
-# costs about 3.5 MB of resident memory, which estimation, tuning and most
-# Monte Carlo runs never need.
+# costs about 0.3 s and 25 MB of resident memory, which estimation, tuning
+# and most Monte Carlo runs never need.
 
 
 def normal_cdf(x: float) -> float:

@@ -89,10 +89,9 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from . import _blas
-from .core import CovarianceSet, PrecisionSet, is_positive_definite, symmetrize
+from .core import CovarianceSet, PrecisionSet, is_positive_definite
 from .errors import DataFormatError, NotPositiveDefiniteError
 
 # Over-relaxation constant of the Z-step and the dual update.
@@ -207,18 +206,22 @@ def ggl_objective(
 ) -> float:
     """Objective value at the given matrices; ``inf`` if any matrix is not PD."""
     mats = np.stack([np.asarray(m, dtype=float) for m in matrices])
-    s = np.stack(covs.matrices)
-    w = _weights(covs, weights)
+    return _objective(
+        mats, np.stack(covs.matrices), _weights(covs, weights), penalty.lam, penalty.rho
+    )
+
+
+def _objective(mats, s, w, lam: float, rho: float) -> float:
+    """Array-level core of :func:`ggl_objective` on (K, q, q) stacks."""
+    sign, logdet = np.linalg.slogdet(mats)
+    if np.any(sign <= 0):
+        return np.inf
     total = 0.0
     for k in range(mats.shape[0]):
-        sign, logdet = np.linalg.slogdet(mats[k])
-        if sign <= 0:
-            return np.inf
-        total += w[k] * (np.sum(s[k] * mats[k]) - logdet)
-    p = mats.shape[1]
-    off = ~np.eye(p, dtype=bool)
-    total += penalty.lam * np.abs(mats[:, off]).sum()
-    total += penalty.rho * np.sqrt((mats**2).sum(axis=0)[off]).sum()
+        total += w[k] * (np.sum(s[k] * mats[k]) - logdet[k])
+    off = ~np.eye(mats.shape[1], dtype=bool)
+    total += lam * np.abs(mats[:, off]).sum()
+    total += rho * np.sqrt((mats**2).sum(axis=0)[off]).sum()
     return float(total)
 
 
@@ -266,19 +269,17 @@ def kkt_residual(
 def _stationarity_violation(omegas, s, lam, rho, w) -> float:
     """Array-level core of :func:`kkt_residual`; ``inf`` if a matrix is not PD.
 
-    Takes a (K, p, p) stack of symmetric estimates and the K covariances,
-    and factors each estimate once: the inverse comes from ``cho_solve`` on
-    that factor, exactly as :func:`multiggm.core.invert_pd` computes it.
+    Takes a (K, p, p) stack of symmetric estimates and the K covariances.
+    One batched Cholesky checks that every estimate is PD, and one batched
+    ``np.linalg.inv`` inverts them; each inverse is then symmetrized.  The
+    value agrees with a per-population Cholesky solve to rounding.
     """
     p = omegas.shape[1]
-    eye = np.eye(p)
     try:
-        inverses = [
-            symmetrize(cho_solve((np.linalg.cholesky(m), True), eye)) for m in omegas
-        ]
+        np.linalg.cholesky(omegas)
     except np.linalg.LinAlgError:
         return np.inf
-    grads = np.stack([w[k] * (s[k] - inv) for k, inv in enumerate(inverses)])
+    grads = w[:, None, None] * (np.asarray(s) - _symmetrized(np.linalg.inv(omegas)))
     idx = np.arange(p)
     worst = float(np.max(np.abs(grads[:, idx, idx])))
 
@@ -357,7 +358,9 @@ def solve_ggl(
     module docstring) and ADMM runs on each block of two or more vertices,
     with ``max_iter`` per block.  ``iterations`` is the sum over blocks, the
     residuals are the root-sum-square over blocks, ``kkt_violation`` is the
-    largest block certificate, and ``block_sizes`` lists every block's size.
+    largest block certificate, ``objective`` is the sum of the blocks'
+    objectives (:func:`ggl_objective` of the whole estimate, to rounding),
+    and ``block_sizes`` lists every block's size.
     ``dual`` is the (K, p, p) dual ``w_k (W_k^{-1} - S_k)`` in the units of
     the data: each block's final ADMM dual, and outside the blocks its
     optimal value ``-w_k S_k[i, j]`` (zero on the diagonal).  It does not
@@ -371,9 +374,9 @@ def solve_ggl(
     earlier solve ran at.  A report of another dimension or population
     count raises :class:`DataFormatError`.
 
-    The solve runs numpy's and scipy's OpenBLAS at one thread each and
-    restores the caller's thread counts when the last concurrent solve
-    returns (see :mod:`multiggm._blas`).
+    The solve runs each loaded OpenBLAS (numpy's, and scipy's once scipy
+    has loaded it) at one thread and restores the caller's thread counts
+    when the last concurrent solve returns (see :mod:`multiggm._blas`).
     """
     covs.require_positive_diagonal()
     if init is not None and init.dual.shape != (covs.K, covs.p, covs.p):
@@ -399,6 +402,10 @@ def solve_ggl(
     dual[:, idx, idx] = 0.0
     if init is not None:
         init_z = np.stack(init.estimate.matrices)
+    # The objective is a sum over the blocks.  A single vertex adds
+    # w_k (S_ii / S_ii - log(1 / S_ii)) = w_k (1 + log S_ii).
+    singles = np.array([ix[0] for ix in blocks if ix.size == 1], dtype=int)
+    objective = float(np.sum(w[:, None] * (1.0 + np.log(s[:, singles, singles]))))
     solved = []
     for ix in blocks:
         if ix.size > 1:
@@ -410,12 +417,10 @@ def solve_ggl(
             else:
                 start = init_z[sub], init.dual[sub]
             mats[sub], dual[sub], result = _admm(s[sub], w, lam, rho, opts, *start)
+            objective += _objective(mats[sub], s[sub], w, lam, rho)
             solved.append(result)
 
     estimate = PrecisionSet(list(mats), positive_definite=True)
-    objective = ggl_objective(
-        estimate.matrices, covs, penalty, w if opts.weighted_by_n else None
-    )
     return SolveReport(
         estimate=estimate,
         iterations=sum(r.iterations for r in solved),

@@ -5,6 +5,8 @@ gradient solver, the prox grid search, and the dense Kronecker constructions
 are written from scratch so they can certify the main implementations.  The
 CSV parser and writers are the cell-by-cell ``csv``/``float()``/``format()``
 code that ``multiggm.io`` replaced with numpy's reader and row templates.
+The sampler and the certificate keep the scipy forms (``solve_triangular``,
+``cho_solve``) that the package replaced with numpy calls.
 """
 
 from __future__ import annotations
@@ -222,6 +224,55 @@ def random_covariance_set(rng, p, K, well_conditioned=True):
             s += 0.5 * np.eye(p)
         mats.append((s + s.T) / 2.0)
     return mats
+
+
+# --- scipy forms of the sampler and the certificate ----------------------------
+
+
+def draw_mvn_oracle(precision, n: int, seed: int) -> np.ndarray:
+    """Rows ``x = L^{-T} z`` by scipy's triangular solve, on the Philox stream ``seed``."""
+    from scipy.linalg import solve_triangular
+
+    lower = np.linalg.cholesky(precision)
+    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed & (2**64 - 1))))
+    z = rng.standard_normal((n, lower.shape[0]))
+    return solve_triangular(lower, z.T, lower=True, trans="T").T
+
+
+def kkt_oracle(mats, covs, lam, rho, weights=None) -> float:
+    """Stationarity violation pair by pair, with ``cho_solve`` inverses.
+
+    ``inf`` when a matrix is not PD.  Same system as ``kkt_residual``: the
+    diagonal gradient, the soft-thresholded excess of all-zero groups, and
+    the residual of ``G + lam * z + rho * m`` on active groups.
+    """
+    from scipy.linalg import cho_factor, cho_solve
+
+    K, p = len(mats), mats[0].shape[0]
+    w = np.ones(K) if weights is None else np.asarray(weights, dtype=float)
+    grads = []
+    for k in range(K):
+        try:
+            factor = cho_factor(mats[k], lower=True)
+        except np.linalg.LinAlgError:
+            return np.inf
+        inv = cho_solve(factor, np.eye(p))
+        grads.append(w[k] * (covs[k] - (inv + inv.T) / 2.0))
+    g, om = np.stack(grads), np.stack(mats)
+    worst = float(np.max(np.abs(np.diagonal(g, axis1=1, axis2=2))))
+    for i in range(p):
+        for j in range(i + 1, p):
+            gij, oij = g[:, i, j], om[:, i, j]
+            if not np.any(oij):
+                soft = np.sign(gij) * np.maximum(np.abs(gij) - lam, 0.0)
+                worst = max(worst, float(np.linalg.norm(soft)) - rho)
+                continue
+            z = np.sign(oij)
+            if lam > 0:
+                z = np.where(oij != 0.0, z, np.clip(-gij / lam, -1.0, 1.0))
+            resid = gij + lam * z + rho * oij / np.linalg.norm(oij)
+            worst = max(worst, float(np.max(np.abs(resid))))
+    return worst
 
 
 # --- CSV oracles -------------------------------------------------------------

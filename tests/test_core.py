@@ -1,5 +1,10 @@
+from contextlib import nullcontext
+
 import numpy as np
 import pytest
+# Loaded up front, so that single_threaded() below also pins scipy's OpenBLAS,
+# which the oracle's triangular solve runs on.
+import scipy.linalg  # noqa: F401
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,8 +21,11 @@ from multiggm import (
     population_seed,
     sample_covariance,
 )
+from multiggm import _blas
 from multiggm.core import derive_seed
-from multiggm.graphs import chain_precision
+from multiggm.graphs import chain_precision, star_precision
+
+from oracles import draw_mvn_oracle
 
 
 def random_pd(rng, p, ridge=0.5):
@@ -121,6 +129,27 @@ class TestDrawMvn:
     def test_non_pd_precision_rejected(self):
         with pytest.raises(NotPositiveDefiniteError):
             draw_mvn(np.array([[1.0, 2.0], [2.0, 1.0]]), 10, seed=0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["chain", "star", "random"]),
+        st.integers(1, 200),
+        st.integers(1, 300),
+        st.integers(0, 2**64 - 1),
+        st.booleans(),
+    )
+    def test_bit_identical_to_triangular_solve(self, kind, p, n, seed, pinned):
+        if kind == "chain":
+            precision = chain_precision(p, 0.45)
+        elif kind == "star":
+            precision = star_precision(p, min(p - 1, 10), 1.0, 0.25, seed)[0]
+        else:
+            m = random_pd(np.random.default_rng(seed), p, ridge=0.1)
+            precision = (m + m.T) / 2.0
+        with _blas.single_threaded() if pinned else nullcontext():
+            got = draw_mvn(precision, n, seed)
+            want = draw_mvn_oracle(precision, n, seed)
+        assert np.array_equal(got, want)
 
     def test_dataset_uses_xor_population_streams(self):
         truth = PrecisionSet([np.eye(3), np.eye(3)], positive_definite=True)

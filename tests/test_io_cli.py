@@ -315,24 +315,52 @@ class TestCli:
         assert "multiggm" in out and "report schema" in out
 
 
-def test_cli_estimate_imports_neither_pandas_nor_scipy_sparse(tmp_path):
+def test_cli_loads_scipy_only_for_test_and_diagnose(tmp_path):
+    # One fresh interpreter runs the commands in turn.  Importing the package,
+    # estimate, tune and simulate load numpy alone, also when they run after
+    # each other; test loads scipy.special for its p-values and diagnose
+    # loads scipy.linalg.  pandas and scipy.sparse are never loaded.
+    from multiggm.graphs import chain_precision
+    from multiggm.io import write_matrix_csv
+
     rng = np.random.default_rng(2)
     paths = []
     for k in range(2):
         paths.append(str(tmp_path / f"pop{k}.csv"))
         write_data_csv(rng.standard_normal((40, 5)), paths[-1], [f"x{j}" for j in range(5)])
-    argv = ["estimate", "--data", ",".join(paths), "--c1", "0.5", "--c2", "1.0",
-            "--debias", "--out-dir", str(tmp_path / "out"), "-q"]
+    precision = str(tmp_path / "precision.csv")
+    write_matrix_csv(chain_precision(5, 0.3), precision)
+    data = ["--data", ",".join(paths)]
+    steps = [
+        ["estimate", *data, "--c1", "0.5", "--c2", "1.0", "--debias"],
+        ["tune", *data, "--c1-grid", "0.5,1", "--c2-grid", "1,2"],
+        ["simulate", "normality", "--p", "6", "--n", "100", "--B", "2"],
+        ["test", *data, "--c1", "0.5", "--c2", "1.0", "--edges", "1,2", "--coeffs", "1,-1"],
+        ["diagnose", "--precision", f"{precision},{precision}", "--sample-sizes", "40,40"],
+    ]
     code = (
-        "import sys\n"
+        "import json, sys\n"
+        "watched = ('pandas', 'scipy.sparse', 'scipy.special', 'scipy.linalg')\n"
+        "def loaded():\n"
+        "    return [m for m in watched if m in sys.modules]\n"
+        "import multiggm\n"
+        "seen = [[0, loaded()]]\n"
         "from multiggm import cli\n"
-        f"assert cli.main({argv!r}) == 0\n"
-        "loaded = [m for m in ('pandas', 'scipy.sparse') if m in sys.modules]\n"
-        "assert not loaded, f'{loaded} imported'\n"
+        "for i, argv in enumerate(json.loads(sys.argv[1])):\n"
+        "    out = ['--out-dir', f'{sys.argv[2]}/out{i}', '-q']\n"
+        "    seen.append([cli.main(argv + out), loaded()])\n"
+        "print(json.dumps(seen))\n"
     )
     package_root = os.path.dirname(os.path.dirname(multiggm.__file__))
     result = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=120,
+        [sys.executable, "-c", code, json.dumps(steps), str(tmp_path)],
+        capture_output=True, text=True, timeout=120,
         env=dict(os.environ, PYTHONPATH=package_root),
     )
     assert result.returncode == 0, result.stderr
+    after_import, estimate, tune, simulate, test, diagnose = json.loads(result.stdout)
+    for exit_code, modules in (after_import, estimate, tune, simulate):
+        assert exit_code == EXIT_OK and modules == []
+    assert test == [EXIT_OK, ["scipy.special"]]
+    assert diagnose[0] == EXIT_OK and "scipy.linalg" in diagnose[1]
+    assert "pandas" not in diagnose[1] and "scipy.sparse" not in diagnose[1]

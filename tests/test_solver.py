@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from multiggm import (
     CovarianceSet,
     DataFormatError,
+    NotPositiveDefiniteError,
     PenaltyPair,
     PrecisionSet,
     SolverOptions,
@@ -24,6 +25,7 @@ from multiggm import solver
 from multiggm.graphs import chain_precision
 
 from oracles import (
+    kkt_oracle,
     prox_grid_search,
     prox_inclusion_violation,
     prox_objective,
@@ -161,6 +163,36 @@ class TestKktResidual:
             report = solve_ggl(covs, PenaltyPair(lam, rho), opts)
             assert report.converged
             assert report.kkt_violation <= 10 * opts.tol_abs
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 12), st.booleans())
+    def test_matches_cho_solve_oracle(self, seed, K, p, definite):
+        # Sparse symmetric estimates whose smallest eigenvalue is at least
+        # 0.05 away from zero: PD, or indefinite in one population.
+        rng = np.random.default_rng(seed)
+        covs = random_covariance_set(rng, p, K)
+        mask = rng.uniform(size=(p, p)) < 0.5
+        mats = []
+        for k in range(K):
+            a = rng.standard_normal((p, p)) * (mask | mask.T)
+            a = (a + a.T) / 2.0
+            np.fill_diagonal(a, 0.0)
+            shift = rng.uniform(0.05, 2.0)
+            if definite or k < K - 1:
+                mats.append(a + (shift - np.linalg.eigvalsh(a)[0]) * np.eye(p))
+            else:
+                mats.append(a - (shift + np.linalg.eigvalsh(a)[-1]) * np.eye(p))
+        lam, rho = rng.uniform(0.0, 1.0, size=2)
+        w = rng.uniform(1.0, 500.0, size=K)
+        got = solver._stationarity_violation(np.stack(mats), covs, lam, rho, w)
+        want = kkt_oracle(mats, covs, lam, rho, w)
+        if not definite:
+            assert got == want == np.inf
+            with pytest.raises(NotPositiveDefiniteError):
+                kkt_residual(PrecisionSet(mats), CovarianceSet(covs, [50] * K),
+                             PenaltyPair(lam, rho), w)
+        else:
+            assert abs(got - want) <= 1e-12 * want
 
 
 class TestSolverProperties:
@@ -312,6 +344,16 @@ class TestScreening:
         for est, ref in zip(report.estimate.matrices, oracle):
             assert np.max(np.abs(est - ref)) <= 1e-4
         assert abs(ggl_objective(oracle, covs, pen, w) - report.objective) <= 1e-8
+
+    @settings(max_examples=50, deadline=None)
+    @given(instances)
+    def test_objective_sums_over_blocks(self, instance):
+        # solve_ggl adds the blocks' objectives and the single vertices'
+        # closed forms; ggl_objective evaluates the full stack.
+        covs, pen, opts, w = split_instance(*instance)
+        report = solve_ggl(covs, pen, opts)
+        full = ggl_objective(report.estimate.matrices, covs, pen, w)
+        assert abs(report.objective - full) <= 1e-10 * abs(full)
 
     @settings(max_examples=50, deadline=None)
     @given(instances)
@@ -499,12 +541,22 @@ class TestNormalizedProblem:
             assert np.max(np.abs(dual - duals[1])) <= 1e-4 * weights.max()
 
 
-def test_solve_does_not_import_scipy_sparse():
+def test_sample_and_solve_import_no_scipy_submodule():
+    # Sampling, the solve with its certificate and objective, and debiasing
+    # run on numpy alone; scipy.linalg would cost about 0.3 s of start-up.
     code = (
         "import sys\n"
-        "from multiggm import CovarianceSet, PenaltyPair, solve_ggl\n"
-        "solve_ggl(CovarianceSet([[[2.0, 0.5], [0.5, 1.0]]], [20]), PenaltyPair(0.1, 0.1))\n"
-        "assert 'scipy.sparse' not in sys.modules, 'scipy.sparse was imported'\n"
+        "from multiggm import (PenaltyPair, debias, draw_mvn_dataset, kkt_residual,\n"
+        "    sample_covariance, solve_ggl, two_population_chain_spec)\n"
+        "covs = sample_covariance(draw_mvn_dataset(two_population_chain_spec().build(6),\n"
+        "                                          (50, 50), 1))\n"
+        "pen = PenaltyPair(0.1, 0.1)\n"
+        "report = solve_ggl(covs, pen)\n"
+        "kkt_residual(report.estimate, covs, pen)\n"
+        "debias(report.estimate, covs)\n"
+        "loaded = [m for m in ('scipy.linalg', 'scipy.special', 'scipy.sparse')\n"
+        "          if m in sys.modules]\n"
+        "assert not loaded, f'{loaded} imported'\n"
     )
     package_root = os.path.dirname(os.path.dirname(solver.__file__))
     result = subprocess.run(
