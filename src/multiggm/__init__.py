@@ -47,7 +47,6 @@ from .experiments import (
 from .graphs import GraphSpec, chain_precision, two_population_chain_spec, two_population_star_spec, star_precision
 from .inference import (
     ConfidenceIntervalResult,
-    DebiasedSet,
     EdgeTestResult,
     LinearCombo,
     confidence_interval,

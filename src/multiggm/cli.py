@@ -193,7 +193,6 @@ def build_parser() -> _Parser:
     p_sim.add_argument("--c1", type=float, default=1.0)
     p_sim.add_argument("--c2", type=float, default=3.5)
     p_sim.add_argument("--edges", default="1,2;2,3", help="edges for the normality experiment")
-    p_sim.add_argument("--alpha", type=float, default=0.05)
     p_sim.add_argument("--ci-level", type=float, default=0.95)
     p_sim.add_argument("--retune-per-replication", action="store_true")
 
@@ -446,7 +445,6 @@ def _simulate(args, report: AnalysisReport) -> int:
         base_seed=args.seed,
         penalty_rule=args.penalty_rule,
         fixed_constants=(args.c1, args.c2),
-        alpha_level=args.alpha,
         ci_level=args.ci_level,
         edges_of_interest=tuple(_edge_list(args.edges)) if args.experiment == "normality" else (),
         retune_per_replication=args.retune_per_replication,
@@ -456,7 +454,7 @@ def _simulate(args, report: AnalysisReport) -> int:
     out = f"{args.out_dir}/{args.experiment}"
     _emit(report, write_csv_atomic, result.csv_rows(), f"{out}.csv")
     _emit(report, write_json_atomic, result.to_jsonable(), f"{out}.json")
-    report.payload = {"experiment": args.experiment, "cells": len(result.cells)}
+    report.payload = {"experiment": args.experiment, "cells": len(result.failure_counts)}
     return EXIT_OK
 
 

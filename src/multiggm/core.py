@@ -156,32 +156,23 @@ class MultiPopDataset:
         return tuple(x.shape[0] for x in self.data)
 
 
-@dataclass(frozen=True)
-class CovarianceSet:
-    """Sample covariance matrices with their per-population sample sizes."""
+class _MatrixStack:
+    """K matrices of common dimension p, held read-only in ``matrices``."""
 
-    matrices: tuple[np.ndarray, ...]
-    sample_sizes: tuple[int, ...]
-
-    def __init__(self, matrices, sample_sizes):
-        mats = tuple(check_symmetric(m, f"covariance {k}") for k, m in enumerate(matrices))
+    def _store(self, matrices, name: str) -> None:
+        """Check that ``matrices`` is a non-empty stack of exactly symmetric
+        matrices of common dimension, and store read-only copies.  Errors
+        name matrix ``k`` as ``"{name} {k}"``."""
+        mats = tuple(check_symmetric(m, f"{name} {k}") for k, m in enumerate(matrices))
         if not mats:
-            raise DataFormatError("covariance set needs at least one population")
+            raise DataFormatError(f"{name} set needs at least one population")
         p = mats[0].shape[0]
         for k, m in enumerate(mats):
             if m.shape[0] != p:
                 raise DimensionMismatchError(
-                    f"covariance {k} has dimension {m.shape[0]}, expected {p}"
+                    f"{name} {k} has dimension {m.shape[0]}, expected {p}"
                 )
-        sizes = tuple(int(n) for n in sample_sizes)
-        if len(sizes) != len(mats):
-            raise DimensionMismatchError(
-                f"{len(sizes)} sample sizes for {len(mats)} matrices"
-            )
-        if any(n < 1 for n in sizes):
-            raise DataFormatError("sample sizes must be positive")
         object.__setattr__(self, "matrices", tuple(_as_readonly(m) for m in mats))
-        object.__setattr__(self, "sample_sizes", sizes)
 
     @property
     def K(self) -> int:
@@ -190,6 +181,25 @@ class CovarianceSet:
     @property
     def p(self) -> int:
         return self.matrices[0].shape[0]
+
+
+@dataclass(frozen=True)
+class CovarianceSet(_MatrixStack):
+    """Sample covariance matrices with their per-population sample sizes."""
+
+    matrices: tuple[np.ndarray, ...]
+    sample_sizes: tuple[int, ...]
+
+    def __init__(self, matrices, sample_sizes):
+        self._store(matrices, "covariance")
+        sizes = tuple(int(n) for n in sample_sizes)
+        if len(sizes) != self.K:
+            raise DimensionMismatchError(
+                f"{len(sizes)} sample sizes for {self.K} matrices"
+            )
+        if any(n < 1 for n in sizes):
+            raise DataFormatError("sample sizes must be positive")
+        object.__setattr__(self, "sample_sizes", sizes)
 
     def require_positive_diagonal(self) -> None:
         """Raise unless every matrix has a strictly positive diagonal.
@@ -205,39 +215,23 @@ class CovarianceSet:
 
 
 @dataclass(frozen=True)
-class PrecisionSet:
+class PrecisionSet(_MatrixStack):
     """K precision matrices of common dimension.
 
     When ``positive_definite`` is set the constructor verifies every matrix
-    by Cholesky; leave it unset for matrices that are merely symmetric.
+    by Cholesky; leave it unset for matrices that are merely symmetric, such
+    as the debiased matrices of :func:`multiggm.inference.debias`.
     """
 
     matrices: tuple[np.ndarray, ...]
     positive_definite: bool = False
 
     def __init__(self, matrices, positive_definite: bool = False):
-        mats = tuple(check_symmetric(m, f"precision {k}") for k, m in enumerate(matrices))
-        if not mats:
-            raise DataFormatError("precision set needs at least one population")
-        p = mats[0].shape[0]
-        for k, m in enumerate(mats):
-            if m.shape[0] != p:
-                raise DimensionMismatchError(
-                    f"precision {k} has dimension {m.shape[0]}, expected {p}"
-                )
+        self._store(matrices, "precision")
         if positive_definite:
-            for k, m in enumerate(mats):
+            for k, m in enumerate(self.matrices):
                 cholesky_pd(m, f"precision {k}")
-        object.__setattr__(self, "matrices", tuple(_as_readonly(m) for m in mats))
         object.__setattr__(self, "positive_definite", bool(positive_definite))
-
-    @property
-    def K(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def p(self) -> int:
-        return self.matrices[0].shape[0]
 
 
 def sample_covariance(data: MultiPopDataset, center: bool = False) -> CovarianceSet:

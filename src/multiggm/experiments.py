@@ -41,6 +41,9 @@ from .solver import PenaltyPair, SolverOptions, solve_ggl
 # Indirection point so tests can inject oracle estimates in place of solves.
 _solve = solve_ggl
 
+# Entries of an estimate at or below this magnitude count as absent edges.
+EDGE_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -53,7 +56,6 @@ class ExperimentConfig:
     fixed_constants: tuple[float, float] = (1.0, 3.5)
     grid: TuningGrid = field(default_factory=TuningGrid)
     solver: SolverOptions = field(default_factory=SolverOptions)
-    alpha_level: float = 0.05
     ci_level: float = 0.95
     edges_of_interest: tuple[tuple[int, int], ...] = ()
     retune_per_replication: bool = False
@@ -75,6 +77,10 @@ class ExperimentConfig:
             "edges_of_interest",
             tuple((int(i), int(j)) for i, j in self.edges_of_interest),
         )
+        p = min(self.dims)
+        for i, j in self.edges_of_interest:
+            if not (0 <= i < p and 0 <= j < p):
+                raise ConfigError(f"edge ({i + 1},{j + 1}) out of range for p={p}")
 
 
 @dataclass
@@ -95,46 +101,14 @@ class ExperimentResult:
     seeds: dict
 
     def csv_rows(self) -> list[list]:
-        if self.kind == "consistency":
-            rows = [["graph", "p", "n", "replications", "success_fraction", "failures"]]
-            for (p, n), value in sorted(self.cells.items()):
-                rows.append(
-                    [self.graph_kind, p, n, value["replications"], value["success_fraction"],
-                     self.failure_counts.get((p, n), 0)]
-                )
-            return rows
-        if self.kind == "tpfp":
-            rows = [["graph", "p", "n", "replications", "mean_tp", "mean_fp", "excluded"]]
-            for (p, n), value in sorted(self.cells.items()):
-                rows.append(
-                    [self.graph_kind, p, n, value["replications"], value["mean_tp"],
-                     value["mean_fp"], self.failure_counts.get((p, n), 0)]
-                )
-            return rows
-        if self.kind == "supnorm":
-            rows = [["graph", "p", "n", "population", "replications", "mean_supnorm", "excluded"]]
-            for (p, n, k), value in sorted(self.cells.items()):
-                rows.append(
-                    [self.graph_kind, p, n, k + 1, value["replications"],
-                     value["mean_supnorm"], self.failure_counts.get((p, n), 0)]
-                )
-            return rows
-        if self.kind == "normality":
-            rows = [["edge", "standardized_value"]]
-            for key in sorted(self.samples):
-                for v in self.samples[key]:
-                    rows.append([key, v])
-            return rows
-        if self.kind == "coverage":
-            rows = [["graph", "p", "n", "population", "edge_set", "coverage",
-                     "mean_length", "edges", "replications"]]
-            for (p, n, k, which), value in sorted(self.cells.items()):
-                rows.append(
-                    [self.graph_kind, p, n, k + 1, which, value["coverage"],
-                     value["mean_length"], value["edges"], value["replications"]]
-                )
-            return rows
-        raise DataFormatError(f"unknown experiment kind {self.kind!r}")
+        study = RUNNERS.get(self.kind)
+        if study is None:
+            raise DataFormatError(f"unknown experiment kind {self.kind!r}")
+        entries = self.samples if study.emits_samples else self.cells
+        rows = [list(study.header)]
+        for key, entry in sorted(entries.items()):
+            rows.extend(study.rows(self, key, entry))
+        return rows
 
     def to_jsonable(self) -> dict:
         return {
@@ -149,14 +123,8 @@ class ExperimentResult:
         }
 
     @staticmethod
-    def _key_str(key) -> str:
-        if isinstance(key, tuple):
-            return "/".join(str(x) for x in key)
-        return str(key)
-
-
-def _rep_seed(base_seed: int, p: int, n: int, b: int) -> int:
-    return derive_seed(base_seed, p, n, b)
+    def _key_str(key: tuple) -> str:
+        return "/".join(str(x) for x in key)
 
 
 def _draw_covs(truth: PrecisionSet, n: int, rep_seed: int) -> CovarianceSet:
@@ -169,11 +137,8 @@ def _draw_covs(truth: PrecisionSet, n: int, rep_seed: int) -> CovarianceSet:
     return sample_covariance(data)
 
 
-def _tuned_penalty(config: ExperimentConfig, covs: CovarianceSet) -> PenaltyPair:
-    return tune_penalties(covs, config.grid, config.solver).best_penalty
-
-
-def _signed_pattern(matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def _signed_pattern(matrix: np.ndarray, tol: float = EDGE_TOL) -> np.ndarray:
+    """Signs of the upper-triangle entries, 0 where ``|entry| <= tol``."""
     iu = np.triu_indices(matrix.shape[0], k=1)
     vals = matrix[iu]
     out = np.sign(vals).astype(np.int8)
@@ -182,11 +147,14 @@ def _signed_pattern(matrix: np.ndarray, tol: float = 1e-8) -> np.ndarray:
 
 
 def _run_cell(config: ExperimentConfig, truth: PrecisionSet, p: int, n: int, worker):
-    """Shared per-cell engine: resolves the penalty, fans out replications.
+    """Resolve the cell's penalty and run its replications.
 
     The e-BIC rule tunes once on the first replication's data, or on every
-    replication's data with ``retune_per_replication``.
+    replication's data with ``retune_per_replication``.  Returns the
+    worker's value per replication (``None`` where the solve did not
+    converge) and the replication seeds.
     """
+    seeds = [derive_seed(config.base_seed, p, n, b) for b in range(config.replications)]
     if config.penalty_rule == "fixed":
         c1, c2 = config.fixed_constants
         scale = penalty_scale(p, n)
@@ -194,145 +162,146 @@ def _run_cell(config: ExperimentConfig, truth: PrecisionSet, p: int, n: int, wor
     elif config.retune_per_replication:
         penalty = None
     else:
-        first = _draw_covs(truth, n, _rep_seed(config.base_seed, p, n, 0))
-        penalty = _tuned_penalty(config, first)
+        first = _draw_covs(truth, n, seeds[0])
+        penalty = tune_penalties(first, config.grid, config.solver).best_penalty
 
-    def one(b: int):
-        rep_seed = _rep_seed(config.base_seed, p, n, b)
-        covs = _draw_covs(truth, n, rep_seed)
-        pen = penalty if penalty is not None else _tuned_penalty(config, covs)
+    def one(seed: int):
+        covs = _draw_covs(truth, n, seed)
+        pen = penalty or tune_penalties(covs, config.grid, config.solver).best_penalty
         report = _solve(covs, pen, config.solver)
-        return worker(b, covs, report)
+        return worker(covs, report) if report.converged else None
 
-    reps = range(config.replications)
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one, reps))
+            results = list(pool.map(one, seeds))
     else:
-        results = [one(b) for b in reps]
-    seeds = [_rep_seed(config.base_seed, p, n, b) for b in reps]
+        results = [one(seed) for seed in seeds]
     return results, seeds
 
 
-def _seed_record(config: ExperimentConfig, per_cell: dict) -> dict:
-    return {
-        "base_seed": config.base_seed,
-        "rule": "derive_seed(base_seed, p, n, b) XOR population_index",
-        "per_cell": per_cell,
-    }
+def _mean(values) -> float:
+    return float(np.mean(values)) if len(values) else float("nan")
 
 
-def run_sign_consistency(config: ExperimentConfig) -> ExperimentResult:
+class _Study:
+    """A Monte Carlo study; ``study(config)`` runs it over every (p, n) cell.
+
+    A study names its ``kind`` and CSV ``header`` and supplies three hooks.
+    ``prepare(config, truth)`` runs once per dimension and returns the
+    replication worker ``worker(covs, report)``, which sees converged solves
+    only.  ``aggregate(config, truth, n, ok)`` turns the workers' values of
+    one cell into ``{key: entry}``, kept in ``result.samples`` when
+    ``emits_samples`` is set and in ``result.cells`` otherwise.
+    ``rows(result, key, entry)`` gives the entry's CSV rows.
+    """
+
+    kind: str
+    header: tuple[str, ...]
+    emits_samples = False
+
+    def __call__(self, config: ExperimentConfig) -> ExperimentResult:
+        entries, failures, seed_log = {}, {}, {}
+        for p in config.dims:
+            truth = config.graph.build(p)
+            worker = self.prepare(config, truth)
+            for n in config.sample_sizes:
+                results, seeds = _run_cell(config, truth, p, n, worker)
+                ok = [r for r in results if r is not None]
+                failures[(p, n)] = len(results) - len(ok)
+                entries.update(self.aggregate(config, truth, n, ok))
+                seed_log[f"{p}/{n}"] = seeds
+        return ExperimentResult(
+            kind=self.kind,
+            graph_kind=config.graph.kind,
+            cells={} if self.emits_samples else entries,
+            samples=entries if self.emits_samples else {},
+            failure_counts=failures,
+            seeds={
+                "base_seed": config.base_seed,
+                "rule": "derive_seed(base_seed, p, n, b) XOR population_index",
+                "per_cell": seed_log,
+            },
+        )
+
+
+class _Consistency(_Study):
     """Proportion of replications recovering the exact signed support in every
     population."""
-    cells, failures, seed_log = {}, {}, {}
-    for p in config.dims:
-        truth = config.graph.build(p)
+
+    kind = "consistency"
+    header = ("graph", "p", "n", "replications", "success_fraction", "failures")
+
+    def prepare(self, config, truth):
         true_patterns = [_signed_pattern(m, 0.0) for m in truth.matrices]
-        for n in config.sample_sizes:
-            def worker(b, covs, report):
-                if not report.converged:
-                    return None
-                ok = all(
-                    np.array_equal(
-                        _signed_pattern(est), true_patterns[k]
-                    )
-                    for k, est in enumerate(report.estimate.matrices)
-                )
-                return bool(ok)
+        return lambda covs, report: all(
+            np.array_equal(_signed_pattern(est), true_patterns[k])
+            for k, est in enumerate(report.estimate.matrices)
+        )
 
-            results, seeds = _run_cell(config, truth, p, n, worker)
-            n_fail = sum(r is None for r in results)
-            successes = sum(bool(r) for r in results if r is not None)
-            cells[(p, n)] = {
-                "replications": config.replications,
-                "success_fraction": successes / config.replications,
-            }
-            failures[(p, n)] = n_fail
-            seed_log[f"{p}/{n}"] = seeds
-    return ExperimentResult(
-        kind="consistency",
-        graph_kind=config.graph.kind,
-        cells=cells,
-        samples={},
-        failure_counts=failures,
-        seeds=_seed_record(config, seed_log),
-    )
+    def aggregate(self, config, truth, n, ok):
+        return {(truth.p, n): {"replications": config.replications,
+                               "success_fraction": sum(ok) / config.replications}}
+
+    def rows(self, result, key, cell):
+        return [[result.graph_kind, *key, cell["replications"], cell["success_fraction"],
+                 result.failure_counts.get(key, 0)]]
 
 
-def run_tpfp(config: ExperimentConfig, edge_tol: float = 1e-8) -> ExperimentResult:
+class _TpFp(_Study):
     """Mean true-positive and false-positive edge counts per cell, averaged
     over replications and populations."""
-    cells, failures, seed_log = {}, {}, {}
-    for p in config.dims:
-        truth = config.graph.build(p)
-        iu = np.triu_indices(p, k=1)
-        true_edges = [np.abs(m[iu]) > 0 for m in truth.matrices]
-        for n in config.sample_sizes:
-            def worker(b, covs, report):
-                if not report.converged:
-                    return None
-                tp = fp = 0
-                for k, est in enumerate(report.estimate.matrices):
-                    found = np.abs(est[iu]) > edge_tol
-                    tp += int(np.sum(found & true_edges[k]))
-                    fp += int(np.sum(found & ~true_edges[k]))
-                return tp / truth.K, fp / truth.K
 
-            results, seeds = _run_cell(config, truth, p, n, worker)
-            ok = [r for r in results if r is not None]
-            failures[(p, n)] = len(results) - len(ok)
-            cells[(p, n)] = {
-                "replications": len(ok),
-                "mean_tp": float(np.mean([r[0] for r in ok])) if ok else float("nan"),
-                "mean_fp": float(np.mean([r[1] for r in ok])) if ok else float("nan"),
-            }
-            seed_log[f"{p}/{n}"] = seeds
-    return ExperimentResult(
-        kind="tpfp",
-        graph_kind=config.graph.kind,
-        cells=cells,
-        samples={},
-        failure_counts=failures,
-        seeds=_seed_record(config, seed_log),
-    )
+    kind = "tpfp"
+    header = ("graph", "p", "n", "replications", "mean_tp", "mean_fp", "excluded")
+
+    def prepare(self, config, truth):
+        true_edges = [_signed_pattern(m, 0.0) != 0 for m in truth.matrices]
+
+        def worker(covs, report):
+            tp = fp = 0
+            for k, est in enumerate(report.estimate.matrices):
+                found = _signed_pattern(est) != 0
+                tp += int(np.sum(found & true_edges[k]))
+                fp += int(np.sum(found & ~true_edges[k]))
+            return tp / truth.K, fp / truth.K
+
+        return worker
+
+    def aggregate(self, config, truth, n, ok):
+        return {(truth.p, n): {"replications": len(ok),
+                               "mean_tp": _mean([r[0] for r in ok]),
+                               "mean_fp": _mean([r[1] for r in ok])}}
+
+    def rows(self, result, key, cell):
+        return [[result.graph_kind, *key, cell["replications"], cell["mean_tp"],
+                 cell["mean_fp"], result.failure_counts.get(key, 0)]]
 
 
-def run_supnorm(config: ExperimentConfig) -> ExperimentResult:
+class _SupNorm(_Study):
     """Mean sup-norm estimation error per (p, n, population)."""
-    cells, failures, seed_log = {}, {}, {}
-    for p in config.dims:
-        truth = config.graph.build(p)
-        for n in config.sample_sizes:
-            def worker(b, covs, report):
-                if not report.converged:
-                    return None
-                return [
-                    float(np.max(np.abs(est - truth.matrices[k])))
-                    for k, est in enumerate(report.estimate.matrices)
-                ]
 
-            results, seeds = _run_cell(config, truth, p, n, worker)
-            ok = [r for r in results if r is not None]
-            failures[(p, n)] = len(results) - len(ok)
-            for k in range(truth.K):
-                vals = [r[k] for r in ok]
-                cells[(p, n, k)] = {
-                    "replications": len(ok),
-                    "mean_supnorm": float(np.mean(vals)) if vals else float("nan"),
-                }
-            seed_log[f"{p}/{n}"] = seeds
-    return ExperimentResult(
-        kind="supnorm",
-        graph_kind=config.graph.kind,
-        cells=cells,
-        samples={},
-        failure_counts=failures,
-        seeds=_seed_record(config, seed_log),
-    )
+    kind = "supnorm"
+    header = ("graph", "p", "n", "population", "replications", "mean_supnorm", "excluded")
+
+    def prepare(self, config, truth):
+        return lambda covs, report: [
+            float(np.max(np.abs(est - truth.matrices[k])))
+            for k, est in enumerate(report.estimate.matrices)
+        ]
+
+    def aggregate(self, config, truth, n, ok):
+        return {
+            (truth.p, n, k): {"replications": len(ok), "mean_supnorm": _mean([r[k] for r in ok])}
+            for k in range(truth.K)
+        }
+
+    def rows(self, result, key, cell):
+        p, n, k = key
+        return [[result.graph_kind, p, n, k + 1, cell["replications"],
+                 cell["mean_supnorm"], result.failure_counts.get((p, n), 0)]]
 
 
-def run_normality(config: ExperimentConfig) -> ExperimentResult:
+class _Normality(_Study):
     """Standardized debiased statistics for the configured entries.
 
     Per entry (i, j) and population k the emitted sample is
@@ -341,67 +310,49 @@ def run_normality(config: ExperimentConfig) -> ExperimentResult:
     (1, -1), centered at the true difference) is emitted under the label
     ``T:(i+1,j+1)``.  Labels carry 1-based indices for plotting.
     """
-    if not config.edges_of_interest:
-        raise DataFormatError("normality experiment needs edges_of_interest")
-    samples, failures, seed_log = {}, {}, {}
-    for p in config.dims:
-        truth = config.graph.build(p)
-        for i, j in config.edges_of_interest:
-            if not (0 <= i < p and 0 <= j < p):
-                raise DataFormatError(f"edge ({i}, {j}) out of range for p={p}")
-        for n in config.sample_sizes:
-            def worker(b, covs, report):
-                if not report.converged:
-                    return None
-                deb = debias(report.estimate, covs)
-                variances = [entry_variances(m) for m in report.estimate.matrices]
-                out = {}
-                for (i, j) in config.edges_of_interest:
-                    per_pop = []
-                    se2 = 0.0
-                    diff = 0.0
-                    true_diff = 0.0
-                    for k in range(truth.K):
-                        sig2 = variances[k][i, j]
-                        n_k = covs.sample_sizes[k]
-                        per_pop.append(
-                            np.sqrt(n_k)
-                            * (deb.matrices[k][i, j] - truth.matrices[k][i, j])
-                            / np.sqrt(sig2)
-                        )
-                        a = (1.0, -1.0)[k] if truth.K == 2 else 0.0
-                        diff += a * deb.matrices[k][i, j]
-                        true_diff += a * truth.matrices[k][i, j]
-                        se2 += a * a * sig2 / n_k
-                    pooled = (diff - true_diff) / np.sqrt(se2) if truth.K == 2 else None
-                    out[(i, j)] = (per_pop, pooled)
-                return out
 
-            results, seeds = _run_cell(config, truth, p, n, worker)
-            ok = [r for r in results if r is not None]
-            failures[(p, n)] = len(results) - len(ok)
+    kind = "normality"
+    header = ("edge", "standardized_value")
+    emits_samples = True
+
+    def prepare(self, config, truth):
+        if not config.edges_of_interest:
+            raise ConfigError("normality experiment needs edges_of_interest")
+
+        def worker(covs, report):
+            deb = debias(report.estimate, covs)
+            variances = [entry_variances(m) for m in report.estimate.matrices]
+            sizes = covs.sample_sizes
+            out = {}
             for (i, j) in config.edges_of_interest:
-                label = f"({i + 1},{j + 1})"
-                for k in range(truth.K):
-                    samples[f"p{p}/n{n}/k{k + 1}:{label}"] = [
-                        float(r[(i, j)][0][k]) for r in ok
-                    ]
+                d = [m[i, j] for m in deb.matrices]
+                t = [m[i, j] for m in truth.matrices]
+                s2 = [v[i, j] for v in variances]
+                stats = [
+                    np.sqrt(sizes[k]) * (d[k] - t[k]) / np.sqrt(s2[k]) for k in range(truth.K)
+                ]
                 if truth.K == 2:
-                    samples[f"p{p}/n{n}/T:{label}"] = [
-                        float(r[(i, j)][1]) for r in ok
-                    ]
-            seed_log[f"{p}/{n}"] = seeds
-    return ExperimentResult(
-        kind="normality",
-        graph_kind=config.graph.kind,
-        cells={},
-        samples=samples,
-        failure_counts=failures,
-        seeds=_seed_record(config, seed_log),
-    )
+                    se2 = s2[0] / sizes[0] + s2[1] / sizes[1]
+                    stats.append(((d[0] - d[1]) - (t[0] - t[1])) / np.sqrt(se2))
+                out[(i, j)] = stats
+            return out
+
+        return worker
+
+    def aggregate(self, config, truth, n, ok):
+        # One statistic per population, then the pooled difference "T".
+        names = [f"k{k + 1}" for k in range(truth.K)] + (["T"] if truth.K == 2 else [])
+        return {
+            f"p{truth.p}/n{n}/{name}:({i + 1},{j + 1})": [float(r[(i, j)][x]) for r in ok]
+            for (i, j) in config.edges_of_interest
+            for x, name in enumerate(names)
+        }
+
+    def rows(self, result, label, values):
+        return [[label, v] for v in values]
 
 
-def run_coverage(config: ExperimentConfig) -> ExperimentResult:
+class _Coverage(_Study):
     """Average CI coverage and length over the support set and its complement.
 
     Both sets range over unordered off-diagonal pairs of the true support
@@ -409,67 +360,57 @@ def run_coverage(config: ExperimentConfig) -> ExperimentResult:
     (i, j) of population k is the debiased point estimate plus/minus
     ``tau * sigma_hat / sqrt(n_k)`` at the configured level.
     """
-    tau = upper_quantile(1.0 - config.ci_level)
-    cells, failures, seed_log = {}, {}, {}
-    for p in config.dims:
-        truth = config.graph.build(p)
-        iu = np.triu_indices(p, k=1)
-        s_masks = [np.abs(m[iu]) > 0 for m in truth.matrices]
-        for n in config.sample_sizes:
-            def worker(b, covs, report):
-                if not report.converged:
-                    return None
-                deb = debias(report.estimate, covs)
-                out = []
-                for k in range(truth.K):
-                    sig = np.sqrt(entry_variances(report.estimate.matrices[k]))
-                    half = tau * sig / np.sqrt(covs.sample_sizes[k])
-                    inside = (np.abs(deb.matrices[k] - truth.matrices[k]) <= half)[iu]
-                    length = (2.0 * half)[iu]
-                    mask = s_masks[k]
-                    out.append(
-                        (
-                            float(inside[mask].mean()) if mask.any() else float("nan"),
-                            float(length[mask].mean()) if mask.any() else float("nan"),
-                            float(inside[~mask].mean()) if (~mask).any() else float("nan"),
-                            float(length[~mask].mean()) if (~mask).any() else float("nan"),
-                        )
-                    )
-                return out
 
-            results, seeds = _run_cell(config, truth, p, n, worker)
-            ok = [r for r in results if r is not None]
-            failures[(p, n)] = len(results) - len(ok)
-            for k in range(truth.K):
-                n_s = int(s_masks[k].sum())
-                n_sc = int((~s_masks[k]).sum())
-                for which, ci, li, count in (
-                    ("S", 0, 1, n_s),
-                    ("Sc", 2, 3, n_sc),
-                ):
-                    vals_c = [r[k][ci] for r in ok]
-                    vals_l = [r[k][li] for r in ok]
-                    cells[(p, n, k, which)] = {
-                        "coverage": float(np.mean(vals_c)) if vals_c else float("nan"),
-                        "mean_length": float(np.mean(vals_l)) if vals_l else float("nan"),
-                        "edges": count,
-                        "replications": len(ok),
-                    }
-            seed_log[f"{p}/{n}"] = seeds
-    return ExperimentResult(
-        kind="coverage",
-        graph_kind=config.graph.kind,
-        cells=cells,
-        samples={},
-        failure_counts=failures,
-        seeds=_seed_record(config, seed_log),
-    )
+    kind = "coverage"
+    header = ("graph", "p", "n", "population", "edge_set", "coverage", "mean_length",
+              "edges", "replications")
 
+    def prepare(self, config, truth):
+        tau = upper_quantile(1.0 - config.ci_level)
+        iu = np.triu_indices(truth.p, k=1)
+        s_masks = [_signed_pattern(m, 0.0) != 0 for m in truth.matrices]
+
+        def worker(covs, report):
+            deb = debias(report.estimate, covs)
+            out = []
+            for k, mask in enumerate(s_masks):
+                sig = np.sqrt(entry_variances(report.estimate.matrices[k]))
+                half = tau * sig / np.sqrt(covs.sample_sizes[k])
+                inside = (np.abs(deb.matrices[k] - truth.matrices[k]) <= half)[iu]
+                length = (2.0 * half)[iu]
+                out.append((_mean(inside[mask]), _mean(length[mask]),
+                            _mean(inside[~mask]), _mean(length[~mask])))
+            return out
+
+        return worker
+
+    def aggregate(self, config, truth, n, ok):
+        cells = {}
+        for k, m in enumerate(truth.matrices):
+            mask = _signed_pattern(m, 0.0) != 0
+            for which, ci, count in (("S", 0, int(mask.sum())), ("Sc", 2, int((~mask).sum()))):
+                cells[(truth.p, n, k, which)] = {
+                    "coverage": _mean([r[k][ci] for r in ok]),
+                    "mean_length": _mean([r[k][ci + 1] for r in ok]),
+                    "edges": count,
+                    "replications": len(ok),
+                }
+        return cells
+
+    def rows(self, result, key, cell):
+        p, n, k, which = key
+        return [[result.graph_kind, p, n, k + 1, which, cell["coverage"],
+                 cell["mean_length"], cell["edges"], cell["replications"]]]
+
+
+# The public entry points: calling one with an ExperimentConfig runs its study.
+run_sign_consistency = _Consistency()
+run_tpfp = _TpFp()
+run_supnorm = _SupNorm()
+run_normality = _Normality()
+run_coverage = _Coverage()
 
 RUNNERS = {
-    "consistency": run_sign_consistency,
-    "tpfp": run_tpfp,
-    "supnorm": run_supnorm,
-    "normality": run_normality,
-    "coverage": run_coverage,
+    study.kind: study
+    for study in (run_sign_consistency, run_tpfp, run_supnorm, run_normality, run_coverage)
 }

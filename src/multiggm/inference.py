@@ -27,42 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CovarianceSet, PrecisionSet, check_symmetric, symmetrize
+from .core import CovarianceSet, PrecisionSet, symmetrize
 from .errors import DataFormatError, DimensionMismatchError
-
-
-@dataclass(frozen=True)
-class DebiasedSet:
-    """K debiased matrices of common dimension; symmetric, not necessarily PD."""
-
-    matrices: tuple[np.ndarray, ...]
-
-    def __init__(self, matrices):
-        mats = tuple(
-            check_symmetric(m, f"debiased matrix {k}") for k, m in enumerate(matrices)
-        )
-        if not mats:
-            raise DataFormatError("debiased set needs at least one population")
-        p = mats[0].shape[0]
-        for k, m in enumerate(mats):
-            if m.shape[0] != p:
-                raise DimensionMismatchError(
-                    f"debiased matrix {k} has dimension {m.shape[0]}, expected {p}"
-                )
-        frozen = []
-        for m in mats:
-            c = np.array(m, copy=True)
-            c.setflags(write=False)
-            frozen.append(c)
-        object.__setattr__(self, "matrices", tuple(frozen))
-
-    @property
-    def K(self) -> int:
-        return len(self.matrices)
-
-    @property
-    def p(self) -> int:
-        return self.matrices[0].shape[0]
 
 
 @dataclass(frozen=True)
@@ -137,15 +103,16 @@ def upper_quantile(alpha: float) -> float:
 # --- debiasing and tests ----------------------------------------------------
 
 
-def debias(estimate: PrecisionSet, covs: CovarianceSet) -> DebiasedSet:
-    """One-step bias correction ``2 W - W S W`` per population, re-symmetrized."""
+def debias(estimate: PrecisionSet, covs: CovarianceSet) -> PrecisionSet:
+    """One-step bias correction ``2 W - W S W`` per population, re-symmetrized
+    (symmetric, but not necessarily positive definite)."""
     if estimate.K != covs.K or estimate.p != covs.p:
         raise DimensionMismatchError("estimate and covariance set do not match")
     out = []
     for w, s in zip(estimate.matrices, covs.matrices):
         d = 2.0 * w - w @ s @ w
         out.append(symmetrize(d))
-    return DebiasedSet(out)
+    return PrecisionSet(out)
 
 
 def entry_variances(estimate: np.ndarray) -> np.ndarray:
@@ -171,7 +138,7 @@ def variance_estimate(estimate: np.ndarray, i: int, j: int) -> float:
 
 
 def test_linear_combo(
-    debiased: DebiasedSet,
+    debiased: PrecisionSet,
     estimate: PrecisionSet,
     covs: CovarianceSet,
     combo: LinearCombo,
@@ -221,7 +188,7 @@ def test_linear_combo(
 
 
 def confidence_interval(
-    debiased: DebiasedSet,
+    debiased: PrecisionSet,
     estimate: PrecisionSet,
     covs: CovarianceSet,
     k: int,

@@ -31,8 +31,9 @@ from multiggm import (
     run_supnorm,
     solve_ggl,
 )
+from multiggm.experiments import RUNNERS
 from multiggm.graphs import GraphSpec, two_population_chain_spec
-from multiggm.io import write_csv_atomic
+from multiggm.io import write_csv_atomic, write_json_atomic
 
 from oracles import (
     dense_alpha,
@@ -289,10 +290,13 @@ def test_criterion_11_determinism_of_csv_outputs(tmp_path):
         fixed_constants=(1.0, 3.0),
         edges_of_interest=((0, 1),),
     )
-    for i, runner in enumerate((run_sign_consistency, run_supnorm, run_normality, run_coverage)):
-        a, b = tmp_path / f"a{i}.csv", tmp_path / f"b{i}.csv"
-        write_csv_atomic(runner(config).csv_rows(), str(a))
-        write_csv_atomic(runner(config).csv_rows(), str(b))
-        assert a.read_bytes() == b.read_bytes()
-    report(11, "rerun with identical config and seed reproduces all CSV outputs "
-               "byte-identically (4 experiment kinds)")
+    for kind, runner in sorted(RUNNERS.items()):
+        first, second = runner(config), runner(config)
+        for name, result in (("a", first), ("b", second)):
+            write_csv_atomic(result.csv_rows(), str(tmp_path / f"{name}-{kind}.csv"))
+            write_json_atomic(result.to_jsonable(), str(tmp_path / f"{name}-{kind}.json"))
+        for ext in ("csv", "json"):
+            a = tmp_path / f"a-{kind}.{ext}"
+            assert a.read_bytes() == (tmp_path / f"b-{kind}.{ext}").read_bytes()
+    report(11, "rerun with identical config and seed reproduces all CSV and JSON "
+               f"outputs byte-identically ({len(RUNNERS)} experiment kinds)")

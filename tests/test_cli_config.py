@@ -229,3 +229,27 @@ def test_negative_seed_runs(tmp_path):
     argv = ["simulate", "consistency", "--p", "6", "--n", "100", "--B", "1",
             "--penalty-rule", "fixed", "--seed", "-1"]
     assert run(argv, tmp_path / "out") == EXIT_OK
+
+
+class TestSimulateChecks:
+    def test_alpha_is_not_a_simulate_option(self, tmp_path, capsys):
+        assert run(TPFP_ARGV + ["--alpha", "0.9"], tmp_path / "a") == EXIT_CONFIG
+        config = write_config(tmp_path / "c.json", {"alpha": 0.9})
+        assert run(TPFP_ARGV + ["--config", config], tmp_path / "b") == EXIT_CONFIG
+        assert "unknown key(s) in config" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+
+    def test_out_of_range_edge_is_a_config_error(self, tmp_path, capsys):
+        argv = ["simulate", "normality", "--p", "8", "--n", "100", "--B", "1",
+                "--penalty-rule", "fixed", "--edges", "1,20"]
+        assert run(argv, tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: edge (1,20) out of range for p=8" in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind", ["consistency", "tpfp", "supnorm", "normality", "coverage"])
+    def test_payload_counts_p_n_cells(self, tmp_path, kind):
+        argv = ["simulate", kind, "--p", "6,8", "--n", "100,120,150", "--B", "1",
+                "--penalty-rule", "fixed"]
+        assert run(argv, tmp_path / "out") == EXIT_OK
+        assert report_of(tmp_path / "out")["payload"] == {"experiment": kind, "cells": 6}

@@ -7,7 +7,6 @@ import pytest
 from multiggm import (
     CovarianceSet,
     DataFormatError,
-    DebiasedSet,
     LinearCombo,
     PrecisionSet,
     confidence_interval,
@@ -92,7 +91,7 @@ class TestLinearComboTest:
         # se = sqrt(2/400), z ~ 1.98, p ~ 0.0477, reject at 5%.
         d1 = np.eye(2)
         d1 = d1.copy(); d1[0, 1] = d1[1, 0] = 0.14
-        deb = DebiasedSet([d1, np.eye(2)])
+        deb = PrecisionSet([d1, np.eye(2)])
         est, covs = _sets([np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)], [400, 400])
         r = linear_combo_test(deb, est, covs, LinearCombo((1.0, -1.0), (0, 1)), 0.05)
         assert r.std_error == pytest.approx(0.070711, abs=1e-6)
@@ -115,7 +114,7 @@ class TestLinearComboTest:
             assert scaled.reject == base.reject
 
     def test_zero_standard_error_is_an_error(self):
-        deb = DebiasedSet([np.eye(2)])
+        deb = PrecisionSet([np.eye(2)])
         est, covs = _sets([np.eye(2)], [np.eye(2)], [50])
         with pytest.raises(DataFormatError):
             linear_combo_test(deb, est, covs, LinearCombo((0.0,), (0, 1)))
@@ -177,7 +176,7 @@ class TestTailPValues:
         # estimate = I and n = 1 give a unit standard error, so the
         # statistic equals the debiased off-diagonal entry.
         est, covs = _sets([np.eye(2)], [np.eye(2)], [1])
-        deb = DebiasedSet([np.array([[1.0, z], [z, 1.0]])])
+        deb = PrecisionSet([np.array([[1.0, z], [z, 1.0]])])
         result = linear_combo_test(deb, est, covs, LinearCombo([1.0], (0, 1)))
         assert result.z_stat == z
         mpmath.mp.dps = 40
