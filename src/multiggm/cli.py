@@ -30,6 +30,7 @@ import numpy
 import scipy
 
 from . import __version__, _blas
+from ._lanes import map_in_lanes, usable_cpus
 from .core import PrecisionSet, sample_covariance
 from .diagnostics import diagnostics_report
 from .errors import (
@@ -44,9 +45,11 @@ from .graphs import GraphSpec
 from .inference import LinearCombo, confidence_interval, debias, test_linear_combo
 from .io import (
     ingest_csv,
+    read_lanes,
     read_matrix_csv,
     write_csv_atomic,
     write_json_atomic,
+    write_lanes,
     write_matrix_csv,
 )
 from .selection import (
@@ -55,11 +58,10 @@ from .selection import (
     penalty_scale,
     score_table_rows,
     tune_penalties,
-    usable_cpus,
 )
 from .solver import PenaltyPair, solve_ggl
 
-REPORT_SCHEMA = 7
+REPORT_SCHEMA = 8
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -292,16 +294,21 @@ def _phase(report: AnalysisReport, name: str):
         report.timings[name] = report.timings.get(name, 0.0) + time.perf_counter() - start
 
 
-def _emit(report: AnalysisReport, writer, obj, path: str) -> None:
+def _emit(report: AnalysisReport, writer, jobs, lanes: int = 1) -> None:
+    """``writer(obj, path)`` for each ``(obj, path)`` job, in ``lanes`` lanes."""
     with _phase(report, "write_s"):
-        writer(obj, path)
-    report.outputs.append(path)
+        for _ in map_in_lanes(lambda job: writer(*job), jobs, lanes):
+            pass
+    report.timings["write_lanes"] = max(lanes, report.timings.get("write_lanes", 1))
+    report.outputs.extend(path for _, path in jobs)
 
 
 def _covariances(args, report: AnalysisReport):
+    paths = _existing_paths(args.data, "data")
+    report.timings["read_lanes"] = read_lanes(paths)
     with _phase(report, "read_s"):
         dataset = ingest_csv(
-            _existing_paths(args.data, "data"),
+            paths,
             center=args.center,
             standardize=args.standardize,
             first_difference=args.first_difference,
@@ -340,9 +347,13 @@ def _estimate(args, report: AnalysisReport) -> int:
     with _phase(report, "inference_s"):
         if args.debias:
             matrices.append(("debiased", debias(solve.estimate, covs)))
-    for name, stack in matrices:
-        for k, m in enumerate(stack.matrices):
-            _emit(report, write_matrix_csv, m, f"{args.out_dir}/{name}_k{k + 1}.csv")
+    # Population-minor, so that with two lanes each writes one population.
+    jobs = [
+        (m, f"{args.out_dir}/{name}_k{k + 1}.csv")
+        for name, stack in matrices
+        for k, m in enumerate(stack.matrices)
+    ]
+    _emit(report, write_matrix_csv, jobs, write_lanes([m for m, _ in jobs]))
     report.payload = {
         "penalty": {"lam": penalty.lam, "rho": penalty.rho},
         "converged": solve.converged,
@@ -393,7 +404,7 @@ def _test(args, report: AnalysisReport) -> int:
             )
             rows.append([i + 1, j + 1, r.estimate, r.std_error, r.z_stat,
                          r.p_value, int(r.reject)])
-    _emit(report, write_csv_atomic, rows, f"{args.out_dir}/tests.csv")
+    _emit(report, write_csv_atomic, [(rows, f"{args.out_dir}/tests.csv")])
     report.payload = {
         "penalty": {"lam": penalty.lam, "rho": penalty.rho},
         "converged": solve.converged,
@@ -412,7 +423,7 @@ def _tune(args, report: AnalysisReport) -> int:
     covs = _covariances(args, report)
     with _phase(report, "tune_s"):
         result = tune_penalties(covs, grid)
-    _emit(report, write_csv_atomic, score_table_rows(result), f"{args.out_dir}/score_table.csv")
+    _emit(report, write_csv_atomic, [(score_table_rows(result), f"{args.out_dir}/score_table.csv")])
     report.payload = {
         "best_constants": list(result.best_constants),
         "best_penalty": {"lam": result.best_penalty.lam, "rho": result.best_penalty.rho},
@@ -452,8 +463,8 @@ def _simulate(args, report: AnalysisReport) -> int:
     )
     result = RUNNERS[args.experiment](exp_config)
     out = f"{args.out_dir}/{args.experiment}"
-    _emit(report, write_csv_atomic, result.csv_rows(), f"{out}.csv")
-    _emit(report, write_json_atomic, result.to_jsonable(), f"{out}.json")
+    _emit(report, write_csv_atomic, [(result.csv_rows(), f"{out}.csv")])
+    _emit(report, write_json_atomic, [(result.to_jsonable(), f"{out}.json")])
     report.payload = {"experiment": args.experiment, "cells": len(result.failure_counts)}
     return EXIT_OK
 
@@ -480,7 +491,7 @@ def _diagnose(args, report: AnalysisReport) -> int:
             eigen_bound_l=args.eigen_bound,
         ).to_json()
     )
-    _emit(report, write_json_atomic, diag, f"{args.out_dir}/diagnostics.json")
+    _emit(report, write_json_atomic, [(diag, f"{args.out_dir}/diagnostics.json")])
     report.payload = diag
     return EXIT_OK
 

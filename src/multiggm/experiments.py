@@ -68,10 +68,16 @@ class ExperimentConfig:
             raise ConfigError(f"unknown penalty rule {self.penalty_rule!r}")
         if not self.dims or not self.sample_sizes:
             raise ConfigError("dims and sample_sizes must be nonempty")
+        if not 0 < self.ci_level < 1:
+            raise ConfigError(f"ci_level must lie strictly in (0, 1), got {self.ci_level}")
         object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
         object.__setattr__(
             self, "sample_sizes", tuple(int(n) for n in self.sample_sizes)
         )
+        for name in ("dims", "sample_sizes"):
+            values = getattr(self, name)
+            if len(set(values)) != len(values):
+                raise ConfigError(f"{name} must not repeat a value, got {list(values)}")
         object.__setattr__(
             self,
             "edges_of_interest",

@@ -22,13 +22,13 @@ OpenBLAS thread, so the result is the same bit for bit.
 from __future__ import annotations
 
 import math
-import os
 import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _blas
+from ._lanes import usable_cpus
 from .core import CovarianceSet, PrecisionSet
 from .errors import ConvergenceError, DataFormatError, NotPositiveDefiniteError
 from .solver import PenaltyPair, SolverOptions, solve_ggl
@@ -141,14 +141,6 @@ def ebic(
         gamma=float(gamma),
         penalty_constants=penalty_constants,
     )
-
-
-def usable_cpus() -> int:
-    """CPUs this process may run on: its affinity set where the OS has one."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
 
 
 def tune_penalties(

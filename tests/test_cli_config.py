@@ -239,6 +239,15 @@ class TestSimulateChecks:
         assert "unknown key(s) in config" in capsys.readouterr().err
         assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
 
+    def test_ci_level_outside_unit_interval_is_a_config_error(self, tmp_path, capsys):
+        argv = ["simulate", "coverage", "--p", "8", "--n", "100", "--B", "1",
+                "--penalty-rule", "fixed", "--ci-level", "1.5"]
+        assert run(argv, tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: ci_level must lie strictly in (0, 1)" in err
+        assert "alpha" not in err
+        assert not (tmp_path / "out").exists()
+
     def test_out_of_range_edge_is_a_config_error(self, tmp_path, capsys):
         argv = ["simulate", "normality", "--p", "8", "--n", "100", "--B", "1",
                 "--penalty-rule", "fixed", "--edges", "1,20"]

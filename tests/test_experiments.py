@@ -14,6 +14,7 @@ from multiggm import (
     run_tpfp,
     upper_quantile,
 )
+from multiggm.errors import ConfigError
 from multiggm.graphs import GraphSpec
 from multiggm.solver import SolveReport
 
@@ -280,3 +281,30 @@ class TestDrawCount:
             grid=TuningGrid(c1_values=(1.0,), c2_values=(3.0,)),
         )
         assert self._count_draws(monkeypatch, config) == (2 + 1) * 2
+
+
+class TestConfigChecks:
+    @pytest.mark.parametrize("field, values", [("dims", (8, 8)), ("sample_sizes", (150, 150))])
+    def test_repeated_values_run_no_solve(self, monkeypatch, field, values):
+        calls = []
+        monkeypatch.setattr(experiments, "_solve", lambda *a: calls.append(a))
+        with pytest.raises(ConfigError, match=field):
+            run_tpfp(small_config(replications=2, **{field: values}))
+        assert calls == []
+
+    def test_distinct_values_solve_each_cell(self, monkeypatch):
+        calls = []
+        real = experiments._solve
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(experiments, "_solve", counting)
+        result = run_tpfp(small_config(replications=2, dims=(6, 8)))
+        assert len(calls) == 4 and len(result.cells) == 2
+
+    @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
+    def test_ci_level_outside_unit_interval(self, level):
+        with pytest.raises(ConfigError, match="ci_level"):
+            small_config(ci_level=level)

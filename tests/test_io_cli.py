@@ -125,7 +125,8 @@ class TestCli:
             out = tmp_path / name
             assert main([*argv, "--out-dir", str(out), "-q"]) == EXIT_OK
             timings = json.loads((out / "report.json").read_text())["timings"]
-            assert set(timings) == phases | {"wall_seconds"}
+            assert set(timings) == phases | {"wall_seconds", "read_lanes", "write_lanes"}
+            assert timings["read_lanes"] >= 1 and timings["write_lanes"] >= 1
             assert all(timings[k] >= 0.0 for k in phases)
             assert sum(timings[k] for k in phases) <= timings["wall_seconds"]
 
