@@ -6,7 +6,9 @@ for that: on 2 cores an ADMM iteration at p=50 took 8.2 ms with two threads
 and 1.6 ms with one.  :func:`single_threaded` sets every loaded OpenBLAS to
 one thread while at least one caller is inside it, and restores the counts
 it found when the last caller leaves.  Parallelism comes from running solves
-side by side (the experiments' ``threads`` pool), not from inside BLAS.
+side by side in forked lanes (:mod:`multiggm._lanes`), not from inside
+BLAS; the grid and the replications fork inside :func:`single_threaded`, so
+each child starts at one thread.
 
 numpy's OpenBLAS is always loaded.  scipy's is loaded only once a scipy
 module that links it (``scipy.linalg``, ``scipy.special``) is imported, and

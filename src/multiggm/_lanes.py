@@ -1,25 +1,30 @@
-"""Map a function over a few large items in forked lanes, one per usable CPU.
+"""Map a function over a few items in forked lanes, one per usable CPU.
 
-Parsing and formatting CSV numbers is CPython's correctly rounded
-string-to-double and double-to-string code, which holds the interpreter
-lock, so threads cannot run two files at once.  :func:`map_in_lanes` runs
-items ``0::L`` in the caller and items ``i::L`` in each of ``L - 1`` forked
-children.  A child pickles its outcomes (each result or the exception it
-raised) to the caller over a pipe and always leaves through ``os._exit``, so
-it runs none of the caller's exit handlers and flushes none of its buffers.
-The caller reaps every child before it returns, and runs in its own lane
-the items of a child that could not be started or that ended without
-sending its outcomes.  With ``L = 1`` nothing is forked and the items run
-one after another in the caller: the same loop.
+The package's one parallel mechanism: it runs the C2 paths of the e-BIC
+grid, the replications of a Monte Carlo cell, and large CSV reads and
+writes, all of which hold the interpreter lock for most of their time.
+:func:`map_in_lanes` runs items ``0::L`` in the caller and items ``i::L`` in
+each of ``L - 1`` forked children.  A child pickles its outcomes (each
+result or the exception it raised) to the caller over a pipe and always
+leaves through ``os._exit``, so it runs none of the caller's exit handlers
+and flushes none of its buffers.  The caller reaps every child before it
+returns, and runs in its own lane the items of a child that could not be
+started or that ended without sending its outcomes.  With ``L = 1`` nothing
+is forked and the items run one after another in the caller: the same loop.
 
 :func:`lane_count` picks ``L`` from what the process can observe: fork
 exists, the caller is the main thread and the only Python thread (a fork
 copies only the calling thread, and a lock another thread holds stays held
-in the child), and the work is above a break-even size.  It is
-``min(items, usable_cpus())``, so ``taskset -c 0`` gives one lane.  On
-Python 3.12 and later, ``os.fork`` warns with a ``DeprecationWarning`` when
-the process has other OS threads, such as OpenBLAS's; the children run no
-BLAS call.
+in the child), no multi-lane map is running (in the caller's lane or in a
+child), so lanes never nest, and the work is above the caller's break-even
+size.  It is ``min(items, usable_cpus())``, so ``taskset -c 0`` gives one
+lane.
+
+Callers whose items make BLAS calls fork inside
+:func:`multiggm._blas.single_threaded`, so every child inherits one
+OpenBLAS thread.  On Python 3.12 and later, ``os.fork`` warns with a
+``DeprecationWarning`` when the process has other OS threads, such as
+OpenBLAS's; the warning is not silenced.
 """
 
 from __future__ import annotations
@@ -27,6 +32,10 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+
+# True while a map with more than one lane runs: in its caller, and in the
+# children, which inherit it.
+_mapping = False
 
 
 def usable_cpus() -> int:
@@ -37,10 +46,11 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def lane_count(n_items: int, work: float, min_work: float) -> int:
+def lane_count(n_items: int, work: float = 0.0, min_work: float = 0.0) -> int:
     """Lanes for ``n_items`` items holding ``work`` units; one below ``min_work``."""
     if (
-        not hasattr(os, "fork")
+        _mapping
+        or not hasattr(os, "fork")
         or threading.current_thread() is not threading.main_thread()
         or threading.active_count() > 1
         or work < min_work
@@ -109,11 +119,14 @@ def map_in_lanes(fn, items, lanes: int = 1):
     All the work is done, and every child reaped, before this returns.  The
     iterator then yields each item's result in item order, and raises an
     item's exception when it reaches that item, as the serial loop would.
-    A lane whose fork fails runs in the caller.
+    A lane whose fork fails runs in the caller.  While more than one lane
+    runs, :func:`lane_count` gives one lane, in the caller and the children.
     """
+    global _mapping
     items = list(items)
     lanes = max(1, min(lanes, len(items)))
     children = {}
+    outer, _mapping = _mapping, _mapping or lanes > 1
     try:
         for lane in range(1, lanes):
             try:
@@ -125,6 +138,7 @@ def map_in_lanes(fn, items, lanes: int = 1):
             sent = _collect(*children.pop(lane)) if lane in children else None
             by_lane.append(_outcomes(fn, items[lane::lanes]) if sent is None else sent)
     finally:
+        _mapping = outer
         for pid, pipe in children.values():
             pipe.close()
             os.waitpid(pid, 0)

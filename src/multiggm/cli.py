@@ -61,7 +61,7 @@ from .selection import (
 )
 from .solver import PenaltyPair, solve_ggl
 
-REPORT_SCHEMA = 8
+REPORT_SCHEMA = 9
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -181,7 +181,8 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo experiments")
     common(p_sim)
     p_sim.add_argument("experiment", choices=sorted(RUNNERS))
-    p_sim.add_argument("--threads", type=int, default=1, help="replications run side by side")
+    p_sim.add_argument("--threads", type=int, default=1,
+                       help="most lanes (processes) replications run in")
     p_sim.add_argument("--graph", choices=["chain", "star"], default="chain")
     p_sim.add_argument("--p", default="50", help="comma-separated dimensions")
     p_sim.add_argument("--n", default="600", help="comma-separated sample sizes")
@@ -430,14 +431,12 @@ def _tune(args, report: AnalysisReport) -> int:
         "cells": len(result.table),
         "converged_cells": sum(cell.converged for cell in result.table),
         "iterations": sum(cell.iterations for cell in result.table),
-        "grid_threads": result.grid_threads,
+        "grid_lanes": result.grid_lanes,
     }
     return EXIT_OK
 
 
 def _simulate(args, report: AnalysisReport) -> int:
-    if args.threads < 1:
-        raise ConfigError("--threads must be at least 1")
     if args.graph == "star":
         graph = GraphSpec(
             kind="star",
@@ -465,7 +464,12 @@ def _simulate(args, report: AnalysisReport) -> int:
     out = f"{args.out_dir}/{args.experiment}"
     _emit(report, write_csv_atomic, [(result.csv_rows(), f"{out}.csv")])
     _emit(report, write_json_atomic, [(result.to_jsonable(), f"{out}.json")])
-    report.payload = {"experiment": args.experiment, "cells": len(result.failure_counts)}
+    report.payload = {
+        "experiment": args.experiment,
+        "cells": len(result.failure_counts),
+        "lanes": result.lanes,
+        "failed_seeds": result.failed_seeds,
+    }
     return EXIT_OK
 
 

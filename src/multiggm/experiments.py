@@ -13,16 +13,22 @@ to re-tune every draw).
 
 Failure accounting: replications whose solve does not converge count as
 failures in the sign-consistency proportion and are excluded, with a logged
-count, from averaged metrics (TP/FP, sup-norm, normality, coverage).
+count and their seeds, from averaged metrics (TP/FP, sup-norm, normality,
+coverage).
+
+A cell's replications run in ``min(threads, lane_count(B))`` forked lanes
+(:mod:`multiggm._lanes`), each at one OpenBLAS thread; a replication's
+value does not depend on the lane that ran it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _blas
+from ._lanes import lane_count, map_in_lanes
 from .core import (
     CovarianceSet,
     MultiPopDataset,
@@ -64,6 +70,8 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.replications < 1:
             raise ConfigError("need at least one replication")
+        if self.threads < 1:
+            raise ConfigError(f"threads must be at least 1, got {self.threads}")
         if self.penalty_rule not in ("ebic_grid", "fixed"):
             raise ConfigError(f"unknown penalty rule {self.penalty_rule!r}")
         if not self.dims or not self.sample_sizes:
@@ -96,7 +104,10 @@ class ExperimentResult:
     ``cells`` maps a structured key to the aggregate payload for that cell;
     ``samples`` holds raw per-replication values where the experiment emits
     them (normality).  ``seeds`` records the base seed, the derivation rule,
-    and the derived replication seeds per cell.
+    and the derived replication seeds per cell.  ``failed_seeds`` maps each
+    ``"p/n"`` cell with a failed replication to those replications' seeds,
+    and ``lanes`` is the most lanes a cell's replications ran in; neither
+    is part of :meth:`to_jsonable`.
     """
 
     kind: str
@@ -105,6 +116,8 @@ class ExperimentResult:
     samples: dict
     failure_counts: dict
     seeds: dict
+    failed_seeds: dict = field(default_factory=dict)
+    lanes: int = 1
 
     def csv_rows(self) -> list[list]:
         study = RUNNERS.get(self.kind)
@@ -158,7 +171,7 @@ def _run_cell(config: ExperimentConfig, truth: PrecisionSet, p: int, n: int, wor
     The e-BIC rule tunes once on the first replication's data, or on every
     replication's data with ``retune_per_replication``.  Returns the
     worker's value per replication (``None`` where the solve did not
-    converge) and the replication seeds.
+    converge), the replication seeds and the lanes they ran in.
     """
     seeds = [derive_seed(config.base_seed, p, n, b) for b in range(config.replications)]
     if config.penalty_rule == "fixed":
@@ -177,12 +190,10 @@ def _run_cell(config: ExperimentConfig, truth: PrecisionSet, p: int, n: int, wor
         report = _solve(covs, pen, config.solver)
         return worker(covs, report) if report.converged else None
 
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            results = list(pool.map(one, seeds))
-    else:
-        results = [one(seed) for seed in seeds]
-    return results, seeds
+    lanes = min(config.threads, lane_count(len(seeds)))
+    with _blas.single_threaded():
+        results = list(map_in_lanes(one, seeds, lanes))
+    return results, seeds, lanes
 
 
 def _mean(values) -> float:
@@ -206,14 +217,18 @@ class _Study:
     emits_samples = False
 
     def __call__(self, config: ExperimentConfig) -> ExperimentResult:
-        entries, failures, seed_log = {}, {}, {}
+        entries, failures, seed_log, failed_seeds, lanes = {}, {}, {}, {}, 1
         for p in config.dims:
             truth = config.graph.build(p)
             worker = self.prepare(config, truth)
             for n in config.sample_sizes:
-                results, seeds = _run_cell(config, truth, p, n, worker)
+                results, seeds, cell_lanes = _run_cell(config, truth, p, n, worker)
                 ok = [r for r in results if r is not None]
-                failures[(p, n)] = len(results) - len(ok)
+                failed = [seed for seed, r in zip(seeds, results) if r is None]
+                failures[(p, n)] = len(failed)
+                if failed:
+                    failed_seeds[f"{p}/{n}"] = failed
+                lanes = max(lanes, cell_lanes)
                 entries.update(self.aggregate(config, truth, n, ok))
                 seed_log[f"{p}/{n}"] = seeds
         return ExperimentResult(
@@ -227,6 +242,8 @@ class _Study:
                 "rule": "derive_seed(base_seed, p, n, b) XOR population_index",
                 "per_cell": seed_log,
             },
+            failed_seeds=failed_seeds,
+            lanes=lanes,
         )
 
 

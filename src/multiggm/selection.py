@@ -11,39 +11,27 @@ where |E_k| counts unordered off-diagonal pairs with |W_k[i, j]| above
 ``edge_tol``.  gamma = 0 recovers ordinary BIC; gamma = 0.5 is the default.
 
 :func:`tune_penalties` walks each C2 column of the grid as one warm-started
-path from the largest C1 down.  The paths share nothing, so from the main
-thread, and at a dimension where the solves are mostly BLAS work, they run
-side by side on the caller and helper threads, one per usable CPU up to
-the number of columns; from any other thread, which is already one of a
-pool's workers, they run one after another.  The whole grid runs at one
+path from the largest C1 down.  The paths share nothing, so they run side by
+side in forked lanes (:mod:`multiggm._lanes`), one per usable CPU up to the
+number of columns, or one after another where the lanes give one (off the
+main thread, or inside another map's lane).  The whole grid runs at one
 OpenBLAS thread, so the result is the same bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import _blas
-from ._lanes import usable_cpus
+from ._lanes import lane_count, map_in_lanes
 from .core import CovarianceSet, PrecisionSet
 from .errors import ConvergenceError, DataFormatError, NotPositiveDefiniteError
 from .solver import PenaltyPair, SolverOptions, solve_ggl
 
 DEFAULT_GRID_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
-
-# Smallest dimension at which a grid's C2 paths run side by side.  Below it
-# the solves are mostly interpreter work on small blocks, and two threads
-# contending for the GIL ran 5x5 grids on chain and star draws at p = 20-40
-# up to 50% slower than one thread.  Timed again on the normalized solver
-# (n = 600, medians of 5, 2 cores, threaded / serial): chain p = 40 / 48 /
-# 64 / 80 / 100 at 1.06 / 0.90 / 0.73 / 0.70 / 0.68, star with hub degree
-# 25 at p = 48 / 64 / 80 / 100 at 1.01 / 1.00 / 0.91 / 0.84.
-PARALLEL_MIN_P = 48
-
 
 @dataclass(frozen=True)
 class EbicScore:
@@ -93,7 +81,7 @@ class TuningResult:
     best_constants: tuple[float, float]
     best_penalty: PenaltyPair
     table: tuple[TuningCell, ...]
-    grid_threads: int
+    grid_lanes: int
 
 
 def edge_count(matrix: np.ndarray, edge_tol: float = 1e-8) -> int:
@@ -154,65 +142,35 @@ def tune_penalties(
     Each cell solves at lam = C1 * scale, rho = C2 * scale.  The cells of
     one C2 value form a path from the largest C1 down: each cell is
     warm-started from the previous cell's solve, and a path's first cell, as
-    well as any cell after a non-converged one, starts cold.  Called from
-    the main thread with ``p >= PARALLEL_MIN_P``, the calling thread and
-    ``min(len(c2_values), usable_cpus()) - 1`` helper threads take the C2
-    paths from one shared queue.  Otherwise, and in particular from any
-    other thread, which already runs inside a pool that owns the cores, it
-    walks the paths one after another.  The paths
-    never read each other and every solve and score runs at one OpenBLAS
-    thread, so the table is bit-identical either way.  An exception in any
-    path stops the hand-out of further paths and is raised here once every
-    helper has returned.
+    well as any cell after a non-converged one, starts cold.  The paths run
+    in ``grid_lanes`` forked lanes (see :mod:`multiggm._lanes`).  They never
+    read each other and every solve and score runs at one OpenBLAS thread,
+    so the table is bit-identical at any lane count, and a failing path
+    raises here the error the serial walk raises first.
 
     The table lists the cells C1-major whatever the solve order.
     Non-converged cells are kept in the table but excluded from the argmin;
     exact score ties break toward the lexicographically larger (C1, C2),
-    i.e. the sparser model.  ``grid_threads`` is the number of threads that
-    took paths.  Raises :class:`ConvergenceError` when no cell is valid.
+    i.e. the sparser model.  Raises :class:`ConvergenceError` when no cell
+    is valid.
     """
     covs.require_positive_diagonal()
     scale = penalty_scale(covs.p, min(covs.sample_sizes))
-    cells = {}
-    paths = iter(grid.c2_values)
-    lock = threading.Lock()
-    errors = []
 
-    def walk_paths():
-        while True:
-            with lock:
-                c2 = None if errors else next(paths, None)
-            if c2 is None:
-                return
-            try:
-                previous = None
-                for c1 in reversed(grid.c1_values):
-                    penalty = PenaltyPair(c1 * scale, c2 * scale)
-                    report = solve_ggl(covs, penalty, opts, init=previous)
-                    previous = report if report.converged else None
-                    cells[c1, c2] = _cell(covs, grid, edge_tol, c1, c2, penalty, report)
-            except BaseException as exc:  # handed to the caller below
-                with lock:
-                    errors.append(exc)
-                return
+    def walk_path(c2):
+        """The cells of one C2 path, from the largest C1 down."""
+        cells, previous = [], None
+        for c1 in reversed(grid.c1_values):
+            penalty = PenaltyPair(c1 * scale, c2 * scale)
+            report = solve_ggl(covs, penalty, opts, init=previous)
+            previous = report if report.converged else None
+            cells.append(_cell(covs, grid, edge_tol, c1, c2, penalty, report))
+        return cells[::-1]
 
-    n_threads = 1
-    if covs.p >= PARALLEL_MIN_P and threading.current_thread() is threading.main_thread():
-        n_threads = min(len(grid.c2_values), usable_cpus())
-    helpers = [threading.Thread(target=walk_paths) for _ in range(n_threads - 1)]
+    lanes = lane_count(len(grid.c2_values))
     with _blas.single_threaded():
-        try:
-            for helper in helpers:
-                helper.start()
-            walk_paths()
-        finally:
-            for helper in helpers:
-                if helper.ident is not None:
-                    helper.join()
-    if errors:
-        raise errors[0]
-
-    table = tuple(cells[c1, c2] for c1 in grid.c1_values for c2 in grid.c2_values)
+        paths = list(map_in_lanes(walk_path, grid.c2_values, lanes))
+    table = tuple(cell for row in zip(*paths) for cell in row)
     valid = [c for c in table if c.converged]
     if not valid:
         raise ConvergenceError("no grid cell converged; cannot select penalties")
@@ -221,7 +179,7 @@ def tune_penalties(
         best_constants=(best.c1, best.c2),
         best_penalty=PenaltyPair(best.lam, best.rho),
         table=table,
-        grid_threads=n_threads,
+        grid_lanes=lanes,
     )
 
 

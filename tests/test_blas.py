@@ -22,7 +22,7 @@ from multiggm import (
     solve_ggl,
     two_population_chain_spec,
 )
-from multiggm import _blas, selection, solver
+from multiggm import ExperimentConfig, _blas, _lanes, experiments, selection, solver
 from multiggm.cli import REPORT_SCHEMA, main
 from multiggm.io import write_data_csv
 from multiggm.selection import TuningGrid, penalty_scale
@@ -105,25 +105,71 @@ def test_concurrent_solves(caller_counts, seen_inside):
 
 
 def test_grid_runs_single_threaded_and_leaves_no_thread(caller_counts, seen_inside, monkeypatch):
-    monkeypatch.setattr(selection, "usable_cpus", lambda: 4)
-    monkeypatch.setattr(selection, "PARALLEL_MIN_P", 1)
+    # Two lanes.  The checks raise in whichever lane runs them, and an error
+    # raised in the child comes back to the caller.
+    monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
+    one = [1] * len(LIBRARIES)
     scored = []
     score = selection.ebic
+    prox = solver._prox_offdiag_stack
 
-    def recording(*args):
-        scored.append(tuple(counts()))
+    def checked(*args):
+        if counts() != one:
+            raise AssertionError(f"scored at {counts()} OpenBLAS threads in {os.getpid()}")
+        scored.append(os.getpid())
         return score(*args)
 
-    monkeypatch.setattr(selection, "ebic", recording)
+    def checked_prox(*args):
+        if counts() != one:
+            raise AssertionError(f"solved at {counts()} OpenBLAS threads in {os.getpid()}")
+        return prox(*args)
+
+    monkeypatch.setattr(selection, "ebic", checked)
+    monkeypatch.setattr(solver, "_prox_offdiag_stack", checked_prox)
     covs, _ = chain_problem(20)
     before = set(threading.enumerate())
     grid = TuningGrid((0.5, 1.0), (0.5, 1.0, 2.0))
     result = selection.tune_penalties(covs, grid)
     assert set(threading.enumerate()) == before
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
     assert counts() == caller_counts
-    assert result.grid_threads == 3
-    assert len(scored) == 6 and set(scored) == {(1,) * len(LIBRARIES)}
+    assert result.grid_lanes == 2
+    # The caller's lane scored its two paths (C2 = 0.5 and 2.0) itself.
+    assert scored == [os.getpid()] * 4
     assert seen_inside and set(seen_inside) == {(1,) * len(LIBRARIES)}
+
+    caller = os.getpid()
+
+    def fails_in_child(*args):
+        if os.getpid() != caller:
+            raise AssertionError("raised in the child")
+        return checked(*args)
+
+    monkeypatch.setattr(selection, "ebic", fails_in_child)
+    with pytest.raises(AssertionError, match="raised in the child"):
+        selection.tune_penalties(covs, grid)
+    assert counts() == caller_counts
+
+
+def test_replication_lanes_draw_single_threaded(caller_counts, monkeypatch):
+    # Each lane draws its data at one thread too, since the lanes fork
+    # inside the guard; a draw at any other count raises in its lane.
+    monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
+    draw = experiments.draw_mvn
+
+    def checked(*args):
+        if counts() != [1] * len(LIBRARIES):
+            raise AssertionError(f"drew at {counts()} OpenBLAS threads")
+        return draw(*args)
+
+    monkeypatch.setattr(experiments, "draw_mvn", checked)
+    config = ExperimentConfig(
+        graph=two_population_chain_spec(), dims=(8,), sample_sizes=(100,), replications=2,
+        base_seed=1, penalty_rule="fixed", threads=2,
+    )
+    assert experiments.run_tpfp(config).lanes == 2
+    assert counts() == caller_counts
 
 
 def test_without_libraries_nothing_changes(caller_counts, seen_inside, monkeypatch):
@@ -167,10 +213,10 @@ def test_cli_restores_counts_and_reports_environment(tmp_path, caller_counts):
     assert main(argv) == 0
     assert counts() == caller_counts
     report = json.loads((out / "report.json").read_text())
-    assert report["schema"] == REPORT_SCHEMA == 8
+    assert report["schema"] == REPORT_SCHEMA == 9
     env = report["environment"]
     assert env["numpy"] == np.__version__
-    assert env["cpus"] == selection.usable_cpus() >= 1
+    assert env["cpus"] == _lanes.usable_cpus() >= 1
     assert [lib["library"] for lib in env["openblas"]] == [lib.name for lib in LIBRARIES]
     assert all(lib["solve_threads"] == 1 for lib in env["openblas"])
     assert all(lib["config"].startswith("OpenBLAS") for lib in env["openblas"])

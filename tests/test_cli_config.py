@@ -261,4 +261,6 @@ class TestSimulateChecks:
         argv = ["simulate", kind, "--p", "6,8", "--n", "100,120,150", "--B", "1",
                 "--penalty-rule", "fixed"]
         assert run(argv, tmp_path / "out") == EXIT_OK
-        assert report_of(tmp_path / "out")["payload"] == {"experiment": kind, "cells": 6}
+        assert report_of(tmp_path / "out")["payload"] == {
+            "experiment": kind, "cells": 6, "lanes": 1, "failed_seeds": {},
+        }

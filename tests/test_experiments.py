@@ -1,7 +1,12 @@
+import dataclasses
+import errno
+import os
+
 import numpy as np
 import pytest
 
 import multiggm.experiments as experiments
+from multiggm import _lanes
 from multiggm import (
     ExperimentConfig,
     PrecisionSet,
@@ -59,11 +64,35 @@ class TestDeterminism:
         assert a.seeds == b.seeds
         assert a.csv_rows() == b.csv_rows()
 
-    def test_thread_count_does_not_change_results(self):
+    def test_thread_count_does_not_change_results(self, monkeypatch):
+        # --threads 4 caps the lanes at 4; two CPUs give two lanes, one child.
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
         serial = run_coverage(small_config(replications=6))
         threaded = run_coverage(small_config(replications=6, threads=4))
+        assert (serial.lanes, threaded.lanes) == (1, 2)
         assert serial.cells == threaded.cells
         assert serial.csv_rows() == threaded.csv_rows()
+        assert serial.to_jsonable() == threaded.to_jsonable()
+
+    @pytest.mark.parametrize("cpus, threads, replications, lanes", [
+        (4, 2, 6, 2), (4, 8, 3, 3), (2, 8, 6, 2), (1, 4, 6, 1), (4, 1, 6, 1),
+    ])
+    def test_lanes_capped_by_threads_cpus_and_replications(
+        self, monkeypatch, cpus, threads, replications, lanes
+    ):
+        # The forks fail, so every lane runs in the caller and no process starts.
+        forks = []
+
+        def no_fork():
+            forks.append(1)
+            raise OSError(errno.EAGAIN, "no process")
+
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", no_fork)
+        config = small_config(replications=replications, threads=threads)
+        result = run_tpfp(config)
+        assert result.lanes == lanes and len(forks) == lanes - 1
+        assert result.cells == run_tpfp(small_config(replications=replications)).cells
 
     def test_results_recomputable_from_seed_provenance(self):
         # The success indicator of each replication can be reproduced in
@@ -192,6 +221,34 @@ class TestFailureAccounting:
         assert supnorm.failure_counts[(8, 150)] == 3
         assert supnorm.cells[(8, 150, 0)]["replications"] == 0
         assert np.isnan(supnorm.cells[(8, 150, 0)]["mean_supnorm"])
+        assert supnorm.failed_seeds == {"8/150": supnorm.seeds["per_cell"]["8/150"]}
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_failed_seeds_name_the_failed_replications(self, monkeypatch, cpus):
+        # Replications 1 and 3 of each cell fail, in whichever lane runs them.
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: cpus)
+        config = small_config(replications=4, dims=(6, 8), threads=2)
+        seeds = [experiments.derive_seed(11, p, 150, b) for p in (6, 8) for b in range(4)]
+        # A draw's first covariance entry tells which replication it is.
+        seed_of = {
+            experiments._draw_covs(config.graph.build(p), 150, s).matrices[0][0, 0]: s
+            for p, s in zip((6,) * 4 + (8,) * 4, seeds)
+        }
+        failing = set(seeds[1::2])
+        real = experiments._solve
+
+        def failing_some(covs, penalty, opts):
+            report = real(covs, penalty, opts)
+            if seed_of[covs.matrices[0][0, 0]] in failing:
+                return dataclasses.replace(report, converged=False)
+            return report
+
+        monkeypatch.setattr(experiments, "_solve", failing_some)
+        result = run_tpfp(config)
+        assert result.lanes == cpus
+        assert result.failed_seeds == {"6/150": seeds[1:4:2], "8/150": seeds[5:8:2]}
+        assert result.failure_counts == {(6, 150): 2, (8, 150): 2}
+        assert "failed_seeds" not in result.to_jsonable()
 
 
 class TestMonteCarloTrends:
@@ -303,6 +360,11 @@ class TestConfigChecks:
         monkeypatch.setattr(experiments, "_solve", counting)
         result = run_tpfp(small_config(replications=2, dims=(6, 8)))
         assert len(calls) == 4 and len(result.cells) == 2
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_threads_below_one(self, threads):
+        with pytest.raises(ConfigError, match="threads"):
+            small_config(threads=threads)
 
     @pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -0.2, float("nan")])
     def test_ci_level_outside_unit_interval(self, level):

@@ -306,7 +306,7 @@ class TestCli:
         payload = json.loads((out / "report.json").read_text())["payload"]
         assert payload["cells"] == payload["converged_cells"] == 2
         assert isinstance(payload["iterations"], int) and payload["iterations"] > 0
-        assert payload["grid_threads"] == 1  # one C2 column
+        assert payload["grid_lanes"] == 1  # one C2 column
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multiggm import _lanes, io, two_population_chain_spec
+from multiggm import _lanes, experiments, io, two_population_chain_spec
 from multiggm._lanes import lane_count, map_in_lanes, usable_cpus
 from multiggm.cli import EXIT_DATA, EXIT_OK, main
 from multiggm.core import draw_mvn_dataset
+from multiggm.errors import DataFormatError
 from multiggm.io import write_data_csv, write_matrix_csv
 
 # At most two lanes, so a case starts at most one child, and never more
@@ -129,6 +130,15 @@ class TestLaneCount:
             waiting.join(timeout=10)
         assert not waiting.is_alive()
 
+    def test_one_lane_inside_a_multi_lane_map(self, monkeypatch):
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
+        caller = os.getpid()
+        inside = list(map_in_lanes(lambda _: (os.getpid() == caller, lane_count(2)), [0, 1], 2))
+        assert inside == [(True, 1), (False, 1)]
+        assert list(map_in_lanes(lambda _: lane_count(2), [0, 1], 1)) == [2, 2]
+        assert lane_count(2) == 2
+        assert no_child_left()
+
 
 @pytest.fixture(params=[1, 2])
 def lanes(request, monkeypatch):
@@ -218,4 +228,60 @@ class TestErrorOrder:
                 "--c1", "1", "--c2", "1", "--out-dir", str(tmp_path / "out"), "-q"]
         assert main(argv) == EXIT_DATA
         assert capsys.readouterr().err.startswith(message.format(d=tmp_path))
+        assert no_child_left()
+
+
+class TestGridAndReplications:
+    """The e-BIC grid and the replications of ``simulate`` in two lanes."""
+
+    TUNE = ["tune", "--c1-grid", "0.5,1", "--c2-grid", "1,2"]
+    TPFP = ["simulate", "tpfp", "--p", "6", "--n", "100,120", "--B", "2", "--threads", "2"]
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
+
+    def run(self, argv, out):
+        return main([*argv, "--out-dir", str(out), "-q"])
+
+    def test_no_child_outlives_tune_or_simulate(self, tmp_path, data):
+        assert self.run([*self.TUNE, "--data", data], tmp_path / "tune") == EXIT_OK
+        assert no_child_left()
+        report = json.loads((tmp_path / "tune" / "report.json").read_text())
+        assert report["payload"]["grid_lanes"] == 2
+        assert self.run(self.TPFP, tmp_path / "sim") == EXIT_OK
+        assert no_child_left()
+        report = json.loads((tmp_path / "sim" / "report.json").read_text())
+        assert report["payload"]["lanes"] == 2
+
+    def test_replication_error_exits_with_its_code(self, tmp_path, monkeypatch, capsys):
+        caller = os.getpid()
+        solve = experiments._solve
+
+        def fails_in_child(covs, penalty, opts):
+            if os.getpid() != caller:
+                raise DataFormatError("injected in a replication")
+            return solve(covs, penalty, opts)
+
+        monkeypatch.setattr(experiments, "_solve", fails_in_child)
+        argv = [*self.TPFP, "--penalty-rule", "fixed"]
+        assert self.run(argv, tmp_path / "out") == EXIT_DATA
+        assert capsys.readouterr().err == "data error: injected in a replication\n"
+        assert no_child_left()
+
+    def test_retuned_replications_fork_one_child_per_cell(self, tmp_path, monkeypatch):
+        # Every process appends its forks to one file, so a fork in a child
+        # (a grid in lanes inside a replication lane) would show too.
+        log = tmp_path / "forks"
+        fork = os.fork
+
+        def logged_fork():
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return fork()
+
+        monkeypatch.setattr(os, "fork", logged_fork)
+        argv = [*self.TPFP, "--retune-per-replication"]
+        assert self.run(argv, tmp_path / "out") == EXIT_OK
+        assert log.read_text().split() == [str(os.getpid())] * 2
         assert no_child_left()

@@ -1,5 +1,8 @@
 import dataclasses
+import errno
+import json
 import math
+import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 
@@ -22,7 +25,7 @@ from multiggm import (
     solve_ggl,
     tune_penalties,
 )
-from multiggm import selection
+from multiggm import _lanes, selection
 from multiggm.selection import DEFAULT_GRID_VALUES, EbicScore, score_table_rows
 
 from oracles import random_covariance_set
@@ -203,35 +206,45 @@ class TestTuningPath:
             # Both solves stop within the solver's tolerances, not at one point.
             assert cell.score == pytest.approx(score.value, rel=1e-5)
 
-    def test_each_path_runs_down_c1_and_restarts_after_a_failure(self, monkeypatch):
-        # Paths may run on several threads, so only the order within one
-        # path (one rho) is fixed.
-        calls = []
-        lock = threading.Lock()
+    def test_each_path_runs_down_c1_and_restarts_after_a_failure(self, monkeypatch, tmp_path):
+        # Paths run in two lanes, so every lane appends its calls to one
+        # file, and only the order within one path (one rho) is fixed.  A
+        # report's id stands for the report: within a path the previous
+        # report is alive when it is passed on as ``init``.
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
+        log = tmp_path / "calls.jsonl"
         solve = selection.solve_ggl
 
         def recording(covs, penalty, opts, init=None):
             report = solve(covs, penalty, opts, init=init)
-            with lock:
-                calls.append((penalty, init, report))
+            call = [os.getpid(), penalty.lam, penalty.rho,
+                    None if init is None else id(init), id(report), report.converged]
+            with open(log, "a") as fh:
+                fh.write(json.dumps(call) + "\n")
             return report
 
         monkeypatch.setattr(selection, "solve_ggl", recording)
         # Few iterations, so that some cells stop unconverged.
-        tune_penalties(chain_covs(), self.GRID, SolverOptions(max_iter=23))
-        assert any(not report.converged for _, _, report in calls)
-        assert any(init is not None for _, init, _ in calls)
+        result = tune_penalties(chain_covs(), self.GRID, SolverOptions(max_iter=23))
+        assert result.grid_lanes == 2
+        calls = [json.loads(line) for line in log.read_text().splitlines()]
+        assert len({pid for pid, *_ in calls}) == 2
+        assert any(not converged for *_, converged in calls)
+        assert any(init is not None for _, _, _, init, _, _ in calls)
         scale = penalty_scale(10, 120)
         assert len(calls) == len(self.GRID.c1_values) * len(self.GRID.c2_values)
         for c2 in self.GRID.c2_values:
-            path = [call for call in calls if call[0].rho == c2 * scale]
-            for n, (c1, (penalty, init, _)) in enumerate(zip(reversed(self.GRID.c1_values), path)):
-                assert penalty == PenaltyPair(c1 * scale, c2 * scale)
-                previous = path[n - 1][2] if n else None
-                if c1 == self.GRID.c1_values[-1] or not previous.converged:
+            path = [call for call in calls if call[2] == c2 * scale]
+            assert len({pid for pid, *_ in path}) == 1
+            for n, (c1, (_, lam, _, init, _, _)) in enumerate(
+                zip(reversed(self.GRID.c1_values), path)
+            ):
+                assert lam == c1 * scale
+                previous = path[n - 1] if n else None
+                if c1 == self.GRID.c1_values[-1] or not previous[5]:
                     assert init is None
                 else:
-                    assert init is previous
+                    assert init == previous[4]
 
 
 def _tune_or_error(covs, grid, opts):
@@ -260,8 +273,19 @@ def grid_values(max_size):
     ).map(lambda values: tuple(sorted(values)))
 
 
-class TestThreadedGrid:
-    """Paths run side by side from the main thread and serially elsewhere."""
+def no_fork(forks):
+    """An ``os.fork`` that starts no process: it counts the call and fails."""
+    def fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, "no process")
+    return fork
+
+
+class TestLaneGrid:
+    """Paths run side by side in forked lanes from the main thread, serially elsewhere.
+
+    At most two lanes, so a case starts at most one child.
+    """
 
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -272,28 +296,28 @@ class TestThreadedGrid:
         max_iter=st.sampled_from([23, SolverOptions().max_iter]),
     )
     def test_matches_the_serial_walk(self, monkeypatch, c1_values, c2_values, K, max_iter):
-        # Helpers start even on a one-CPU machine and at this small p.
-        monkeypatch.setattr(selection, "usable_cpus", lambda: 4)
-        monkeypatch.setattr(selection, "PARALLEL_MIN_P", 1)
+        # Two lanes even on a one-CPU machine.
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
         full = chain_covs()
         covs = CovarianceSet(full.matrices[:K], full.sample_sizes[:K])
         grid = TuningGrid(c1_values, c2_values)
         opts = SolverOptions(max_iter=max_iter)
-        threaded = _tune_or_error(covs, grid, opts)
+        lanes = _tune_or_error(covs, grid, opts)
         serial = _in_worker_thread(_tune_or_error, covs, grid, opts)
         if isinstance(serial, type):
-            assert threaded is serial
+            assert lanes is serial
             return
-        assert threaded.grid_threads == min(len(c2_values), 4)
-        assert serial.grid_threads == 1
-        assert threaded.best_constants == serial.best_constants
-        assert threaded.best_penalty == serial.best_penalty
-        assert _without_scores(threaded.table) == _without_scores(serial.table)
-        assert np.array_equal(_score_bits(threaded.table), _score_bits(serial.table))
+        assert lanes.grid_lanes == min(len(c2_values), 2)
+        assert serial.grid_lanes == 1
+        assert lanes.best_constants == serial.best_constants
+        assert lanes.best_penalty == serial.best_penalty
+        assert _without_scores(lanes.table) == _without_scores(serial.table)
+        assert np.array_equal(_score_bits(lanes.table), _score_bits(serial.table))
 
     def test_worker_thread_starts_no_helper(self, monkeypatch):
-        monkeypatch.setattr(selection, "usable_cpus", lambda: 4)
-        monkeypatch.setattr(selection, "PARALLEL_MIN_P", 1)
+        forks = []
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: 4)
+        monkeypatch.setattr(os, "fork", no_fork(forks))
         threads = set()
         solve = selection.solve_ggl
 
@@ -308,39 +332,47 @@ class TestThreadedGrid:
 
         worker, result = _in_worker_thread(run)
         assert threads == {worker}
-        assert result.grid_threads == 1
+        assert forks == []
+        assert result.grid_lanes == 1
 
-    def test_small_dimension_starts_no_helper(self, monkeypatch):
-        monkeypatch.setattr(selection, "usable_cpus", lambda: 4)
-        covs = chain_covs(p=selection.PARALLEL_MIN_P - 1)
-        assert tune_penalties(covs, TestTuningPath.GRID).grid_threads == 1
+    @pytest.mark.parametrize("cpus, columns, lanes", [(3, 5, 3), (8, 3, 3), (1, 5, 1)])
+    def test_lanes_capped_by_cpus_and_columns_at_any_dimension(
+        self, monkeypatch, cpus, columns, lanes
+    ):
+        # p = 10, far below any size gate; the forks fail, so every lane
+        # runs in the caller and no process starts.
+        forks = []
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(os, "fork", no_fork(forks))
+        grid = TuningGrid((0.5, 1.0), DEFAULT_GRID_VALUES[:columns])
+        result = tune_penalties(chain_covs(), grid)
+        serial = _in_worker_thread(tune_penalties, chain_covs(), grid)
+        assert result.grid_lanes == lanes and len(forks) == lanes - 1
+        assert result == dataclasses.replace(serial, grid_lanes=lanes)
 
-    def test_helper_error_reaches_the_caller(self, monkeypatch):
-        monkeypatch.setattr(selection, "usable_cpus", lambda: 2)
-        monkeypatch.setattr(selection, "PARALLEL_MIN_P", 1)
-        caller_started, helper_failed = threading.Event(), threading.Event()
-        rhos = set()
-        lock = threading.Lock()
-        solve = selection.solve_ggl
-
-        def failing_in_helper(covs, penalty, opts, init=None):
-            with lock:
-                rhos.add(penalty.rho)
-            # The caller and the helper each take one path before the
-            # helper fails.
-            if threading.current_thread() is not threading.main_thread():
-                assert caller_started.wait(timeout=60)
-                helper_failed.set()
-                raise NotPositiveDefiniteError("injected")
-            caller_started.set()
-            assert helper_failed.wait(timeout=60)
-            return solve(covs, penalty, opts, init=init)
-
-        monkeypatch.setattr(selection, "solve_ggl", failing_in_helper)
-        before = set(threading.enumerate())
+    def test_first_error_in_c2_order_reaches_the_caller(self, monkeypatch):
+        # With two lanes the caller walks C2 = 0.5 and 2.0, the child 1.0
+        # and 4.0.  The error the serial walk meets first is raised, from
+        # whichever lane met it.
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
+        caller = os.getpid()
         grid = TuningGrid(c2_values=(0.5, 1.0, 2.0, 4.0))
-        with pytest.raises(NotPositiveDefiniteError, match="injected"):
-            tune_penalties(chain_covs(), grid)
+        scale = penalty_scale(10, 120)
+        solve = selection.solve_ggl
+        before = set(threading.enumerate())
+        for failing, first, in_child in [
+            ((1.0, 2.0), 1.0, True), ((2.0, 4.0), 2.0, False), ((4.0,), 4.0, True),
+        ]:
+            def failing_paths(covs, penalty, opts, init=None, failing=failing):
+                c2 = round(penalty.rho / scale, 6)
+                if c2 in failing:
+                    raise NotPositiveDefiniteError(f"injected at {c2} in {os.getpid()}")
+                return solve(covs, penalty, opts, init=init)
+
+            monkeypatch.setattr(selection, "solve_ggl", failing_paths)
+            with pytest.raises(NotPositiveDefiniteError, match=f"injected at {first} ") as exc:
+                tune_penalties(chain_covs(), grid)
+            assert (str(exc.value).split()[-1] != str(caller)) is in_child
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
         assert set(threading.enumerate()) == before
-        # The caller finishes its path; no further path is handed out.
-        assert len(rhos) == 2
