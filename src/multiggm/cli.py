@@ -61,7 +61,7 @@ from .selection import (
 )
 from .solver import PenaltyPair, solve_ggl
 
-REPORT_SCHEMA = 9
+REPORT_SCHEMA = 10
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -337,9 +337,15 @@ def _fit(args, report: AnalysisReport):
     return covs, penalty, solve, EXIT_OK if solve.converged else EXIT_NONCONVERGENCE
 
 
-def _blocks(solve) -> dict:
-    """The screening blocks of a solve, for the report payload."""
-    return {"blocks": len(solve.block_sizes), "largest_block": max(solve.block_sizes)}
+def _solve_counts(solve) -> dict:
+    """What the solver did and how screening split the problem, for the payload."""
+    return {
+        "iterations": solve.iterations,
+        "certificate_calls": solve.certificate_calls,
+        "acceleration_restarts": solve.acceleration_restarts,
+        "blocks": len(solve.block_sizes),
+        "largest_block": max(solve.block_sizes),
+    }
 
 
 def _estimate(args, report: AnalysisReport) -> int:
@@ -358,8 +364,7 @@ def _estimate(args, report: AnalysisReport) -> int:
     report.payload = {
         "penalty": {"lam": penalty.lam, "rho": penalty.rho},
         "converged": solve.converged,
-        "iterations": solve.iterations,
-        **_blocks(solve),
+        **_solve_counts(solve),
         "kkt_violation": solve.kkt_violation,
         "objective": solve.objective,
         "sample_sizes": list(covs.sample_sizes),
@@ -409,7 +414,7 @@ def _test(args, report: AnalysisReport) -> int:
     report.payload = {
         "penalty": {"lam": penalty.lam, "rho": penalty.rho},
         "converged": solve.converged,
-        **_blocks(solve),
+        **_solve_counts(solve),
         "tests": results,
     }
     return code
@@ -431,6 +436,8 @@ def _tune(args, report: AnalysisReport) -> int:
         "cells": len(result.table),
         "converged_cells": sum(cell.converged for cell in result.table),
         "iterations": sum(cell.iterations for cell in result.table),
+        "certificate_calls": sum(cell.certificate_calls for cell in result.table),
+        "acceleration_restarts": sum(cell.acceleration_restarts for cell in result.table),
         "grid_lanes": result.grid_lanes,
     }
     return EXIT_OK

@@ -74,6 +74,8 @@ class TuningCell:
     edge_counts: tuple[int, ...]
     converged: bool
     iterations: int
+    certificate_calls: int
+    acceleration_restarts: int
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,8 @@ def _cell(covs, grid, edge_tol, c1, c2, penalty, report) -> TuningCell:
         edge_counts=counts,
         converged=report.converged,
         iterations=report.iterations,
+        certificate_calls=report.certificate_calls,
+        acceleration_restarts=report.acceleration_restarts,
     )
 
 

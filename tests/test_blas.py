@@ -213,7 +213,7 @@ def test_cli_restores_counts_and_reports_environment(tmp_path, caller_counts):
     assert main(argv) == 0
     assert counts() == caller_counts
     report = json.loads((out / "report.json").read_text())
-    assert report["schema"] == REPORT_SCHEMA == 9
+    assert report["schema"] == REPORT_SCHEMA == 10
     env = report["environment"]
     assert env["numpy"] == np.__version__
     assert env["cpus"] == _lanes.usable_cpus() >= 1

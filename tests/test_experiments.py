@@ -49,7 +49,6 @@ def truth_injecting_solve(truth: PrecisionSet):
             kkt_violation=0.0,
             objective=0.0,
             block_sizes=(truth.p,),
-            dual=np.zeros((truth.K, truth.p, truth.p)),
         )
 
     return fake

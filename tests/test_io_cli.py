@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import multiggm
+from multiggm import solver
 from multiggm import DataFormatError, DimensionMismatchError, ingest_csv
 from multiggm.cli import (
     EXIT_CONFIG,
@@ -307,6 +308,36 @@ class TestCli:
         assert payload["cells"] == payload["converged_cells"] == 2
         assert isinstance(payload["iterations"], int) and payload["iterations"] > 0
         assert payload["grid_lanes"] == 1  # one C2 column
+
+    def test_payloads_count_the_certificate_calls(self, tmp_path, monkeypatch):
+        calls = []
+        certify = solver._stationarity_violation
+
+        def counting(*args):
+            calls.append(1)
+            return certify(*args)
+
+        monkeypatch.setattr(solver, "_stationarity_violation", counting)
+        rng = np.random.default_rng(4)
+        paths = [tmp_path / f"p{k}.csv" for k in range(2)]
+        for path in paths:
+            write_data_csv(rng.standard_normal((60, 5)), path)
+        data = ["--data", ",".join(map(str, paths)), "-q"]
+        runs = {
+            "estimate": ["--lam", "0.05", "--rho", "0.05"],
+            "test": ["--lam", "0.05", "--rho", "0.05", "--edges", "1,2", "--coeffs", "1,-1"],
+            # One C2 column: one lane, so every solve runs in this process.
+            "tune": ["--c1-grid", "0.1,0.2", "--c2-grid", "0.1"],
+        }
+        for command, extra in runs.items():
+            calls.clear()
+            out = tmp_path / command
+            assert main([command, *data, *extra, "--out-dir", str(out)]) == EXIT_OK
+            payload = json.loads((out / "report.json").read_text())["payload"]
+            assert payload["certificate_calls"] == len(calls) >= 1
+            assert isinstance(payload["iterations"], int) and payload["iterations"] > 0
+            assert isinstance(payload["acceleration_restarts"], int)
+            assert payload["acceleration_restarts"] >= 0
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:

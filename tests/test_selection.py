@@ -224,8 +224,9 @@ class TestTuningPath:
             return report
 
         monkeypatch.setattr(selection, "solve_ggl", recording)
-        # Few iterations, so that some cells stop unconverged.
-        result = tune_penalties(chain_covs(), self.GRID, SolverOptions(max_iter=23))
+        # Few iterations, so that some cells stop unconverged: the C2 = 2
+        # path converges in 13 per cell and the other two need 16.
+        result = tune_penalties(chain_covs(), self.GRID, SolverOptions(max_iter=14))
         assert result.grid_lanes == 2
         calls = [json.loads(line) for line in log.read_text().splitlines()]
         assert len({pid for pid, *_ in calls}) == 2

@@ -31,6 +31,7 @@ from oracles import (
     prox_objective,
     pg_solve,
     random_covariance_set,
+    relaxed_admm,
 )
 
 
@@ -539,6 +540,125 @@ class TestNormalizedProblem:
         weights = np.ones(covs.K) if w is None else w
         for dual in duals:
             assert np.max(np.abs(dual - duals[1])) <= 1e-4 * weights.max()
+
+
+class TestAcceleration:
+    """The Anderson-accelerated loop against the oracles."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.sampled_from([1, 2, 3]),
+           st.booleans(), st.booleans())
+    def test_certified_and_matches_oracle(self, seed, p, K, weighted, warm):
+        rng = np.random.default_rng(seed)
+        sizes = [int(n) for n in rng.integers(50, 501, size=K)] if weighted else [50] * K
+        covs = CovarianceSet(random_covariance_set(rng, p, K), sizes)
+        w = np.array(sizes, dtype=float) if weighted else None
+        scale = float(np.mean(sizes)) if weighted else 1.0
+        pen = PenaltyPair(*(rng.uniform(0.0, 0.2, size=2) * scale))
+        opts = SolverOptions(tol_abs=1e-9, weighted_by_n=weighted)
+        init = None
+        if warm:
+            # Larger or smaller penalties: the blocks may merge or split.
+            other = PenaltyPair(*(rng.uniform(0.5, 2.0, size=2) * (pen.lam, pen.rho)))
+            init = solve_ggl(covs, other, opts)
+        report = solve_ggl(covs, pen, opts, init=init)
+        assert report.converged
+        assert kkt_residual(report.estimate, covs, pen, w) <= 10 * opts.tol_abs
+        for est, ref in zip(report.estimate.matrices, oracle_solve(covs, pen, w)):
+            assert np.max(np.abs(est - ref)) <= 1e-4
+
+    def test_without_memory_the_loop_is_plain_admm(self, monkeypatch):
+        # The fixed-point form with no extrapolation is the (Z, U) loop of
+        # over-relaxed ADMM, bit for bit; 25 iterations before acceleration.
+        rng = np.random.default_rng(2024)
+        mats = random_covariance_set(rng, 8, 2)
+        covs = CovarianceSet(mats, [50, 50])
+        pen = PenaltyPair(0.01, 0.02)
+        accelerated = solve_ggl(covs, pen)
+        monkeypatch.setattr(solver, "ANDERSON_MEMORY", 0)
+        plain = solve_ggl(covs, pen)
+        reference, iterations = relaxed_admm(mats, pen.lam, pen.rho)
+        assert plain.block_sizes == (8,) and plain.converged
+        assert plain.iterations == iterations == 25
+        assert np.array_equal(np.stack(plain.estimate.matrices), reference)
+        assert plain.acceleration_restarts == 0
+        assert accelerated.converged and accelerated.iterations < plain.iterations
+
+    @settings(max_examples=5, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 6), st.sampled_from([1, 2]))
+    def test_unpenalized_singular_covariance_does_not_raise(self, seed, p, K):
+        # n < p: the likelihood has no maximizer, and the iterates diverge.
+        # Far out along the divergence the certificate, which is absolute,
+        # can pass; the loop claims convergence only where it does.  The
+        # CLI's singular instance (test_io_cli) stops unconverged.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, p))
+        mats = []
+        for _ in range(K):
+            x = rng.standard_normal((n, p))
+            mats.append(x.T @ x / n)
+        covs, pen, opts = CovarianceSet(mats, [n] * K), PenaltyPair(0.0, 0.0), SolverOptions()
+        report = solve_ggl(covs, pen, opts)
+        assert report.estimate.positive_definite
+        assert all(np.all(np.isfinite(m)) for m in report.estimate.matrices)
+        if report.converged:
+            assert kkt_residual(report.estimate, covs, pen) <= 10 * opts.tol_abs
+        else:
+            assert report.iterations == opts.max_iter
+
+    @settings(max_examples=25, deadline=None)
+    @given(instances, st.sampled_from([2, 10000]))
+    def test_certificate_calls_and_restarts_are_counted(self, instance, max_iter):
+        # max_iter=2 stops before the residual test passes, so the only
+        # certificate is the one taken after the loop.
+        covs, pen, opts, w = split_instance(*instance)
+        opts = replace(opts, max_iter=max_iter)
+        certificates, restarts = [], []
+        certify, restart = solver._stationarity_violation, solver._Anderson._restart
+
+        def counting_certificate(*args):
+            certificates.append(1)
+            return certify(*args)
+
+        def counting_restart(*args):
+            restarts.append(1)
+            return restart(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "_stationarity_violation", counting_certificate)
+            mp.setattr(solver._Anderson, "_restart", counting_restart)
+            report = solve_ggl(covs, pen, opts)
+        assert report.certificate_calls == len(certificates)
+        assert report.certificate_calls >= sum(n > 1 for n in report.block_sizes)
+        assert report.acceleration_restarts == len(restarts)
+
+    def test_a_rising_residual_restarts_the_memory(self):
+        history = solver._Anderson(3)
+        first = np.array([1.0, 0.0, 0.0])
+        assert history.step(np.zeros(3), first) is first
+        rising = np.array([1.0, 2.0, 0.0])  # ||g|| goes from 1 to 2
+        assert history.step(first, rising) is rising
+        assert (history.restarts, history.count, history.best) == (1, 1, 4.0)
+
+    def test_a_singular_least_squares_solve_restarts_the_memory(self):
+        # At a fixed point every residual is zero, and so is the Gram matrix
+        # with its regularization.
+        history = solver._Anderson(3)
+        x = np.array([1.0, -2.0, 0.5])
+        history.step(x, x.copy())
+        image = x.copy()
+        assert history.step(x, image) is image
+        assert history.restarts == 1
+
+    @settings(max_examples=25, deadline=None)
+    @given(instances, st.integers(0, 2**32 - 1))
+    def test_restricted_dual_is_the_dense_dual_restricted(self, instance, pick):
+        covs, pen, opts, w = split_instance(*instance)
+        report = solve_ggl(covs, pen, opts)
+        mask = np.random.default_rng(pick).uniform(size=covs.p) < 0.6
+        ix = np.flatnonzero(mask)
+        dense = report.dual
+        assert np.array_equal(report.dual_on(ix), dense[np.ix_(range(covs.K), ix, ix)])
 
 
 def test_sample_and_solve_import_no_scipy_submodule():
