@@ -49,6 +49,7 @@ from .inference import (
     ConfidenceIntervalResult,
     EdgeTestResult,
     LinearCombo,
+    combine,
     confidence_interval,
     debias,
     entry_variances,
@@ -56,7 +57,6 @@ from .inference import (
     normal_quantile,
     test_linear_combo,
     upper_quantile,
-    variance_estimate,
 )
 from .io import ingest_csv, write_csv_atomic, write_json_atomic
 from .selection import EbicScore, TuningGrid, ebic, penalty_scale, tune_penalties

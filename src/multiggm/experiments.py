@@ -40,7 +40,7 @@ from .core import (
 )
 from .errors import ConfigError, DataFormatError
 from .graphs import GraphSpec
-from .inference import debias, entry_variances, upper_quantile
+from .inference import combine, debias, upper_quantile
 from .selection import TuningGrid, penalty_scale, tune_penalties
 from .solver import PenaltyPair, SolverOptions, solve_ggl
 
@@ -327,9 +327,10 @@ class _SupNorm(_Study):
 class _Normality(_Study):
     """Standardized debiased statistics for the configured entries.
 
-    Per entry (i, j) and population k the emitted sample is
-    ``sqrt(n_k) * (D_k[i, j] - true_k[i, j]) / sigma_hat_k[i, j]``; for
-    two-population runs the pooled difference statistic (coefficients
+    Per entry (i, j) and population k the emitted sample is the
+    :func:`~multiggm.inference.combine` statistic of k's unit vector centred
+    at the truth, ``sqrt(n_k) * (D_k[i, j] - true_k[i, j]) / sigma_hat_k[i, j]``;
+    for two-population runs the pooled difference statistic (coefficients
     (1, -1), centered at the true difference) is emitted under the label
     ``T:(i+1,j+1)``.  Labels carry 1-based indices for plotting.
     """
@@ -342,23 +343,18 @@ class _Normality(_Study):
         if not config.edges_of_interest:
             raise ConfigError("normality experiment needs edges_of_interest")
 
+        rows, cols = np.array(config.edges_of_interest).T
+        # One unit vector per population, then (1, -1) for the pooled "T".
+        combos = list(np.eye(truth.K)) + ([(1.0, -1.0)] if truth.K == 2 else [])
+        centres = [sum(a * m[rows, cols] for a, m in zip(c, truth.matrices)) for c in combos]
+
         def worker(covs, report):
             deb = debias(report.estimate, covs)
-            variances = [entry_variances(m) for m in report.estimate.matrices]
-            sizes = covs.sample_sizes
-            out = {}
-            for (i, j) in config.edges_of_interest:
-                d = [m[i, j] for m in deb.matrices]
-                t = [m[i, j] for m in truth.matrices]
-                s2 = [v[i, j] for v in variances]
-                stats = [
-                    np.sqrt(sizes[k]) * (d[k] - t[k]) / np.sqrt(s2[k]) for k in range(truth.K)
-                ]
-                if truth.K == 2:
-                    se2 = s2[0] / sizes[0] + s2[1] / sizes[1]
-                    stats.append(((d[0] - d[1]) - (t[0] - t[1])) / np.sqrt(se2))
-                out[(i, j)] = stats
-            return out
+            stats = []
+            for c, centre in zip(combos, centres):
+                point, std_error = combine(deb, report.estimate, covs, c, rows, cols)
+                stats.append((point - centre) / std_error)
+            return stats
 
         return worker
 
@@ -366,8 +362,8 @@ class _Normality(_Study):
         # One statistic per population, then the pooled difference "T".
         names = [f"k{k + 1}" for k in range(truth.K)] + (["T"] if truth.K == 2 else [])
         return {
-            f"p{truth.p}/n{n}/{name}:({i + 1},{j + 1})": [float(r[(i, j)][x]) for r in ok]
-            for (i, j) in config.edges_of_interest
+            f"p{truth.p}/n{n}/{name}:({i + 1},{j + 1})": [float(r[x][m]) for r in ok]
+            for m, (i, j) in enumerate(config.edges_of_interest)
             for x, name in enumerate(names)
         }
 
@@ -381,7 +377,8 @@ class _Coverage(_Study):
     Both sets range over unordered off-diagonal pairs of the true support
     (which the generators share across populations).  The interval for entry
     (i, j) of population k is the debiased point estimate plus/minus
-    ``tau * sigma_hat / sqrt(n_k)`` at the configured level.
+    ``tau * sigma_hat / sqrt(n_k)`` at the configured level, from
+    :func:`~multiggm.inference.combine` at k's unit vector.
     """
 
     kind = "coverage"
@@ -397,10 +394,10 @@ class _Coverage(_Study):
             deb = debias(report.estimate, covs)
             out = []
             for k, mask in enumerate(s_masks):
-                sig = np.sqrt(entry_variances(report.estimate.matrices[k]))
-                half = tau * sig / np.sqrt(covs.sample_sizes[k])
-                inside = (np.abs(deb.matrices[k] - truth.matrices[k]) <= half)[iu]
-                length = (2.0 * half)[iu]
+                point, std_error = combine(deb, report.estimate, covs, np.eye(truth.K)[k], *iu)
+                half = tau * std_error
+                inside = np.abs(point - truth.matrices[k][iu]) <= half
+                length = 2.0 * half
                 out.append((_mean(inside[mask]), _mean(length[mask]),
                             _mean(inside[~mask]), _mean(length[~mask])))
             return out

@@ -14,7 +14,9 @@ W_k[i, i] * W_k[j, j] + W_k[i, j]^2 evaluated at the *penalized* estimate
 Linear combinations across populations, sum_k a_k * D_k[i, j], are tested
 with the studentized statistic whose variance is sum_k a_k^2 *
 sigma_k[i, j]^2 / n_k.  Two-population difference tests are the special
-case a = (1, -1).
+case a = (1, -1).  :func:`combine` evaluates that statistic at arrays of
+index pairs; the one-edge z-test and interval views and the Monte Carlo
+normality and coverage studies all take it from there.
 
 All indices in this module are 0-based; user-facing I/O converts to 1-based
 at the boundary.
@@ -22,7 +24,6 @@ at the boundary.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -115,26 +116,53 @@ def debias(estimate: PrecisionSet, covs: CovarianceSet) -> PrecisionSet:
     return PrecisionSet(out)
 
 
-def entry_variances(estimate: np.ndarray) -> np.ndarray:
-    """Plug-in variances ``W[i,i] * W[j,j] + W[i,j]^2`` of all debiased entries."""
+def entry_variances(estimate: np.ndarray, rows, cols) -> np.ndarray:
+    """Plug-in variances ``W[i,i] * W[j,j] + W[i,j]^2`` of the debiased
+    entries at the index pairs ``(rows[m], cols[m])``."""
     estimate = np.asarray(estimate, dtype=float)
-    diag = np.diag(estimate)
-    return np.outer(diag, diag) + estimate**2
+    return estimate[rows, rows] * estimate[cols, cols] + estimate[rows, cols] ** 2
 
 
-def variance_estimate(estimate: np.ndarray, i: int, j: int) -> float:
-    """Plug-in variance of the debiased entry (i, j); see :func:`entry_variances`."""
-    estimate = np.asarray(estimate, dtype=float)
-    p = estimate.shape[0]
-    if not (0 <= i < p and 0 <= j < p):
-        raise DimensionMismatchError(f"entry ({i}, {j}) out of range for p={p}")
-    # The 2x2 block on rows and columns (i, j) carries all three terms.
-    value = entry_variances(estimate[np.ix_((i, j), (i, j))])[0, 1]
-    if value <= 0.0:
-        raise DataFormatError(
-            f"nonpositive variance estimate at ({i}, {j}); estimate is not PD-like"
+def combine(
+    debiased: PrecisionSet, estimate: PrecisionSet, covs: CovarianceSet, coefficients, rows, cols
+) -> tuple[np.ndarray, np.ndarray]:
+    """Point estimates and standard errors of ``sum_k a_k * D_k[i, j]``.
+
+    Evaluated at the index pairs ``(rows[m], cols[m])`` (arrays or scalars);
+    returns two arrays of their shape.  The point combines the *debiased*
+    entries; the variance ``sum_k a_k^2 * sigma_k[i, j]^2 / n_k`` combines
+    the plug-in variances of the *penalized* estimates, skipping ``a_k = 0``.
+    """
+    if len(coefficients) != debiased.K or debiased.K != estimate.K:
+        raise DimensionMismatchError("combination length must equal K")
+    if debiased.K != covs.K:
+        raise DimensionMismatchError("debiased set and covariances do not match")
+    rows = np.asarray(rows, dtype=int)
+    cols = np.asarray(cols, dtype=int)
+    outside = (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= debiased.p)
+    if outside.any():
+        m = np.flatnonzero(outside)[0]
+        raise DimensionMismatchError(
+            f"edge ({rows.flat[m]}, {cols.flat[m]}) out of range for p={debiased.p}"
         )
-    return float(value)
+    point = np.zeros(rows.shape)
+    var = np.zeros(rows.shape)
+    for k, a in enumerate(coefficients):
+        a = float(a)
+        point = point + a * debiased.matrices[k][rows, cols]
+        if a != 0.0:
+            sigma2 = entry_variances(estimate.matrices[k], rows, cols)
+            if (sigma2 <= 0.0).any():
+                m = np.flatnonzero(sigma2 <= 0.0)[0]
+                raise DataFormatError(
+                    f"nonpositive variance estimate at ({rows.flat[m]}, {cols.flat[m]}); "
+                    "estimate is not PD-like"
+                )
+            var = var + a * a * sigma2 / covs.sample_sizes[k]
+    std_error = np.sqrt(var)
+    if (std_error == 0.0).any():
+        raise DataFormatError("degenerate input: zero standard error")
+    return point, std_error
 
 
 def test_linear_combo(
@@ -144,44 +172,21 @@ def test_linear_combo(
     combo: LinearCombo,
     alpha_level: float = 0.05,
 ) -> EdgeTestResult:
-    """Two-sided z-test of ``H0: sum_k a_k * true_k[i, j] = 0``.
-
-    The point estimate combines the *debiased* entries; the standard error
-    combines the plug-in variances from the *penalized* estimates with the
-    per-population sample sizes.
-    """
-    if len(combo.coefficients) != debiased.K or debiased.K != estimate.K:
-        raise DimensionMismatchError("combination length must equal K")
-    if debiased.K != covs.K:
-        raise DimensionMismatchError("debiased set and covariances do not match")
-    i, j = combo.edge
-    if not (0 <= i < debiased.p and 0 <= j < debiased.p):
-        raise DimensionMismatchError(f"edge ({i}, {j}) out of range for p={debiased.p}")
+    """Two-sided z-test of ``H0: sum_k a_k * true_k[i, j] = 0``: the
+    :func:`combine` statistic at one edge."""
     if not 0.0 < alpha_level < 1.0:
         raise DataFormatError("alpha_level must lie strictly in (0, 1)")
-
-    point = 0.0
-    var = 0.0
-    for k, a in enumerate(combo.coefficients):
-        point += a * debiased.matrices[k][i, j]
-        if a != 0.0:
-            var += (
-                a * a
-                * variance_estimate(estimate.matrices[k], i, j)
-                / covs.sample_sizes[k]
-            )
-    std_error = math.sqrt(var)
-    if std_error == 0.0:
-        raise DataFormatError("degenerate input: zero standard error")
+    i, j = combo.edge
+    point, std_error = map(float, combine(debiased, estimate, covs, combo.coefficients, i, j))
     z = point / std_error
     p_value = 2.0 * normal_cdf(-abs(z))
     tau = upper_quantile(alpha_level)
     return EdgeTestResult(
         edge=(i, j),
-        estimate=float(point),
-        std_error=float(std_error),
-        z_stat=float(z),
-        p_value=float(p_value),
+        estimate=point,
+        std_error=std_error,
+        z_stat=z,
+        p_value=p_value,
         reject=bool(abs(z) > tau),
         alpha_level=float(alpha_level),
     )
@@ -196,20 +201,18 @@ def confidence_interval(
     j: int,
     level: float = 0.95,
 ) -> ConfidenceIntervalResult:
-    """CI for one precision entry: debiased point +- tau * sigma_hat / sqrt(n_k)."""
+    """CI for one precision entry: debiased point +- tau * sigma_hat / sqrt(n_k),
+    the :func:`combine` statistic of population k's unit vector."""
     if not 0 <= k < debiased.K:
         raise DimensionMismatchError(f"population {k} out of range for K={debiased.K}")
-    if not (0 <= i < debiased.p and 0 <= j < debiased.p):
-        raise DimensionMismatchError(f"entry ({i}, {j}) out of range for p={debiased.p}")
     if not 0.0 < level < 1.0:
         raise DataFormatError("level must lie strictly in (0, 1)")
-    sigma = math.sqrt(variance_estimate(estimate.matrices[k], i, j))
-    half = upper_quantile(1.0 - level) * sigma / math.sqrt(covs.sample_sizes[k])
-    center = debiased.matrices[k][i, j]
+    center, std_error = map(float, combine(debiased, estimate, covs, np.eye(debiased.K)[k], i, j))
+    half = upper_quantile(1.0 - level) * std_error
     return ConfidenceIntervalResult(
         edge=(i, j),
         population=k,
-        lower=float(center - half),
-        upper=float(center + half),
+        lower=center - half,
+        upper=center + half,
         level=float(level),
     )

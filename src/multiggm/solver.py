@@ -71,7 +71,9 @@ stationarity certificate on the original problem: the
 subgradient-inclusion residual of the sparse iterate ``Z / s_bar`` against
 ``S``, ``lam``, ``rho`` and ``w`` must fall below ``10 * tol_abs``.  The
 returned estimate is that iterate, which carries exact zeros produced by
-the group prox.
+the group prox.  Unpenalized (``lam = rho = 0``), a block with a
+rank-deficient covariance has no minimizer, though the absolute certificate
+can pass far out along the divergence: it is never certified.
 
 Screening.  Before any ADMM iteration the vertices are split by the exact
 rule of Danaher, Wang & Witten (2014, *The joint graphical lasso*, JRSS-B,
@@ -220,17 +222,13 @@ class SolveReport:
 def prox_sparse_group(values: np.ndarray, lam_eff: float, rho_eff: float) -> np.ndarray:
     """Minimizer of ``0.5 * ||x - v||^2 + lam_eff * ||x||_1 + rho_eff * ||x||_2``.
 
-    Computed in closed form: componentwise soft-threshold at ``lam_eff``,
-    then shrink the whole group by ``max(0, 1 - rho_eff / ||soft||_2)``.
-    Returns the zero vector when ``||soft||_2 <= rho_eff``.  Total function:
-    no error cases for ``lam_eff, rho_eff >= 0``.
+    The solver's group prox on one group: componentwise soft-threshold at
+    ``lam_eff``, then shrink the whole group by ``max(0, 1 - rho_eff /
+    ||soft||_2)``.  Returns the zero vector when ``||soft||_2 <= rho_eff``.
+    Total function: no error cases for ``lam_eff, rho_eff >= 0``.
     """
     v = np.asarray(values, dtype=float)
-    soft = np.sign(v) * np.maximum(np.abs(v) - lam_eff, 0.0)
-    norm = np.linalg.norm(soft)
-    if norm <= rho_eff:
-        return np.zeros_like(v)
-    return soft * (1.0 - rho_eff / norm)
+    return _group_shrink(v.reshape(-1, 1, 1), lam_eff, rho_eff).reshape(v.shape)
 
 
 def _group_shrink(v: np.ndarray, lam_eff: float, rho_eff: float) -> np.ndarray:
@@ -611,6 +609,7 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions, z0, dual0):
     # first W-step.
     x = None
     history = _Anderson(K * p * p) if ANDERSON_MEMORY else None
+    certifiable = lam > 0 or rho > 0 or bool(np.all(np.linalg.matrix_rank(s) == p))
 
     for iterations in range(1, opts.max_iter + 1):
         a = eta * (z - u) - weighted_s
@@ -634,7 +633,7 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions, z0, dual0):
         eps_dual = sqrt_dim * opts.tol_abs + opts.tol_rel * float(
             eta * np.linalg.norm(u)
         )
-        if primal <= eps_pri and dual <= eps_dual:
+        if certifiable and primal <= eps_pri and dual <= eps_dual:
             mats = _symmetrized(z) / s_bar
             certificates += 1
             kkt_value = _stationarity_violation(mats, s, lam, rho, w)

@@ -7,12 +7,15 @@ certify the main implementations.  The
 CSV parser and writers are the cell-by-cell ``csv``/``float()``/``format()``
 code that ``multiggm.io`` replaced with numpy's reader and row templates.
 The sampler and the certificate keep the scipy forms (``solve_triangular``,
-``cho_solve``) that the package replaced with numpy calls.
+``cho_solve``) that the package replaced with numpy calls.  The scalar
+linear-combination statistic is the per-edge loop over a 2x2 variance block
+that ``multiggm.inference.combine`` replaced.
 """
 
 from __future__ import annotations
 
 import csv
+import math
 
 import numpy as np
 
@@ -284,6 +287,32 @@ def relaxed_admm(covs, lam, rho, tol_abs=1e-6, tol_rel=1e-4, max_iter=10000, alp
             if kkt_oracle(list(estimate), covs, lam, rho) <= 10.0 * tol_abs:
                 break
     return estimate, iterations
+
+
+# --- scalar linear-combination statistic ---------------------------------------
+
+
+def scalar_variance(estimate, i: int, j: int) -> float:
+    """Plug-in variance of debiased entry (i, j) from the 2x2 block on rows
+    and columns (i, j): ``W_ii W_jj + W_ij^2``."""
+    block = np.asarray(estimate, dtype=float)[np.ix_((i, j), (i, j))]
+    diag = np.diag(block)
+    value = (np.outer(diag, diag) + block**2)[0, 1]
+    if value <= 0.0:
+        raise DataFormatError(f"nonpositive variance estimate at ({i}, {j})")
+    return float(value)
+
+
+def scalar_combination(debiased, estimate, sizes, coefficients, i: int, j: int):
+    """``(sum_k a_k D_k[i, j], sqrt(sum_k a_k^2 sigma_k^2[i, j] / n_k))``, one
+    population at a time, skipping ``a_k = 0`` in the variance."""
+    point = 0.0
+    var = 0.0
+    for k, a in enumerate(coefficients):
+        point += a * debiased[k][i, j]
+        if a != 0.0:
+            var += a * a * scalar_variance(estimate[k], i, j) / sizes[k]
+    return point, math.sqrt(var)
 
 
 # --- scipy forms of the sampler and the certificate ----------------------------

@@ -1,14 +1,16 @@
-import math
-
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiggm import (
     CovarianceSet,
     DataFormatError,
+    DimensionMismatchError,
     LinearCombo,
     PrecisionSet,
+    combine,
     confidence_interval,
     debias,
     entry_variances,
@@ -16,12 +18,11 @@ from multiggm import (
     normal_cdf,
     normal_quantile,
     upper_quantile,
-    variance_estimate,
 )
 
 from multiggm import test_linear_combo as linear_combo_test
 
-from oracles import random_covariance_set
+from oracles import random_covariance_set, scalar_combination, scalar_variance
 
 
 def _sets(matrices, covariances, sizes):
@@ -59,20 +60,87 @@ class TestDebias:
 
 class TestVarianceEstimate:
     def test_identity_offdiagonal(self):
-        assert variance_estimate(np.eye(4), 0, 2) == 1.0
+        assert entry_variances(np.eye(4), [0], [2]).tolist() == [1.0]
 
     def test_diagonal_entry_doubles(self):
         m = np.diag([1.5, 2.0])
-        assert variance_estimate(m, 1, 1) == pytest.approx(2 * 2.0**2)
+        assert entry_variances(m, 1, 1) == pytest.approx(2 * 2.0**2)
 
     def test_direct_arithmetic(self):
         m = np.array([[2.0, 0.45], [0.45, 2.5]])
-        assert variance_estimate(m, 0, 1) == pytest.approx(5.2025)
+        assert entry_variances(m, 0, 1) == pytest.approx(5.2025)
 
     def test_rejects_nonpositive(self):
         m = np.array([[1.0, 0.0], [0.0, -1.0]])
-        with pytest.raises(DataFormatError):
-            variance_estimate(m, 0, 1)
+        covs = CovarianceSet([np.eye(2)], [10])
+        with pytest.raises(DataFormatError, match="nonpositive variance"):
+            combine(PrecisionSet([np.eye(2)]), PrecisionSet([m]), covs, [1.0], [0], [1])
+
+
+def _combination_instance(seed, K, p):
+    """PD estimates, symmetric (not PD) debiased matrices and truths, sample
+    sizes, a coefficient vector with zeros, and index pairs (diagonal too)."""
+    rng = np.random.default_rng(seed)
+    estimate = PrecisionSet(random_covariance_set(rng, p, K), positive_definite=True)
+    debiased, truth = (
+        PrecisionSet([(a + a.T) / 2.0 for a in rng.standard_normal((K, p, p))])
+        for _ in range(2)
+    )
+    covs = CovarianceSet(random_covariance_set(rng, p, K), rng.integers(1, 2000, K).tolist())
+    coefficients = rng.standard_normal(K) * rng.uniform(0.1, 5.0) * (rng.random(K) < 0.6)
+    coefficients[rng.integers(K)] = rng.choice([-1.0, 0.5, 2.0])
+    rows, cols = rng.integers(0, p, size=(2, int(rng.integers(1, 3 * p))))
+    return debiased, estimate, truth, covs, coefficients, rows, cols
+
+
+def _ulps(value, reference):
+    return np.abs(value - reference) / np.spacing(np.abs(reference))
+
+
+class TestCombine:
+    instances = st.tuples(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 9))
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances)
+    def test_matches_the_scalar_loop_bit_for_bit(self, instance):
+        deb, est, _, covs, coefficients, rows, cols = _combination_instance(*instance)
+        point, std_error = combine(deb, est, covs, coefficients, rows, cols)
+        assert point.shape == std_error.shape == rows.shape
+        for m, (i, j) in enumerate(zip(rows, cols)):
+            ref = scalar_combination(deb.matrices, est.matrices, covs.sample_sizes,
+                                     coefficients, i, j)
+            assert (point[m], std_error[m]) == ref
+        test = linear_combo_test(deb, est, covs, LinearCombo(coefficients, (rows[0], cols[0])))
+        assert (test.estimate, test.std_error) == (point[0], std_error[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances, st.sampled_from([0.5, 0.9, 0.95, 0.99]))
+    def test_unit_vectors_standardize_and_give_half_widths(self, instance, level):
+        # Per population, combine's (d - t) / sqrt(v / n) and tau * sqrt(v / n)
+        # round differently from sqrt(n) (d - t) / sqrt(v) and
+        # tau * sqrt(v) / sqrt(n): at most 4 ulp apart.
+        deb, est, truth, covs, _, rows, cols = _combination_instance(*instance)
+        tau = upper_quantile(1.0 - level)
+        for k, unit in enumerate(np.eye(deb.K)):
+            point, std_error = combine(deb, est, covs, unit, rows, cols)
+            d, t = deb.matrices[k][rows, cols], truth.matrices[k][rows, cols]
+            v = np.array([scalar_variance(est.matrices[k], i, j) for i, j in zip(rows, cols)])
+            n = covs.sample_sizes[k]
+            assert np.array_equal(point, d)
+            assert np.all(_ulps((point - t) / std_error, np.sqrt(n) * (d - t) / np.sqrt(v)) <= 4)
+            assert np.all(_ulps(tau * std_error, tau * np.sqrt(v) / np.sqrt(n)) <= 4)
+            ci = confidence_interval(deb, est, covs, k, rows[0], cols[0], level)
+            assert (ci.lower, ci.upper) == (d[0] - tau * std_error[0], d[0] + tau * std_error[0])
+
+    def test_checks_population_count_and_index_range(self):
+        est, covs = _sets([np.eye(3)] * 2, [np.eye(3)] * 2, [50, 60])
+        with pytest.raises(DimensionMismatchError, match="length must equal K"):
+            combine(est, est, covs, [1.0], [0], [1])
+        with pytest.raises(DimensionMismatchError, match="do not match"):
+            combine(est, est, CovarianceSet([np.eye(3)], [50]), [1.0, -1.0], [0], [1])
+        for rows, cols in (([0, 3], [1, 1]), ([0, 1], [2, -1])):
+            with pytest.raises(DimensionMismatchError, match="out of range for p=3"):
+                combine(est, est, covs, [1.0, -1.0], rows, cols)
 
 
 class TestLinearComboTest:
@@ -189,9 +257,10 @@ class TestEntryVariances:
     def test_matches_variance_estimate_at_every_entry(self):
         rng = np.random.default_rng(21)
         m = random_covariance_set(rng, 7, 1)[0]
-        table = entry_variances(m)
+        rows, cols = np.indices((7, 7))
+        table = entry_variances(m, rows, cols)
         assert table.shape == (7, 7)
         for i in range(7):
             for j in range(7):
-                assert table[i, j] == variance_estimate(m, i, j)
+                assert table[i, j] == scalar_variance(m, i, j)
                 assert table[i, j] == m[i, i] * m[j, j] + m[i, j] ** 2
