@@ -48,7 +48,6 @@ from .graphs import GraphSpec, chain_precision, two_population_chain_spec, two_p
 from .inference import (
     ConfidenceIntervalResult,
     EdgeTestResult,
-    LinearCombo,
     combine,
     confidence_interval,
     debias,

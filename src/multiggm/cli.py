@@ -42,7 +42,7 @@ from .errors import (
 )
 from .experiments import RUNNERS, ExperimentConfig
 from .graphs import GraphSpec
-from .inference import LinearCombo, confidence_interval, debias, test_linear_combo
+from .inference import confidence_interval, debias, test_linear_combo
 from .io import (
     ingest_csv,
     read_lanes,
@@ -317,13 +317,12 @@ def _covariances(args, report: AnalysisReport):
     return sample_covariance(dataset)
 
 
-def _fit(args, report: AnalysisReport):
-    """Covariances, penalty and solve, shared by estimate and test.
+def _fit(args, report: AnalysisReport, covs):
+    """Penalty and solve, shared by estimate and test.
 
-    The data are read before the penalty is checked, so a malformed file is
-    reported as a data error whatever the flags.
+    The callers read the data first, so a malformed file is reported as a
+    data error whatever the flags.
     """
-    covs = _covariances(args, report)
     penalty = _resolve_penalty(args, covs.p, min(covs.sample_sizes))
     with _phase(report, "solve_s"):
         solve = solve_ggl(covs, penalty)
@@ -334,7 +333,7 @@ def _fit(args, report: AnalysisReport):
             f"the exit code is {EXIT_NONCONVERGENCE}",
             file=sys.stderr,
         )
-    return covs, penalty, solve, EXIT_OK if solve.converged else EXIT_NONCONVERGENCE
+    return penalty, solve, EXIT_OK if solve.converged else EXIT_NONCONVERGENCE
 
 
 def _solve_counts(solve) -> dict:
@@ -349,7 +348,8 @@ def _solve_counts(solve) -> dict:
 
 
 def _estimate(args, report: AnalysisReport) -> int:
-    covs, penalty, solve, code = _fit(args, report)
+    covs = _covariances(args, report)
+    penalty, solve, code = _fit(args, report, covs)
     matrices = [("estimate", solve.estimate)]
     with _phase(report, "inference_s"):
         if args.debias:
@@ -375,42 +375,45 @@ def _estimate(args, report: AnalysisReport) -> int:
 def _test(args, report: AnalysisReport) -> int:
     edges = _edge_list(_given(args.edges, "--edges"))
     coeffs = _float_list(_given(args.coeffs, "--coeffs"))
-    covs, penalty, solve, code = _fit(args, report)
+    covs = _covariances(args, report)
     if len(coeffs) != covs.K:
         raise ConfigError(f"{len(coeffs)} coefficients for {covs.K} populations")
+    rows, cols = numpy.array(edges).T
+    outside = numpy.flatnonzero(numpy.maximum(rows, cols) >= covs.p)
+    if outside.size:
+        m = outside[0]
+        raise ConfigError(f"edge ({rows[m] + 1},{cols[m] + 1}) out of range for p={covs.p}")
+    penalty, solve, code = _fit(args, report, covs)
     with _phase(report, "inference_s"):
         deb = debias(solve.estimate, covs)
-        results = []
-        rows = [["i", "j", "estimate", "std_error", "z", "p_value", "reject"]]
-        for (i, j) in edges:
-            if not (0 <= i < covs.p and 0 <= j < covs.p):
-                raise ConfigError(f"edge ({i + 1},{j + 1}) out of range for p={covs.p}")
-            r = test_linear_combo(
-                deb, solve.estimate, covs, LinearCombo(coeffs, (i, j)), args.alpha
-            )
-            cis = [
-                confidence_interval(deb, solve.estimate, covs, k, i, j, args.ci_level)
-                for k in range(covs.K)
-            ]
-            results.append(
-                {
-                    "edge": [i + 1, j + 1],
-                    "estimate": r.estimate,
-                    "std_error": r.std_error,
-                    "z_stat": r.z_stat,
-                    "p_value": r.p_value,
-                    "reject": r.reject,
-                    "alpha_level": r.alpha_level,
-                    "intervals": [
-                        {"population": k + 1, "lower": c.lower, "upper": c.upper,
-                         "level": c.level}
-                        for k, c in enumerate(cis)
-                    ],
-                }
-            )
-            rows.append([i + 1, j + 1, r.estimate, r.std_error, r.z_stat,
-                         r.p_value, int(r.reject)])
-    _emit(report, write_csv_atomic, [(rows, f"{args.out_dir}/tests.csv")])
+        r = test_linear_combo(deb, solve.estimate, covs, coeffs, rows, cols, args.alpha)
+        cis = [
+            confidence_interval(deb, solve.estimate, covs, k, rows, cols, args.ci_level)
+            for k in range(covs.K)
+        ]
+        # Plain Python values: JSON cannot encode numpy scalars.
+        stats = {
+            name: getattr(r, name).tolist()
+            for name in ("estimate", "std_error", "z_stat", "p_value", "reject")
+        }
+        bounds = [(c.lower.tolist(), c.upper.tolist(), c.level) for c in cis]
+        results = [
+            {
+                "edge": [i + 1, j + 1],
+                **{name: values[m] for name, values in stats.items()},
+                "alpha_level": r.alpha_level,
+                "intervals": [
+                    {"population": k + 1, "lower": lower[m], "upper": upper[m], "level": level}
+                    for k, (lower, upper, level) in enumerate(bounds)
+                ],
+            }
+            for m, (i, j) in enumerate(edges)
+        ]
+        table = [["i", "j", "estimate", "std_error", "z", "p_value", "reject"]] + [
+            [*t["edge"], t["estimate"], t["std_error"], t["z_stat"], t["p_value"], int(t["reject"])]
+            for t in results
+        ]
+    _emit(report, write_csv_atomic, [(table, f"{args.out_dir}/tests.csv")])
     report.payload = {
         "penalty": {"lam": penalty.lam, "rho": penalty.rho},
         "converged": solve.converged,

@@ -15,8 +15,10 @@ Linear combinations across populations, sum_k a_k * D_k[i, j], are tested
 with the studentized statistic whose variance is sum_k a_k^2 *
 sigma_k[i, j]^2 / n_k.  Two-population difference tests are the special
 case a = (1, -1).  :func:`combine` evaluates that statistic at arrays of
-index pairs; the one-edge z-test and interval views and the Monte Carlo
-normality and coverage studies all take it from there.
+index pairs.  The z-test and interval views, :func:`test_linear_combo` and
+:func:`confidence_interval`, take the same index arrays and return fields
+of their shape, so a whole edge list is tested in one call; the Monte Carlo
+normality and coverage studies call :func:`combine` directly.
 
 All indices in this module are 0-based; user-facing I/O converts to 1-based
 at the boundary.
@@ -33,40 +35,23 @@ from .errors import DataFormatError, DimensionMismatchError
 
 
 @dataclass(frozen=True)
-class LinearCombo:
-    """Coefficients a_k and the (i, j) entry they combine across populations."""
-
-    coefficients: tuple[float, ...]
-    edge: tuple[int, int]
-
-    def __init__(self, coefficients, edge):
-        coeffs = tuple(float(a) for a in coefficients)
-        if not coeffs or all(a == 0.0 for a in coeffs):
-            raise DataFormatError("at least one combination coefficient must be nonzero")
-        i, j = (int(edge[0]), int(edge[1]))
-        if i < 0 or j < 0:
-            raise DataFormatError("edge indices must be nonnegative")
-        object.__setattr__(self, "coefficients", coeffs)
-        object.__setattr__(self, "edge", (i, j))
-
-
-@dataclass(frozen=True)
 class EdgeTestResult:
-    edge: tuple[int, int]
-    estimate: float
-    std_error: float
-    z_stat: float
-    p_value: float
-    reject: bool
+    """z-test fields with the shape of the index pairs (numpy scalars for one pair)."""
+
+    estimate: np.ndarray
+    std_error: np.ndarray
+    z_stat: np.ndarray
+    p_value: np.ndarray
+    reject: np.ndarray
     alpha_level: float
 
 
 @dataclass(frozen=True)
 class ConfidenceIntervalResult:
-    edge: tuple[int, int]
-    population: int
-    lower: float
-    upper: float
+    """Interval bounds with the shape of the index pairs (numpy scalars for one pair)."""
+
+    lower: np.ndarray
+    upper: np.ndarray
     level: float
 
 
@@ -77,11 +62,11 @@ class ConfidenceIntervalResult:
 # and most Monte Carlo runs never need.
 
 
-def normal_cdf(x: float) -> float:
-    """Standard normal distribution function Phi(x)."""
+def normal_cdf(x):
+    """Standard normal distribution function Phi(x), elementwise."""
     from scipy.special import ndtr
 
-    return float(ndtr(x))
+    return ndtr(x)
 
 
 def normal_quantile(q: float) -> float:
@@ -118,9 +103,13 @@ def debias(estimate: PrecisionSet, covs: CovarianceSet) -> PrecisionSet:
 
 def entry_variances(estimate: np.ndarray, rows, cols) -> np.ndarray:
     """Plug-in variances ``W[i,i] * W[j,j] + W[i,j]^2`` of the debiased
-    entries at the index pairs ``(rows[m], cols[m])``."""
+    entries at the index pairs ``(rows[m], cols[m])``.
+
+    ``np.square`` rounds the product correctly for a scalar pair too, where
+    ``** 2`` on a numpy scalar goes through ``pow`` and can be 1 ulp off.
+    """
     estimate = np.asarray(estimate, dtype=float)
-    return estimate[rows, rows] * estimate[cols, cols] + estimate[rows, cols] ** 2
+    return estimate[rows, rows] * estimate[cols, cols] + np.square(estimate[rows, cols])
 
 
 def combine(
@@ -137,6 +126,8 @@ def combine(
         raise DimensionMismatchError("combination length must equal K")
     if debiased.K != covs.K:
         raise DimensionMismatchError("debiased set and covariances do not match")
+    if not np.any(np.asarray(coefficients, dtype=float)):
+        raise DataFormatError("at least one combination coefficient must be nonzero")
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
     outside = (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= debiased.p)
@@ -169,26 +160,21 @@ def test_linear_combo(
     debiased: PrecisionSet,
     estimate: PrecisionSet,
     covs: CovarianceSet,
-    combo: LinearCombo,
+    coefficients,
+    rows,
+    cols,
     alpha_level: float = 0.05,
 ) -> EdgeTestResult:
-    """Two-sided z-test of ``H0: sum_k a_k * true_k[i, j] = 0``: the
-    :func:`combine` statistic at one edge."""
+    """Two-sided z-tests of ``H0: sum_k a_k * true_k[i, j] = 0``: the
+    :func:`combine` statistic at the index pairs ``(rows[m], cols[m])``."""
     if not 0.0 < alpha_level < 1.0:
         raise DataFormatError("alpha_level must lie strictly in (0, 1)")
-    i, j = combo.edge
-    point, std_error = map(float, combine(debiased, estimate, covs, combo.coefficients, i, j))
+    point, std_error = combine(debiased, estimate, covs, coefficients, rows, cols)
     z = point / std_error
-    p_value = 2.0 * normal_cdf(-abs(z))
-    tau = upper_quantile(alpha_level)
+    p_value = 2.0 * normal_cdf(-np.abs(z))
+    reject = np.abs(z) > upper_quantile(alpha_level)
     return EdgeTestResult(
-        edge=(i, j),
-        estimate=point,
-        std_error=std_error,
-        z_stat=z,
-        p_value=p_value,
-        reject=bool(abs(z) > tau),
-        alpha_level=float(alpha_level),
+        point[()], std_error[()], z[()], p_value[()], reject[()], float(alpha_level)
     )
 
 
@@ -197,22 +183,17 @@ def confidence_interval(
     estimate: PrecisionSet,
     covs: CovarianceSet,
     k: int,
-    i: int,
-    j: int,
+    rows,
+    cols,
     level: float = 0.95,
 ) -> ConfidenceIntervalResult:
-    """CI for one precision entry: debiased point +- tau * sigma_hat / sqrt(n_k),
-    the :func:`combine` statistic of population k's unit vector."""
+    """CIs for population k's entries at the index pairs ``(rows[m], cols[m])``:
+    debiased point +- tau * sigma_hat / sqrt(n_k), the :func:`combine`
+    statistic of population k's unit vector."""
     if not 0 <= k < debiased.K:
         raise DimensionMismatchError(f"population {k} out of range for K={debiased.K}")
     if not 0.0 < level < 1.0:
         raise DataFormatError("level must lie strictly in (0, 1)")
-    center, std_error = map(float, combine(debiased, estimate, covs, np.eye(debiased.K)[k], i, j))
+    center, std_error = combine(debiased, estimate, covs, np.eye(debiased.K)[k], rows, cols)
     half = upper_quantile(1.0 - level) * std_error
-    return ConfidenceIntervalResult(
-        edge=(i, j),
-        population=k,
-        lower=center - half,
-        upper=center + half,
-        level=float(level),
-    )
+    return ConfidenceIntervalResult((center - half)[()], (center + half)[()], float(level))

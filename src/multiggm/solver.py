@@ -73,7 +73,9 @@ subgradient-inclusion residual of the sparse iterate ``Z / s_bar`` against
 returned estimate is that iterate, which carries exact zeros produced by
 the group prox.  Unpenalized (``lam = rho = 0``), a block with a
 rank-deficient covariance has no minimizer, though the absolute certificate
-can pass far out along the divergence: it is never certified.
+can pass far out along the divergence: it is never certified, and ADMM
+returns its start unconverged, with 0 iterations, infinite residuals and
+the certificate taken at the start.
 
 Screening.  Before any ADMM iteration the vertices are split by the exact
 rule of Danaher, Wang & Witten (2014, *The joint graphical lasso*, JRSS-B,
@@ -583,9 +585,15 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions, z0, dual0):
     the module docstring).  Returns the block's estimate, its final dual
     ``w_k (W_k^{-1} - S_k)`` and its :class:`_BlockResult`, all in the units
     of ``s``.  The estimate is the symmetrized sparse iterate, or the
-    eigenvalue-map iterate when an unconverged sparse iterate is not PD.
+    eigenvalue-map iterate when an unconverged sparse iterate is not PD.  An
+    unpenalized rank-deficient block returns its start without iterating.
     """
     K, p = s.shape[0], s.shape[1]
+    if lam == rho == 0 and np.any(np.linalg.matrix_rank(s) < p):
+        # Unpenalized with a rank-deficient covariance: no minimizer, and
+        # never certified (see the module docstring), so do not iterate.
+        kkt_value = float(_stationarity_violation(z0, s, lam, rho, w))
+        return z0, dual0, _BlockResult(0, np.inf, np.inf, False, kkt_value, 1, 0)
     eta = opts.admm_step
     s_bar = float(np.mean(np.diagonal(s, axis1=1, axis2=2)))
     w_bar = float(np.mean(w))
@@ -609,7 +617,6 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions, z0, dual0):
     # first W-step.
     x = None
     history = _Anderson(K * p * p) if ANDERSON_MEMORY else None
-    certifiable = lam > 0 or rho > 0 or bool(np.all(np.linalg.matrix_rank(s) == p))
 
     for iterations in range(1, opts.max_iter + 1):
         a = eta * (z - u) - weighted_s
@@ -633,7 +640,7 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions, z0, dual0):
         eps_dual = sqrt_dim * opts.tol_abs + opts.tol_rel * float(
             eta * np.linalg.norm(u)
         )
-        if certifiable and primal <= eps_pri and dual <= eps_dual:
+        if primal <= eps_pri and dual <= eps_dual:
             mats = _symmetrized(z) / s_bar
             certificates += 1
             kkt_value = _stationarity_violation(mats, s, lam, rho, w)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from multiggm import ExperimentConfig, run_tpfp, two_population_chain_spec
-from multiggm.cli import EXIT_CONFIG, EXIT_OK, main
+from multiggm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from multiggm.io import write_csv_atomic, write_data_csv
 
 
@@ -174,6 +174,35 @@ class TestRequiredValues:
         base = ["test", "--data", pair_data, "--c1", "0.5", "--c2", "1.0"]
         assert run(base + ["--coeffs", "1,-1"], tmp_path / "a") == EXIT_CONFIG
         assert run(base + ["--edges", "1,2"], tmp_path / "b") == EXIT_CONFIG
+
+    def test_test_checks_coeffs_and_edges_before_the_solve(
+        self, tmp_path, pair_data, capsys, monkeypatch
+    ):
+        from multiggm import cli
+
+        solves = []
+
+        def counting(*args, **kwargs):
+            solves.append(1)
+            return solve(*args, **kwargs)
+
+        solve = cli.solve_ggl
+        monkeypatch.setattr(cli, "solve_ggl", counting)
+        base = ["test", "--data", pair_data, "--c1", "0.5", "--c2", "1.0"]
+        assert run(base + ["--edges", "1,2", "--coeffs", "1"], tmp_path / "a") == EXIT_CONFIG
+        assert "configuration error: 1 coefficients for 2 populations" in capsys.readouterr().err
+        argv = base + ["--edges", "1,2;3,7;9,1", "--coeffs", "1,-1"]
+        assert run(argv, tmp_path / "b") == EXIT_CONFIG
+        assert "configuration error: edge (3,7) out of range for p=6" in capsys.readouterr().err
+        assert solves == []
+        # A malformed file is still a data error whatever the flags.
+        bad = tmp_path / "bad.csv"
+        bad.write_text("1,2\nx,4\n")
+        argv = ["test", "--data", f"{bad},{bad}", "--edges", "1,9", "--coeffs", "1", "--c1", "1"]
+        assert run(argv, tmp_path / "c") == EXIT_DATA
+        assert solves == []
+        assert run(base + ["--edges", "1,2", "--coeffs", "1,-1"], tmp_path / "d") == EXIT_OK
+        assert solves == [1]
 
     def test_data_from_config_file(self, tmp_path, pair_data):
         out = tmp_path / "out"

@@ -1,14 +1,13 @@
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiggm import (
     CovarianceSet,
     DataFormatError,
     DimensionMismatchError,
-    LinearCombo,
     PrecisionSet,
     combine,
     confidence_interval,
@@ -110,8 +109,46 @@ class TestCombine:
             ref = scalar_combination(deb.matrices, est.matrices, covs.sample_sizes,
                                      coefficients, i, j)
             assert (point[m], std_error[m]) == ref
-        test = linear_combo_test(deb, est, covs, LinearCombo(coefficients, (rows[0], cols[0])))
+        test = linear_combo_test(deb, est, covs, coefficients, rows[0], cols[0])
         assert (test.estimate, test.std_error) == (point[0], std_error[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(instances, st.sampled_from([0.01, 0.1, 0.5]), st.sampled_from([0.5, 0.9, 0.99]))
+    @example((167466170, 1, 1), 0.01, 0.5)  # W_00 ** 2 by scalar pow is 1 ulp off
+    def test_array_views_match_the_scalar_loop_bit_for_bit(self, instance, alpha, level):
+        from scipy.special import ndtr
+
+        deb, est, _, covs, coefficients, rows, cols = _combination_instance(*instance)
+        test = linear_combo_test(deb, est, covs, coefficients, rows, cols, alpha)
+        cis = [confidence_interval(deb, est, covs, k, rows, cols, level) for k in range(deb.K)]
+        fields = (test.estimate, test.std_error, test.z_stat, test.p_value, test.reject)
+        assert all(f.shape == rows.shape for f in fields)
+        tau, ci_tau = upper_quantile(alpha), upper_quantile(1.0 - level)
+        for m, (i, j) in enumerate(zip(rows, cols)):
+            point, std_error = scalar_combination(deb.matrices, est.matrices,
+                                                  covs.sample_sizes, coefficients, i, j)
+            z = point / std_error
+            expected = (point, std_error, z, 2.0 * float(ndtr(-abs(z))), abs(z) > tau)
+            assert tuple(f[m] for f in fields) == expected
+            one = linear_combo_test(deb, est, covs, coefficients, i, j, alpha)
+            assert (one.estimate, one.std_error, one.z_stat, one.p_value, one.reject) == expected
+            for k, unit in enumerate(np.eye(deb.K)):
+                center, se = scalar_combination(deb.matrices, est.matrices,
+                                                covs.sample_sizes, unit, i, j)
+                bounds = (center - ci_tau * se, center + ci_tau * se)
+                assert (cis[k].lower[m], cis[k].upper[m]) == bounds
+                one = confidence_interval(deb, est, covs, k, i, j, level)
+                assert (one.lower, one.upper) == bounds
+
+    def test_one_pair_gives_numpy_scalars(self):
+        est, covs = _sets([np.eye(3)] * 2, [np.eye(3)] * 2, [50, 60])
+        test = linear_combo_test(est, est, covs, (1.0, -1.0), 0, 1)
+        ci = confidence_interval(est, est, covs, 1, 2, 2)
+        for value in (test.estimate, test.std_error, test.z_stat, test.p_value, ci.lower):
+            assert isinstance(value, np.float64)
+        assert isinstance(test.reject, np.bool_)
+        pairs = linear_combo_test(est, est, covs, (1.0, -1.0), [[0, 1]], [[1, 2]])
+        assert pairs.p_value.shape == (1, 2)
 
     @settings(max_examples=100, deadline=None)
     @given(instances, st.sampled_from([0.5, 0.9, 0.95, 0.99]))
@@ -148,7 +185,7 @@ class TestLinearComboTest:
         m = np.eye(3) * 1.3
         est, covs = _sets([m, m], [invert_pd(m), invert_pd(m)], [50, 50])
         deb = debias(est, covs)
-        r = linear_combo_test(deb, est, covs, LinearCombo((1.0, -1.0), (0, 1)))
+        r = linear_combo_test(deb, est, covs, (1.0, -1.0), 0, 1)
         assert r.estimate == 0.0
         assert r.z_stat == 0.0
         assert r.p_value == 1.0
@@ -161,7 +198,7 @@ class TestLinearComboTest:
         d1 = d1.copy(); d1[0, 1] = d1[1, 0] = 0.14
         deb = PrecisionSet([d1, np.eye(2)])
         est, covs = _sets([np.eye(2), np.eye(2)], [np.eye(2), np.eye(2)], [400, 400])
-        r = linear_combo_test(deb, est, covs, LinearCombo((1.0, -1.0), (0, 1)), 0.05)
+        r = linear_combo_test(deb, est, covs, (1.0, -1.0), 0, 1, 0.05)
         assert r.std_error == pytest.approx(0.070711, abs=1e-6)
         assert r.z_stat == pytest.approx(1.9799, abs=1e-4)
         assert r.p_value == pytest.approx(0.0477, abs=1e-4)
@@ -172,11 +209,9 @@ class TestLinearComboTest:
         m = random_covariance_set(rng, 4, 2)
         est, covs = _sets(m, [invert_pd(x) + 0.01 * np.eye(4) for x in m], [80, 120])
         deb = debias(est, covs)
-        base = linear_combo_test(deb, est, covs, LinearCombo((1.0, -1.0), (1, 3)))
+        base = linear_combo_test(deb, est, covs, (1.0, -1.0), 1, 3)
         for c in (2.5, -4.0, 0.1):
-            scaled = linear_combo_test(
-                deb, est, covs, LinearCombo((c, -c), (1, 3))
-            )
+            scaled = linear_combo_test(deb, est, covs, (c, -c), 1, 3)
             assert abs(scaled.z_stat) == pytest.approx(abs(base.z_stat), rel=1e-12)
             assert scaled.p_value == pytest.approx(base.p_value, rel=1e-12)
             assert scaled.reject == base.reject
@@ -185,11 +220,12 @@ class TestLinearComboTest:
         deb = PrecisionSet([np.eye(2)])
         est, covs = _sets([np.eye(2)], [np.eye(2)], [50])
         with pytest.raises(DataFormatError):
-            linear_combo_test(deb, est, covs, LinearCombo((0.0,), (0, 1)))
+            linear_combo_test(deb, est, covs, (0.0,), 0, 1)
 
     def test_all_zero_coefficients_rejected(self):
-        with pytest.raises(DataFormatError):
-            LinearCombo((0.0, 0.0), (0, 1))
+        est, covs = _sets([np.eye(2)] * 2, [np.eye(2)] * 2, [50, 50])
+        with pytest.raises(DataFormatError, match="at least one combination coefficient"):
+            combine(est, est, covs, (0.0, 0.0), 0, 1)
 
 
 class TestConfidenceInterval:
@@ -245,7 +281,7 @@ class TestTailPValues:
         # statistic equals the debiased off-diagonal entry.
         est, covs = _sets([np.eye(2)], [np.eye(2)], [1])
         deb = PrecisionSet([np.array([[1.0, z], [z, 1.0]])])
-        result = linear_combo_test(deb, est, covs, LinearCombo([1.0], (0, 1)))
+        result = linear_combo_test(deb, est, covs, [1.0], 0, 1)
         assert result.z_stat == z
         mpmath.mp.dps = 40
         exact = float(mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2)))

@@ -590,7 +590,7 @@ class TestAcceleration:
         # n < p: the likelihood has no maximizer, and the iterates diverge.
         # Far out along the divergence the certificate, which is absolute,
         # can pass, so an unpenalized rank-deficient block is never
-        # certified.
+        # certified, and it is returned at its start without iterating.
         rng = np.random.default_rng(seed)
         n = int(rng.integers(1, p))
         mats = []
@@ -602,7 +602,12 @@ class TestAcceleration:
         assert report.estimate.positive_definite
         assert all(np.all(np.isfinite(m)) for m in report.estimate.matrices)
         assert not report.converged
-        assert report.iterations == opts.max_iter
+        assert report.iterations == 0
+        # The diagonal start, certified once, with no residuals to report.
+        for m, cov in zip(report.estimate.matrices, mats):
+            assert np.array_equal(m, np.diag(1.0 / np.diag(cov)))
+        assert report.certificate_calls == 1 and report.acceleration_restarts == 0
+        assert report.primal_residual == report.dual_residual == np.inf
 
     @settings(max_examples=25, deadline=None)
     @given(instances, st.sampled_from([2, 10000]))
