@@ -1,6 +1,6 @@
 """Map a function over a few items in forked lanes, one per usable CPU.
 
-The package's one parallel mechanism: it runs the C2 paths of the e-BIC
+The package's one parallel mechanism: it runs the cells of the e-BIC
 grid, the replications of a Monte Carlo cell, and large CSV reads and
 writes, all of which hold the interpreter lock for most of their time.
 :func:`map_in_lanes` runs items ``0::L`` in the caller and items ``i::L`` in

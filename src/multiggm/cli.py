@@ -61,7 +61,7 @@ from .selection import (
 )
 from .solver import PenaltyPair, solve_ggl
 
-REPORT_SCHEMA = 10
+REPORT_SCHEMA = 11
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -378,6 +378,8 @@ def _test(args, report: AnalysisReport) -> int:
     covs = _covariances(args, report)
     if len(coeffs) != covs.K:
         raise ConfigError(f"{len(coeffs)} coefficients for {covs.K} populations")
+    if not any(coeffs):
+        raise ConfigError("at least one combination coefficient must be nonzero")
     rows, cols = numpy.array(edges).T
     outside = numpy.flatnonzero(numpy.maximum(rows, cols) >= covs.p)
     if outside.size:
@@ -433,6 +435,16 @@ def _tune(args, report: AnalysisReport) -> int:
     with _phase(report, "tune_s"):
         result = tune_penalties(covs, grid)
     _emit(report, write_csv_atomic, [(score_table_rows(result), f"{args.out_dir}/score_table.csv")])
+    c1, c2 = result.best_constants
+    on_edge = c1 in (grid.c1_values[0], grid.c1_values[-1]) or c2 in (
+        grid.c2_values[0], grid.c2_values[-1]
+    )
+    if on_edge:
+        print(
+            f"warning: the e-BIC choice (C1, C2) = ({c1:g}, {c2:g}) is on the edge "
+            "of the grid; the minimum may lie outside it",
+            file=sys.stderr,
+        )
     report.payload = {
         "best_constants": list(result.best_constants),
         "best_penalty": {"lam": result.best_penalty.lam, "rho": result.best_penalty.rho},
@@ -442,6 +454,7 @@ def _tune(args, report: AnalysisReport) -> int:
         "certificate_calls": sum(cell.certificate_calls for cell in result.table),
         "acceleration_restarts": sum(cell.acceleration_restarts for cell in result.table),
         "grid_lanes": result.grid_lanes,
+        "best_on_grid_edge": on_edge,
     }
     return EXIT_OK
 

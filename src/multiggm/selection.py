@@ -10,12 +10,13 @@ the dimensionless constants (C1, C2).  The score per fitted model is
 where |E_k| counts unordered off-diagonal pairs with |W_k[i, j]| above
 ``edge_tol``.  gamma = 0 recovers ordinary BIC; gamma = 0.5 is the default.
 
-:func:`tune_penalties` walks each C2 column of the grid as one warm-started
-path from the largest C1 down.  The paths share nothing, so they run side by
-side in forked lanes (:mod:`multiggm._lanes`), one per usable CPU up to the
-number of columns, or one after another where the lanes give one (off the
-main thread, or inside another map's lane).  The whole grid runs at one
-OpenBLAS thread, so the result is the same bit for bit.
+:func:`tune_penalties` solves each (C1, C2) cell on its own, from the
+solver's cold start.  The cells share nothing, so they run side by side in
+forked lanes (:mod:`multiggm._lanes`), one per usable CPU up to the number
+of cells, or one after another where the lanes give one (off the main
+thread, or inside another map's lane).  The whole grid runs at one OpenBLAS
+thread, so each cell is the standalone solve and score at its penalty, bit
+for bit, at any lane count.
 """
 
 from __future__ import annotations
@@ -141,16 +142,14 @@ def tune_penalties(
 ) -> TuningResult:
     """Grid search over (C1, C2) minimizing the e-BIC.
 
-    Each cell solves at lam = C1 * scale, rho = C2 * scale.  The cells of
-    one C2 value form a path from the largest C1 down: each cell is
-    warm-started from the previous cell's solve, and a path's first cell, as
-    well as any cell after a non-converged one, starts cold.  The paths run
-    in ``grid_lanes`` forked lanes (see :mod:`multiggm._lanes`).  They never
-    read each other and every solve and score runs at one OpenBLAS thread,
-    so the table is bit-identical at any lane count, and a failing path
-    raises here the error the serial walk raises first.
+    Each cell solves at lam = C1 * scale, rho = C2 * scale from the
+    solver's cold start and is scored on its own.  One map runs the cells
+    in C1-major order in ``grid_lanes`` forked lanes (see
+    :mod:`multiggm._lanes`), and the table is its output in that order.
+    Every solve and score runs at one OpenBLAS thread, so the table is
+    bit-identical at any lane count, and a failing cell raises here the
+    error that the first failing cell in C1-major order raises.
 
-    The table lists the cells C1-major whatever the solve order.
     Non-converged cells are kept in the table but excluded from the argmin;
     exact score ties break toward the lexicographically larger (C1, C2),
     i.e. the sparser model.  Raises :class:`ConvergenceError` when no cell
@@ -159,20 +158,32 @@ def tune_penalties(
     covs.require_positive_diagonal()
     scale = penalty_scale(covs.p, min(covs.sample_sizes))
 
-    def walk_path(c2):
-        """The cells of one C2 path, from the largest C1 down."""
-        cells, previous = [], None
-        for c1 in reversed(grid.c1_values):
-            penalty = PenaltyPair(c1 * scale, c2 * scale)
-            report = solve_ggl(covs, penalty, opts, init=previous)
-            previous = report if report.converged else None
-            cells.append(_cell(covs, grid, edge_tol, c1, c2, penalty, report))
-        return cells[::-1]
+    def solve_cell(constants):
+        c1, c2 = constants
+        penalty = PenaltyPair(c1 * scale, c2 * scale)
+        report = solve_ggl(covs, penalty, opts)
+        if report.converged:
+            score = ebic(report.estimate, covs, grid.gamma, edge_tol, constants)
+            value, counts = score.value, score.edge_counts
+        else:
+            value, counts = float("nan"), tuple([-1] * covs.K)
+        return TuningCell(
+            c1=c1,
+            c2=c2,
+            lam=penalty.lam,
+            rho=penalty.rho,
+            score=value,
+            edge_counts=counts,
+            converged=report.converged,
+            iterations=report.iterations,
+            certificate_calls=report.certificate_calls,
+            acceleration_restarts=report.acceleration_restarts,
+        )
 
-    lanes = lane_count(len(grid.c2_values))
+    cells = [(c1, c2) for c1 in grid.c1_values for c2 in grid.c2_values]
+    lanes = lane_count(len(cells))
     with _blas.single_threaded():
-        paths = list(map_in_lanes(walk_path, grid.c2_values, lanes))
-    table = tuple(cell for row in zip(*paths) for cell in row)
+        table = tuple(map_in_lanes(solve_cell, cells, lanes))
     valid = [c for c in table if c.converged]
     if not valid:
         raise ConvergenceError("no grid cell converged; cannot select penalties")
@@ -182,27 +193,6 @@ def tune_penalties(
         best_penalty=PenaltyPair(best.lam, best.rho),
         table=table,
         grid_lanes=lanes,
-    )
-
-
-def _cell(covs, grid, edge_tol, c1, c2, penalty, report) -> TuningCell:
-    """The table entry of one solved grid cell."""
-    if report.converged:
-        score = ebic(report.estimate, covs, grid.gamma, edge_tol, (c1, c2))
-        value, counts = score.value, score.edge_counts
-    else:
-        value, counts = float("nan"), tuple([-1] * covs.K)
-    return TuningCell(
-        c1=c1,
-        c2=c2,
-        lam=penalty.lam,
-        rho=penalty.rho,
-        score=value,
-        edge_counts=counts,
-        converged=report.converged,
-        iterations=report.iterations,
-        certificate_calls=report.certificate_calls,
-        acceleration_restarts=report.acceleration_restarts,
     )
 
 

@@ -26,7 +26,7 @@ and returns ``W / c``.  Only the certificate, which stays in the units of
 the data, can ask for more iterations when ``c`` is large.
 
 The solver is ADMM with the consensus split ``W'_k = Z_k`` on the
-normalized problem, with step ``eta = admm_step``:
+normalized problem, with the fixed step ``eta = ADMM_STEP = 1.0``:
 
 * W-step: per population, the closed-form eigendecomposition update.  With
   ``A = eta * (Z_k - U_k) - w'_k * S'_k = Q diag(d) Q'``, the minimizer has
@@ -71,11 +71,13 @@ stationarity certificate on the original problem: the
 subgradient-inclusion residual of the sparse iterate ``Z / s_bar`` against
 ``S``, ``lam``, ``rho`` and ``w`` must fall below ``10 * tol_abs``.  The
 returned estimate is that iterate, which carries exact zeros produced by
-the group prox.  Unpenalized (``lam = rho = 0``), a block with a
-rank-deficient covariance has no minimizer, though the absolute certificate
-can pass far out along the divergence: it is never certified, and ADMM
-returns its start unconverged, with 0 iterations, infinite residuals and
-the certificate taken at the start.
+the group prox.  A block that reaches ``max_iter`` returns its last sparse
+iterate, or the eigenvalue-map iterate when that one is not PD, with the
+certificate taken at the estimate it returns.  Unpenalized (``lam = rho =
+0``), a block with a rank-deficient covariance has no minimizer, though
+the absolute certificate can pass far out along the divergence: it is
+never certified, and ADMM returns its start unconverged, with 0
+iterations, infinite residuals and the certificate taken at the start.
 
 Screening.  Before any ADMM iteration the vertices are split by the exact
 rule of Danaher, Wang & Witten (2014, *The joint graphical lasso*, JRSS-B,
@@ -91,25 +93,17 @@ block-diagonal estimate is block-diagonal, so an off-block gradient is
 subdifferential, and the full problem's violation is the largest block
 violation.
 
-Starts.  Each block starts from an estimate and the dual ``Lambda_k =
-w_k (W_k^{-1} - S_k)`` in the units of the data; ADMM's scaled dual is
-``U = Lambda / (eta * s_bar * w_bar)``.  A cold block starts from
-``diag(1 / S_k[i, i])``, at which ``Lambda_k`` is ``-w_k S_k`` off the
-diagonal and 0 on it, projected onto the penalty's subdifferential at zero
-(``x - prox(x)``, by Moreau's decomposition).  Outside the blocks the
-screening rule makes that projection the identity, and the value is the
-optimal dual there.  ``solve_ggl(..., init=report)`` instead starts every
-block from the estimate and the dual of an earlier report, restricted to
-that block.  Since the dual is unscaled, the earlier solve may have run at
-any ``admm_step``.  Along a path of decreasing penalties the screening
-blocks only merge, so each new block holds whole blocks of the earlier
-solve.  :func:`multiggm.selection.tune_penalties` walks its grid this way.
+Start.  Every block starts cold, from ``diag(1 / S_k[i, i])`` and the dual
+``Lambda_k = w_k (W_k^{-1} - S_k)`` there, in the units of the data:
+``-w_k S_k`` off the diagonal and 0 on it, projected onto the penalty's
+subdifferential at zero (``x - prox(x)``, by Moreau's decomposition).
+ADMM's scaled dual is ``U = Lambda / (eta * s_bar * w_bar)``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -118,7 +112,9 @@ from . import _blas
 from .core import CovarianceSet, PrecisionSet, is_positive_definite
 from .errors import DataFormatError, NotPositiveDefiniteError
 
-# Over-relaxation constant of the Z-step and the dual update.
+# Step of the normalized problem, and the over-relaxation constant of the
+# Z-step and the dual update.
+ADMM_STEP = 1.0
 RELAXATION = 1.8
 # Anderson acceleration: the number of past fixed-point residuals each
 # extrapolation combines, and the regularization of its least-squares solve
@@ -143,22 +139,18 @@ class PenaltyPair:
 class SolverOptions:
     """ADMM settings.
 
-    ``admm_step`` is the step ``eta`` of the normalized problem (see the
-    module docstring), so one value suits data of any scale and any
-    weights.  ``tol_abs`` and ``tol_rel`` set the residual test on the
-    normalized problem; ``10 * tol_abs`` also bounds the certificate on the
-    original one.  ``max_iter`` applies to each screening block.
+    ``tol_abs`` and ``tol_rel`` set the residual test on the normalized
+    problem (see the module docstring); ``10 * tol_abs`` also bounds the
+    certificate on the original one.  ``max_iter`` applies to each
+    screening block.
     """
 
-    admm_step: float = 1.0
     max_iter: int = 10000
     tol_abs: float = 1e-6
     tol_rel: float = 1e-4
     weighted_by_n: bool = False
 
     def __post_init__(self):
-        if self.admm_step <= 0:
-            raise DataFormatError("admm_step must be positive")
         if self.tol_abs <= 0 or self.tol_rel <= 0:
             raise DataFormatError("tolerances must be positive")
         if self.max_iter < 1:
@@ -177,10 +169,7 @@ class SolveReport:
     block passed both the residual test and the certificate.
     ``certificate_calls`` counts the certificate's evaluations and
     ``acceleration_restarts`` the times the Anderson memory was cleared,
-    both summed over the blocks.  ``block_duals`` holds each ADMM block's
-    vertices and final dual; with ``covariances`` and ``weights`` it gives
-    :attr:`dual`.  Pass the report as ``init=`` to warm-start another solve
-    on the same covariances.
+    both summed over the blocks.
     """
 
     estimate: PrecisionSet
@@ -193,32 +182,6 @@ class SolveReport:
     block_sizes: tuple[int, ...]
     certificate_calls: int = 0
     acceleration_restarts: int = 0
-    block_duals: tuple[tuple[np.ndarray, np.ndarray], ...] = ()
-    covariances: CovarianceSet | None = field(default=None, repr=False)
-    weights: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def dual(self) -> np.ndarray:
-        """The (K, p, p) dual ``w_k (W_k^{-1} - S_k)`` in the units of the data.
-
-        Each block's final ADMM dual, and outside the blocks its optimal
-        value ``-w_k S_k[i, j]`` (zero on the diagonal).  It does not depend
-        on ``admm_step``.  Built on each read.
-        """
-        return self.dual_on(np.arange(self.estimate.p))
-
-    def dual_on(self, ix: np.ndarray) -> np.ndarray:
-        """:attr:`dual` restricted to the sorted vertices ``ix``, without the dense stack."""
-        s = np.stack([m[np.ix_(ix, ix)] for m in self.covariances.matrices])
-        out = _outside_dual(s, self.weights)
-        where = np.full(self.estimate.p, -1)
-        where[ix] = np.arange(ix.size)
-        for vertices, block in self.block_duals:
-            keep = where[vertices] >= 0
-            if keep.any():
-                at = where[vertices[keep]]
-                out[:, at[:, None], at[None, :]] = block[:, keep][:, :, keep]
-        return out
 
 
 def prox_sparse_group(values: np.ndarray, lam_eff: float, rho_eff: float) -> np.ndarray:
@@ -400,7 +363,6 @@ def solve_ggl(
     covs: CovarianceSet,
     penalty: PenaltyPair,
     opts: SolverOptions = SolverOptions(),
-    init: SolveReport | None = None,
 ) -> SolveReport:
     """Solve the group graphical lasso for all populations jointly.
 
@@ -411,34 +373,20 @@ def solve_ggl(
 
     The problem is split into the blocks of the screening rule (see the
     module docstring) and ADMM runs on each block of two or more vertices,
-    with ``max_iter`` per block.  ``iterations`` is the sum over blocks, the
-    residuals are the root-sum-square over blocks, ``kkt_violation`` is the
-    largest block certificate, ``objective`` is the sum of the blocks'
-    objectives (:func:`ggl_objective` of the whole estimate, to rounding),
-    and ``block_sizes`` lists every block's size.
+    from the cold start, with ``max_iter`` per block.  ``iterations`` is the
+    sum over blocks, the residuals are the root-sum-square over blocks,
+    ``kkt_violation`` is the largest block certificate, ``objective`` is the
+    sum of the blocks' objectives (:func:`ggl_objective` of the whole
+    estimate, to rounding), and ``block_sizes`` lists every block's size.
     ``certificate_calls`` and ``acceleration_restarts`` are summed over the
-    blocks.  The report keeps each block's final dual; ``report.dual``
-    builds the (K, p, p) dual ``w_k (W_k^{-1} - S_k)`` in the units of the
-    data from them when it is read.  The residuals are those of the
-    normalized problem (see the module docstring); the certificate is that
-    of the original one.
-
-    ``init``, the report of an earlier solve, warm-starts each block from
-    its estimate and dual restricted to the block.  Any start converges to
-    the same solution, a close one in fewer iterations, whatever step the
-    earlier solve ran at.  A report of another dimension or population
-    count raises :class:`DataFormatError`.
+    blocks.  The residuals are those of the normalized problem (see the
+    module docstring); the certificate is that of the original one.
 
     The solve runs each loaded OpenBLAS (numpy's, and scipy's once scipy
     has loaded it) at one thread and restores the caller's thread counts
     when the last concurrent solve returns (see :mod:`multiggm._blas`).
     """
     covs.require_positive_diagonal()
-    if init is not None and (init.estimate.K, init.estimate.p) != (covs.K, covs.p):
-        raise DataFormatError(
-            f"init holds K={init.estimate.K}, p={init.estimate.p}; "
-            f"the covariances have K={covs.K}, p={covs.p}"
-        )
     lam, rho = penalty.lam, penalty.rho
     w = (
         np.asarray(covs.sample_sizes, dtype=float)
@@ -451,27 +399,17 @@ def solve_ggl(
     mats = np.zeros_like(s)
     idx = np.arange(covs.p)
     mats[:, idx, idx] = 1.0 / s[:, idx, idx]
-    if init is not None:
-        init_z = np.stack(init.estimate.matrices)
     # The objective is a sum over the blocks.  A single vertex adds
     # w_k (S_ii / S_ii - log(1 / S_ii)) = w_k (1 + log S_ii).
     singles = np.array([ix[0] for ix in blocks if ix.size == 1], dtype=int)
     objective = float(np.sum(w[:, None] * (1.0 + np.log(s[:, singles, singles]))))
-    solved, block_duals = [], []
+    solved = []
     for ix in blocks:
         if ix.size > 1:
             sub = np.ix_(np.arange(covs.K), ix, ix)
-            if init is None:
-                # The dual at the diagonal start, projected onto the
-                # penalty's subdifferential at zero: x - prox(x).
-                dual0 = _outside_dual(s[sub], w)
-                start = mats[sub], dual0 - _group_shrink(dual0, lam, rho)
-            else:
-                start = init_z[sub], init.dual_on(ix)
-            mats[sub], dual, result = _admm(s[sub], w, lam, rho, opts, *start)
+            mats[sub], result = _admm(s[sub], w, lam, rho, opts)
             objective += _objective(mats[sub], s[sub], w, lam, rho)
             solved.append(result)
-            block_duals.append((ix, dual))
 
     estimate = PrecisionSet(list(mats), positive_definite=True)
     return SolveReport(
@@ -485,22 +423,7 @@ def solve_ggl(
         block_sizes=tuple(int(ix.size) for ix in blocks),
         certificate_calls=sum(r.certificate_calls for r in solved),
         acceleration_restarts=sum(r.restarts for r in solved),
-        block_duals=tuple(block_duals),
-        covariances=covs,
-        weights=w,
     )
-
-
-def _outside_dual(s, w) -> np.ndarray:
-    """``-w_k S_k`` off the diagonal and 0 on it, on a (K, q, q) stack.
-
-    Outside the ADMM blocks the estimate is block-diagonal, so this is the
-    optimal dual ``w_k (W_k^{-1} - S_k)`` there.
-    """
-    dual = s * -w[:, None, None]
-    idx = np.arange(s.shape[1])
-    dual[:, idx, idx] = 0.0
-    return dual
 
 
 class _BlockResult(NamedTuple):
@@ -577,24 +500,32 @@ class _Anderson:
         return image
 
 
-def _admm(s, w, lam: float, rho: float, opts: SolverOptions, z0, dual0):
+def _admm(s, w, lam: float, rho: float, opts: SolverOptions):
     """Over-relaxed, Anderson-accelerated ADMM on one (K, q, q) block.
 
-    Starts from the estimate ``z0`` and the dual ``dual0``, both in the
-    units of ``s``, and runs on the block divided by ``s_bar * w_bar`` (see
-    the module docstring).  Returns the block's estimate, its final dual
-    ``w_k (W_k^{-1} - S_k)`` and its :class:`_BlockResult`, all in the units
-    of ``s``.  The estimate is the symmetrized sparse iterate, or the
-    eigenvalue-map iterate when an unconverged sparse iterate is not PD.  An
-    unpenalized rank-deficient block returns its start without iterating.
+    Starts cold (see the module docstring) and runs on the block divided
+    by ``s_bar * w_bar``.  Returns the block's estimate and its
+    :class:`_BlockResult`, in the units of ``s``.  The estimate is the
+    symmetrized sparse iterate, or the eigenvalue-map iterate when an
+    unconverged sparse iterate is not PD; the certificate is taken at the
+    estimate returned.  An unpenalized rank-deficient block returns its
+    start without iterating.
     """
     K, p = s.shape[0], s.shape[1]
+    idx = np.arange(p)
+    z0 = np.zeros_like(s)
+    z0[:, idx, idx] = 1.0 / s[:, idx, idx]
     if lam == rho == 0 and np.any(np.linalg.matrix_rank(s) < p):
         # Unpenalized with a rank-deficient covariance: no minimizer, and
         # never certified (see the module docstring), so do not iterate.
         kkt_value = float(_stationarity_violation(z0, s, lam, rho, w))
-        return z0, dual0, _BlockResult(0, np.inf, np.inf, False, kkt_value, 1, 0)
-    eta = opts.admm_step
+        return z0, _BlockResult(0, np.inf, np.inf, False, kkt_value, 1, 0)
+    # The dual at the diagonal start, -w_k S_k off the diagonal, projected
+    # onto the penalty's subdifferential at zero: x - prox(x).
+    outside = s * -w[:, None, None]
+    outside[:, idx, idx] = 0.0
+    dual0 = outside - _group_shrink(outside, lam, rho)
+    eta = ADMM_STEP
     s_bar = float(np.mean(np.diagonal(s, axis1=1, axis2=2)))
     w_bar = float(np.mean(w))
     w_norm = w / w_bar
@@ -607,8 +538,6 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions, z0, dual0):
     lam_eff = lam / unit
     rho_eff = rho / unit
     sqrt_dim = np.sqrt(K * p * p)
-    kkt_value = np.inf
-    primal = dual = np.inf
     converged = False
     iterations = certificates = 0
     weighted_s = (w_norm / s_bar)[:, None, None] * s
@@ -648,17 +577,16 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions, z0, dual0):
                 converged = True
                 break
 
-    mats = _symmetrized(z) / s_bar
-    # A certified iterate was factored by the certificate; an unconverged
-    # prox iterate can lose definiteness, while the eigenvalue-map iterate is
-    # PD by construction.
-    if not converged and not all(is_positive_definite(m) for m in mats):
-        mats = _symmetrized(omega) / s_bar
-    if not np.isfinite(kkt_value):
+    if not converged:
+        mats = _symmetrized(z) / s_bar
+        # An unconverged prox iterate can lose definiteness, while the
+        # eigenvalue-map iterate is PD by construction.
+        if not all(is_positive_definite(m) for m in mats):
+            mats = _symmetrized(omega) / s_bar
         certificates += 1
         kkt_value = _stationarity_violation(mats, s, lam, rho, w)
     restarts = history.restarts if history is not None else 0
-    return mats, u * unit, _BlockResult(
+    return mats, _BlockResult(
         iterations, primal, dual, converged, float(kkt_value), certificates, restarts
     )
 

@@ -135,8 +135,8 @@ def test_grid_runs_single_threaded_and_leaves_no_thread(caller_counts, seen_insi
         os.waitpid(-1, os.WNOHANG)
     assert counts() == caller_counts
     assert result.grid_lanes == 2
-    # The caller's lane scored its two paths (C2 = 0.5 and 2.0) itself.
-    assert scored == [os.getpid()] * 4
+    # The caller's lane scored its three of the six cells (0, 2 and 4) itself.
+    assert scored == [os.getpid()] * 3
     assert seen_inside and set(seen_inside) == {(1,) * len(LIBRARIES)}
 
     caller = os.getpid()
@@ -213,7 +213,7 @@ def test_cli_restores_counts_and_reports_environment(tmp_path, caller_counts):
     assert main(argv) == 0
     assert counts() == caller_counts
     report = json.loads((out / "report.json").read_text())
-    assert report["schema"] == REPORT_SCHEMA == 10
+    assert report["schema"] == REPORT_SCHEMA == 11
     env = report["environment"]
     assert env["numpy"] == np.__version__
     assert env["cpus"] == _lanes.usable_cpus() >= 1

@@ -194,6 +194,9 @@ class TestRequiredValues:
         argv = base + ["--edges", "1,2;3,7;9,1", "--coeffs", "1,-1"]
         assert run(argv, tmp_path / "b") == EXIT_CONFIG
         assert "configuration error: edge (3,7) out of range for p=6" in capsys.readouterr().err
+        assert run(base + ["--edges", "1,2", "--coeffs", "0,-0"], tmp_path / "z") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: at least one combination coefficient must be nonzero" in err
         assert solves == []
         # A malformed file is still a data error whatever the flags.
         bad = tmp_path / "bad.csv"

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 import multiggm
-from multiggm import solver
+from multiggm import _lanes, selection, solver
 from multiggm import DataFormatError, DimensionMismatchError, ingest_csv
 from multiggm.cli import (
     EXIT_CONFIG,
@@ -298,7 +298,8 @@ class TestCli:
             assert err.startswith("warning: the solve did not converge (0 iterations")
             assert json.loads((out / "report.json").read_text())["payload"]["converged"] is False
 
-    def test_tune_payload_counts_iterations(self, tmp_path):
+    def test_tune_payload_counts_iterations(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: 1)
         path = tmp_path / "p.csv"
         write_data_csv(np.random.default_rng(3).standard_normal((60, 4)), path)
         out = tmp_path / "out"
@@ -307,7 +308,30 @@ class TestCli:
         payload = json.loads((out / "report.json").read_text())["payload"]
         assert payload["cells"] == payload["converged_cells"] == 2
         assert isinstance(payload["iterations"], int) and payload["iterations"] > 0
-        assert payload["grid_lanes"] == 1  # one C2 column
+        assert payload["grid_lanes"] == 1  # one CPU
+
+    @pytest.mark.parametrize("best, on_edge", [((1.0, 1.0), False), ((1.0, 2.0), True)])
+    def test_tune_records_a_choice_on_the_grid_edge(
+        self, tmp_path, monkeypatch, capsys, best, on_edge
+    ):
+        # A score whose minimum is the chosen cell of the 3x3 grid.
+        def bowl(estimate, covs, gamma, edge_tol, constants):
+            value = sum((c - b) ** 2 for c, b in zip(constants, best))
+            return selection.EbicScore(value, value, (0,) * covs.K, gamma, constants)
+
+        monkeypatch.setattr(selection, "ebic", bowl)
+        path = tmp_path / "p.csv"
+        write_data_csv(np.random.default_rng(3).standard_normal((60, 4)), path)
+        out = tmp_path / "out"
+        assert main(["tune", "--data", f"{path},{path}", "--c1-grid", "0.5,1,2",
+                     "--c2-grid", "0.5,1,2", "--out-dir", str(out), "-q"]) == EXIT_OK
+        payload = json.loads((out / "report.json").read_text())["payload"]
+        assert payload["best_constants"] == list(best)
+        assert payload["best_on_grid_edge"] is on_edge
+        err = capsys.readouterr().err
+        assert err.count("warning") == int(on_edge)
+        if on_edge:
+            assert "(C1, C2) = (1, 2) is on the edge of the grid" in err
 
     def test_payloads_count_the_certificate_calls(self, tmp_path, monkeypatch):
         calls = []
@@ -318,6 +342,8 @@ class TestCli:
             return certify(*args)
 
         monkeypatch.setattr(solver, "_stationarity_violation", counting)
+        # One lane, so that every solve runs in this process.
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: 1)
         rng = np.random.default_rng(4)
         paths = [tmp_path / f"p{k}.csv" for k in range(2)]
         for path in paths:
@@ -326,7 +352,6 @@ class TestCli:
         runs = {
             "estimate": ["--lam", "0.05", "--rho", "0.05"],
             "test": ["--lam", "0.05", "--rho", "0.05", "--edges", "1,2", "--coeffs", "1,-1"],
-            # One C2 column: one lane, so every solve runs in this process.
             "tune": ["--c1-grid", "0.1,0.2", "--c2-grid", "0.1"],
         }
         for command, extra in runs.items():

@@ -1,6 +1,5 @@
 import dataclasses
 import errno
-import json
 import math
 import os
 import threading
@@ -170,7 +169,7 @@ def chain_covs(p=10, n=120, seed=5):
 
 
 class TestTuningPath:
-    """The warm-started solve order must not show in the result."""
+    """The table's order, its tie-break, and its cells against cold solves."""
 
     GRID = TuningGrid(c1_values=(0.25, 0.5, 1.0), c2_values=(0.5, 1.0, 2.0))
 
@@ -203,49 +202,7 @@ class TestTuningPath:
             score = ebic(cold.estimate, covs, self.GRID.gamma)
             assert cell.converged and cold.converged
             assert cell.edge_counts == score.edge_counts
-            # Both solves stop within the solver's tolerances, not at one point.
-            assert cell.score == pytest.approx(score.value, rel=1e-5)
-
-    def test_each_path_runs_down_c1_and_restarts_after_a_failure(self, monkeypatch, tmp_path):
-        # Paths run in two lanes, so every lane appends its calls to one
-        # file, and only the order within one path (one rho) is fixed.  A
-        # report's id stands for the report: within a path the previous
-        # report is alive when it is passed on as ``init``.
-        monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
-        log = tmp_path / "calls.jsonl"
-        solve = selection.solve_ggl
-
-        def recording(covs, penalty, opts, init=None):
-            report = solve(covs, penalty, opts, init=init)
-            call = [os.getpid(), penalty.lam, penalty.rho,
-                    None if init is None else id(init), id(report), report.converged]
-            with open(log, "a") as fh:
-                fh.write(json.dumps(call) + "\n")
-            return report
-
-        monkeypatch.setattr(selection, "solve_ggl", recording)
-        # Few iterations, so that some cells stop unconverged: the C2 = 2
-        # path converges in 13 per cell and the other two need 16.
-        result = tune_penalties(chain_covs(), self.GRID, SolverOptions(max_iter=14))
-        assert result.grid_lanes == 2
-        calls = [json.loads(line) for line in log.read_text().splitlines()]
-        assert len({pid for pid, *_ in calls}) == 2
-        assert any(not converged for *_, converged in calls)
-        assert any(init is not None for _, _, _, init, _, _ in calls)
-        scale = penalty_scale(10, 120)
-        assert len(calls) == len(self.GRID.c1_values) * len(self.GRID.c2_values)
-        for c2 in self.GRID.c2_values:
-            path = [call for call in calls if call[2] == c2 * scale]
-            assert len({pid for pid, *_ in path}) == 1
-            for n, (c1, (_, lam, _, init, _, _)) in enumerate(
-                zip(reversed(self.GRID.c1_values), path)
-            ):
-                assert lam == c1 * scale
-                previous = path[n - 1] if n else None
-                if c1 == self.GRID.c1_values[-1] or not previous[5]:
-                    assert init is None
-                else:
-                    assert init == previous[4]
+            assert cell.score == score.value
 
 
 def _tune_or_error(covs, grid, opts):
@@ -258,14 +215,6 @@ def _tune_or_error(covs, grid, opts):
 def _in_worker_thread(fn, *args):
     with ThreadPoolExecutor(1) as pool:
         return pool.submit(fn, *args).result(timeout=300)
-
-
-def _without_scores(table):
-    return [dataclasses.replace(cell, score=0.0) for cell in table]
-
-
-def _score_bits(table):
-    return np.float64([cell.score for cell in table]).view(np.uint64)
 
 
 def grid_values(max_size):
@@ -282,8 +231,21 @@ def no_fork(forks):
     return fork
 
 
+def standalone_cells(covs, grid, opts):
+    """Each cell of ``grid`` as its own cold solve and score, C1-major."""
+    scale = penalty_scale(covs.p, min(covs.sample_sizes))
+    cells = []
+    for c1 in grid.c1_values:
+        for c2 in grid.c2_values:
+            penalty = PenaltyPair(c1 * scale, c2 * scale)
+            report = solve_ggl(covs, penalty, opts)
+            score = ebic(report.estimate, covs, grid.gamma) if report.converged else None
+            cells.append((c1, c2, penalty, report, score))
+    return cells
+
+
 class TestLaneGrid:
-    """Paths run side by side in forked lanes from the main thread, serially elsewhere.
+    """Cells run side by side in forked lanes from the main thread, serially elsewhere.
 
     At most two lanes, so a case starts at most one child.
     """
@@ -294,26 +256,36 @@ class TestLaneGrid:
         c1_values=grid_values(4),
         c2_values=grid_values(5),
         K=st.sampled_from([1, 2]),
-        max_iter=st.sampled_from([23, SolverOptions().max_iter]),
+        max_iter=st.sampled_from([13, SolverOptions().max_iter]),
+        cpus=st.sampled_from([1, 2]),
     )
-    def test_matches_the_serial_walk(self, monkeypatch, c1_values, c2_values, K, max_iter):
-        # Two lanes even on a one-CPU machine.
-        monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
+    def test_cells_are_standalone_solves(self, monkeypatch, c1_values, c2_values, K,
+                                         max_iter, cpus):
+        # Two lanes even on a one-CPU machine, or one lane on any.
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: cpus)
         full = chain_covs()
         covs = CovarianceSet(full.matrices[:K], full.sample_sizes[:K])
         grid = TuningGrid(c1_values, c2_values)
         opts = SolverOptions(max_iter=max_iter)
-        lanes = _tune_or_error(covs, grid, opts)
-        serial = _in_worker_thread(_tune_or_error, covs, grid, opts)
-        if isinstance(serial, type):
-            assert lanes is serial
+        expected = standalone_cells(covs, grid, opts)
+        result = _tune_or_error(covs, grid, opts)
+        if isinstance(result, type):
+            assert not any(report.converged for *_, report, _ in expected)
             return
-        assert lanes.grid_lanes == min(len(c2_values), 2)
-        assert serial.grid_lanes == 1
-        assert lanes.best_constants == serial.best_constants
-        assert lanes.best_penalty == serial.best_penalty
-        assert _without_scores(lanes.table) == _without_scores(serial.table)
-        assert np.array_equal(_score_bits(lanes.table), _score_bits(serial.table))
+        assert result.grid_lanes == min(len(expected), cpus)
+        assert len(result.table) == len(expected)
+        for cell, (c1, c2, penalty, report, score) in zip(result.table, expected):
+            assert (cell.c1, cell.c2, cell.lam, cell.rho) == (c1, c2, penalty.lam, penalty.rho)
+            assert cell.converged == report.converged
+            assert cell.iterations == report.iterations
+            assert cell.certificate_calls == report.certificate_calls
+            assert cell.acceleration_restarts == report.acceleration_restarts
+            if score is None:
+                assert math.isnan(cell.score) and cell.edge_counts == (-1,) * K
+            else:
+                assert cell.edge_counts == score.edge_counts
+                assert np.float64(cell.score).view(np.uint64) == np.float64(
+                    score.value).view(np.uint64)
 
     def test_worker_thread_starts_no_helper(self, monkeypatch):
         forks = []
@@ -322,9 +294,9 @@ class TestLaneGrid:
         threads = set()
         solve = selection.solve_ggl
 
-        def recording(covs, penalty, opts, init=None):
+        def recording(covs, penalty, opts):
             threads.add(threading.get_ident())
-            return solve(covs, penalty, opts, init=init)
+            return solve(covs, penalty, opts)
 
         monkeypatch.setattr(selection, "solve_ggl", recording)
 
@@ -336,25 +308,28 @@ class TestLaneGrid:
         assert forks == []
         assert result.grid_lanes == 1
 
-    @pytest.mark.parametrize("cpus, columns, lanes", [(3, 5, 3), (8, 3, 3), (1, 5, 1)])
-    def test_lanes_capped_by_cpus_and_columns_at_any_dimension(
-        self, monkeypatch, cpus, columns, lanes
+    @pytest.mark.parametrize(
+        "cpus, rows, columns, lanes", [(3, 2, 5, 3), (8, 2, 3, 6), (8, 1, 3, 3), (1, 2, 5, 1)]
+    )
+    def test_lanes_capped_by_cpus_and_cells_at_any_dimension(
+        self, monkeypatch, cpus, rows, columns, lanes
     ):
         # p = 10, far below any size gate; the forks fail, so every lane
         # runs in the caller and no process starts.
         forks = []
         monkeypatch.setattr(_lanes, "usable_cpus", lambda: cpus)
         monkeypatch.setattr(os, "fork", no_fork(forks))
-        grid = TuningGrid((0.5, 1.0), DEFAULT_GRID_VALUES[:columns])
+        grid = TuningGrid(DEFAULT_GRID_VALUES[:rows], DEFAULT_GRID_VALUES[:columns])
         result = tune_penalties(chain_covs(), grid)
         serial = _in_worker_thread(tune_penalties, chain_covs(), grid)
         assert result.grid_lanes == lanes and len(forks) == lanes - 1
         assert result == dataclasses.replace(serial, grid_lanes=lanes)
 
     def test_first_error_in_c2_order_reaches_the_caller(self, monkeypatch):
-        # With two lanes the caller walks C2 = 0.5 and 2.0, the child 1.0
-        # and 4.0.  The error the serial walk meets first is raised, from
-        # whichever lane met it.
+        # With two lanes the caller runs the even cells in C1-major order,
+        # which in each row of four are C2 = 0.5 and 2.0, and the child the
+        # odd ones, C2 = 1.0 and 4.0.  The error the serial map meets first
+        # is raised, from whichever lane met it.
         monkeypatch.setattr(_lanes, "usable_cpus", lambda: 2)
         caller = os.getpid()
         grid = TuningGrid(c2_values=(0.5, 1.0, 2.0, 4.0))
@@ -364,13 +339,13 @@ class TestLaneGrid:
         for failing, first, in_child in [
             ((1.0, 2.0), 1.0, True), ((2.0, 4.0), 2.0, False), ((4.0,), 4.0, True),
         ]:
-            def failing_paths(covs, penalty, opts, init=None, failing=failing):
+            def failing_cells(covs, penalty, opts, failing=failing):
                 c2 = round(penalty.rho / scale, 6)
                 if c2 in failing:
                     raise NotPositiveDefiniteError(f"injected at {c2} in {os.getpid()}")
-                return solve(covs, penalty, opts, init=init)
+                return solve(covs, penalty, opts)
 
-            monkeypatch.setattr(selection, "solve_ggl", failing_paths)
+            monkeypatch.setattr(selection, "solve_ggl", failing_cells)
             with pytest.raises(NotPositiveDefiniteError, match=f"injected at {first} ") as exc:
                 tune_penalties(chain_covs(), grid)
             assert (str(exc.value).split()[-1] != str(caller)) is in_child
