@@ -1,44 +1,38 @@
 """One OpenBLAS thread per solve.
 
-numpy and scipy each bundle their own OpenBLAS, and each starts one worker
-thread per core.  The solver's matrices (p <= a few hundred) are too small
-for that: on 2 cores an ADMM iteration at p=50 took 8.2 ms with two threads
-and 1.6 ms with one.  :func:`single_threaded` sets every loaded OpenBLAS to
-one thread while at least one caller is inside it, and restores the counts
-it found when the last caller leaves.  Parallelism comes from running solves
-side by side in forked lanes (:mod:`multiggm._lanes`), not from inside
-BLAS; the grid and the replications fork inside :func:`single_threaded`, so
-each child starts at one thread.
+numpy bundles its own OpenBLAS, which starts one worker thread per core.
+The solver's matrices (p <= a few hundred) are too small for that: on 2
+cores an ADMM iteration at p=50 took 8.2 ms with two threads and 1.6 ms
+with one.  :func:`single_threaded` sets that OpenBLAS to one thread while at
+least one caller is inside it, and restores the count it found when the
+last caller leaves.  Parallelism comes from running solves side by side in
+forked lanes (:mod:`multiggm._lanes`), not from inside BLAS; the grid and
+the replications fork inside :func:`single_threaded`, so each child starts
+at one thread.
 
-numpy's OpenBLAS is always loaded.  scipy's is loaded only once a scipy
-module that links it (``scipy.linalg``, ``scipy.special``) is imported, and
-estimation, tuning and most simulations never import one.  So the manager
-binds only libraries that the process has loaded already (``dlopen`` with
-``RTLD_NOLOAD``, which never loads one), and looks again on every entry: a
-``diagnose`` that loads ``scipy.linalg`` after a solve still runs its
-later solves with both libraries at one thread.
-
-The thread count is a property of the whole process, so the entry count,
-the bound libraries and the saved counts are module state, guarded by one
-lock.  Libraries are looked up on first use, never at import.  Without a
-library or a symbol the manager does nothing.
+The package runs on numpy alone, so numpy's OpenBLAS is the only one it
+loads.  It is bound once, on first use and never at import (``dlopen`` with
+``RTLD_NOLOAD``, which never loads a library).  The thread count is a
+property of the whole process, so the entry count, the bound library and
+the saved count are module state, guarded by one lock.  Without a library
+or a symbol the manager does nothing.
 """
 
 from __future__ import annotations
 
 import ctypes
 import os
-import sys
 import threading
 from collections.abc import Callable
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
-# (prefix, suffix) of the exported names: numpy's 64-bit-integer build,
-# scipy's build, and a plain OpenBLAS.
+import numpy
+
+# (prefix, suffix) of the exported names: the 64-bit-integer and the 32-bit
+# scipy-openblas builds that numpy wheels bundle, and a plain OpenBLAS.
 _SYMBOL_FORMS = (("scipy_openblas_", "64_"), ("scipy_openblas_", ""), ("openblas_", ""))
-_PACKAGES = ("numpy", "scipy")
 
 
 @dataclass(frozen=True)
@@ -52,10 +46,8 @@ class OpenBlas:
 
 
 _lock = threading.Lock()
-# Package name -> its bundled OpenBLAS files, listed once.
-_files: dict[str, list[Path]] = {}
-# Package name -> its bound libraries; a package enters once one is loaded.
-_bound: dict[str, list[OpenBlas]] = {}
+# numpy's bound libraries; None until the first call looks them up.
+_bound: list[OpenBlas] | None = None
 _depth = 0
 _saved: list[tuple[OpenBlas, int]] = []
 
@@ -79,40 +71,33 @@ def _bind(path: Path) -> OpenBlas | None:
     return None
 
 
-def _refresh() -> list[OpenBlas]:
-    """Bind what has been loaded since the last call; the caller holds the lock."""
-    for name in _PACKAGES:
-        package = sys.modules.get(name)
-        if name in _bound or package is None:
-            continue
-        if name not in _files:
-            libdir = Path(package.__file__).resolve().parent.parent / f"{name}.libs"
-            _files[name] = sorted(libdir.glob("*openblas*.so*"))
-        found = [lib for lib in map(_bind, _files[name]) if lib]
-        if found:
-            _bound[name] = found
-    return [lib for libs in _bound.values() for lib in libs]
+def _libraries() -> list[OpenBlas]:
+    """Bind numpy's OpenBLAS on the first call; the caller holds the lock."""
+    global _bound
+    if _bound is None:
+        libdir = Path(numpy.__file__).resolve().parent.parent / "numpy.libs"
+        _bound = [lib for lib in map(_bind, sorted(libdir.glob("*openblas*.so*"))) if lib]
+    return _bound
 
 
 def libraries() -> list[OpenBlas]:
-    """The bundled OpenBLAS libraries loaded in this process, numpy's first."""
+    """numpy's bundled OpenBLAS, as a list that is empty when none was found."""
     with _lock:
-        return _refresh()
+        return list(_libraries())
 
 
 @contextmanager
 def single_threaded():
-    """Run the body with every loaded OpenBLAS at one thread.
+    """Run the body with numpy's OpenBLAS at one thread.
 
-    Re-entrant and thread-safe.  Each entry binds the libraries loaded since
-    the last one; a library not yet pinned has its count saved and set to
-    1.  The last caller to leave restores the saved counts, also when the
-    body raises.
+    Re-entrant and thread-safe.  The first caller to enter saves the count
+    and sets it to 1; the last caller to leave restores the saved count,
+    also when the body raises.
     """
     global _depth
     with _lock:
-        for lib in _refresh():
-            if all(lib is not pinned for pinned, _ in _saved):
+        if _depth == 0:
+            for lib in _libraries():
                 _saved.append((lib, lib.get_num_threads()))
                 lib.set_num_threads(1)
         _depth += 1

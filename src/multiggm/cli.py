@@ -24,10 +24,9 @@ import platform
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy
-import scipy
 
 from . import __version__, _blas
 from ._lanes import map_in_lanes, usable_cpus
@@ -61,7 +60,7 @@ from .selection import (
 )
 from .solver import PenaltyPair, solve_ggl
 
-REPORT_SCHEMA = 11
+REPORT_SCHEMA = 12
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -81,7 +80,8 @@ class AnalysisReport:
     outputs: list = field(default_factory=list)
 
     def to_jsonable(self) -> dict:
-        return asdict(self)
+        """Fields by name, built without a deep copy."""
+        return dict(vars(self))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -507,17 +507,15 @@ def _diagnose(args, report: AnalysisReport) -> int:
         sizes = _int_list(args.sample_sizes)
         if len(sizes) != precisions.K:
             raise ConfigError(f"{len(sizes)} sample sizes for {precisions.K} populations")
-    diag = json.loads(
-        diagnostics_report(
-            precisions,
-            PenaltyPair(args.lam, args.rho),
-            psi=args.psi,
-            sample_sizes=sizes,
-            gamma=args.gamma,
-            k1=args.k1,
-            eigen_bound_l=args.eigen_bound,
-        ).to_json()
-    )
+    diag = diagnostics_report(
+        precisions,
+        PenaltyPair(args.lam, args.rho),
+        psi=args.psi,
+        sample_sizes=sizes,
+        gamma=args.gamma,
+        k1=args.k1,
+        eigen_bound_l=args.eigen_bound,
+    ).to_jsonable()
     _emit(report, write_json_atomic, [(diag, f"{args.out_dir}/diagnostics.json")])
     report.payload = diag
     return EXIT_OK
@@ -533,11 +531,10 @@ COMMANDS = {
 
 
 def environment() -> dict:
-    """Versions, and each loaded OpenBLAS with the thread count solves run at."""
+    """Versions, and numpy's OpenBLAS with the thread count solves run at."""
     return {
         "python": platform.python_version(),
         "numpy": numpy.__version__,
-        "scipy": scipy.__version__,
         "cpus": usable_cpus(),
         "openblas": _blas.describe(),
     }
@@ -558,8 +555,6 @@ def run_command(args: argparse.Namespace) -> tuple[AnalysisReport, int]:
         config={"command": args.command, "params": params},
     )
     code = COMMANDS[args.command](args, report)
-    # Taken after the command, so that it lists scipy's OpenBLAS when the
-    # command loaded it.
     report.environment = environment()
     report.timings["wall_seconds"] = time.perf_counter() - t_start
     path = f"{args.out_dir}/report.json"

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -128,27 +128,48 @@ def support_indices(
     return pairs
 
 
-def _complement_indices(p: int, support: list[tuple[int, int]]) -> list[tuple[int, int]]:
-    member = set(support)
-    return [
-        (a, b) for a in range(p) for b in range(p) if (a, b) not in member and a != b
-    ]
+# Entries of Gamma[e, S] formed at a time: the complement pairs e stream
+# through in chunks of this many entries (4 MB), where the whole block of a
+# p=200 star with hub degree 25 is 80 MB.
+COMPLEMENT_CHUNK_ENTRIES = 2**19
 
 
-def _rows_times_inverse(sigma, support, others):
-    """Rows Gamma[e, S] @ Gamma[S, S]^{-1} for every ordered pair e."""
-    # Imported here, as core.invert_pd does, so that estimation, tuning and
-    # simulation never load scipy.linalg.
-    from scipy.linalg import cho_factor, cho_solve
+@dataclass(frozen=True)
+class _Population:
+    """What the irrepresentability conditions need of one true precision
+    matrix, computed once: Sigma, the edge set, the support pairs, the
+    complement pairs and the inverse of Gamma[S, S]."""
 
-    gss = restricted_hessian(sigma, support)
-    factor = cho_factor(gss)
-    sa = np.array([a for a, _ in support])
-    sb = np.array([b for _, b in support])
-    ea = np.array([a for a, _ in others])
-    eb = np.array([b for _, b in others])
-    ges = sigma[np.ix_(ea, sa)] * sigma[np.ix_(eb, sb)]
-    return cho_solve(factor, ges.T).T
+    sigma: np.ndarray
+    edges: EdgeSet
+    support: np.ndarray
+    others: tuple[np.ndarray, np.ndarray]
+    gss_inverse: np.ndarray
+
+
+def _population(precision, tol: float, augment_diagonal: bool) -> _Population:
+    precision = check_symmetric(precision, "precision")
+    edges = edge_set(precision, tol)
+    support = support_indices(edges, augment_diagonal)
+    if not support:
+        raise DataFormatError("support index set is empty; nothing to invert")
+    sigma = invert_pd(precision)
+    gss_inverse = invert_pd(restricted_hessian(sigma, support))
+    support = np.array(support)
+    # Ordered off-diagonal pairs outside the support, row-major.
+    outside = ~np.eye(edges.p, dtype=bool)
+    outside[support[:, 0], support[:, 1]] = False
+    return _Population(sigma, edges, support, np.nonzero(outside), gss_inverse)
+
+
+def _complement_rows(pop: _Population):
+    """Rows Gamma[e, S] @ Gamma[S, S]^{-1} for the complement pairs e, in chunks."""
+    ea, eb = pop.others
+    sa, sb = pop.support.T
+    step = max(1, COMPLEMENT_CHUNK_ENTRIES // len(sa))
+    for start in range(0, ea.size, step):
+        a, b = ea[start : start + step], eb[start : start + step]
+        yield (pop.sigma[np.ix_(a, sa)] * pop.sigma[np.ix_(b, sb)]) @ pop.gss_inverse
 
 
 def check_irrepresentability(
@@ -162,17 +183,13 @@ def check_irrepresentability(
     computed from the inverse covariance; the condition holds exactly when
     the returned value is positive.
     """
-    precision = check_symmetric(precision, "precision")
-    sigma = invert_pd(precision)
-    edges = edge_set(precision, tol)
-    support = support_indices(edges, augment_diagonal)
-    if not support:
-        raise DataFormatError("support index set is empty; nothing to invert")
-    others = _complement_indices(precision.shape[0], support)
-    if not others:
+    return _irrepresentability(_population(precision, tol, augment_diagonal))
+
+
+def _irrepresentability(pop: _Population) -> float:
+    if not pop.others[0].size:
         return 1.0
-    rows = _rows_times_inverse(sigma, support, others)
-    return float(1.0 - np.abs(rows).sum(axis=1).max())
+    return float(1.0 - max(np.abs(rows).sum(axis=1).max() for rows in _complement_rows(pop)))
 
 
 def check_between_group(
@@ -194,37 +211,36 @@ def check_between_group(
 
     and ``holds`` is ``lhs < rhs``.
     """
+    rhs = _between_group_rhs(penalty, psi, alpha, precisions.K)
+    lhs = _between_group_lhs([_population(m, tol, augment_diagonal) for m in precisions.matrices])
+    return lhs, rhs, lhs < rhs
+
+
+def _between_group_rhs(penalty: PenaltyPair, psi: float, alpha: float, K: int) -> float:
     if not 0.0 < psi < 1.0:
         raise DataFormatError("psi must lie strictly in (0, 1)")
     if not 0.0 < alpha <= 1.0:
         raise DataFormatError("alpha must lie in (0, 1]")
     if penalty.lam + penalty.rho <= 0:
         raise DataFormatError("penalty parameters cannot both be zero here")
-    edge_sets = [edge_set(m, tol) for m in precisions.matrices]
-    shared = edge_sets[0].pairs
-    for k, es in enumerate(edge_sets[1:], start=1):
-        if es.pairs != shared:
+    share = penalty.rho / ((penalty.lam + penalty.rho) * (1.0 - psi))
+    return float((share - alpha * math.sqrt(K) / 4.0) / (1.0 + alpha / 4.0))
+
+
+def _between_group_lhs(pops: list[_Population]) -> float:
+    for k, pop in enumerate(pops[1:], start=1):
+        if pop.edges.pairs != pops[0].edges.pairs:
             raise DataFormatError(
                 f"population {k} has a different sparsity pattern; shared support "
                 "is required"
             )
-    support = support_indices(edge_sets[0], augment_diagonal)
-    others = _complement_indices(precisions.p, support)
-
-    K = precisions.K
-    rhs = (
-        penalty.rho / ((penalty.lam + penalty.rho) * (1.0 - psi))
-        - alpha * math.sqrt(K) / 4.0
-    ) / (1.0 + alpha / 4.0)
-    if not others:
-        return 0.0, float(rhs), 0.0 < rhs
-
-    sq = np.zeros(len(others))
-    for m in precisions.matrices:
-        rows = _rows_times_inverse(invert_pd(m), support, others)
-        sq += rows.sum(axis=1) ** 2
-    lhs = float(np.sqrt(sq.max()))
-    return lhs, float(rhs), lhs < rhs
+    if not pops[0].others[0].size:
+        return 0.0
+    sq = sum(
+        np.concatenate([rows.sum(axis=1) for rows in _complement_rows(pop)]) ** 2
+        for pop in pops
+    )
+    return float(np.sqrt(sq.max()))
 
 
 def between_group_sufficient(penalty: PenaltyPair, psi: float, alpha: float, K: int) -> bool:
@@ -299,8 +315,12 @@ class DiagnosticsReport:
     assumptions_hold: dict
     sample_size_ratios: tuple[float, ...] | None
 
+    def to_jsonable(self) -> dict:
+        """Fields by name, each population's too; built without a deep copy."""
+        return {**vars(self), "populations": [dict(vars(pop)) for pop in self.populations]}
+
     def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(asdict(self), indent=indent)
+        return json.dumps(self.to_jsonable(), indent=indent)
 
 
 def diagnostics_report(
@@ -315,27 +335,21 @@ def diagnostics_report(
     augment_diagonal: bool = True,
 ) -> DiagnosticsReport:
     """Full diagnostic sweep over a set of true precision matrices."""
+    factors = [_population(m, tol, augment_diagonal) for m in precisions.matrices]
     pops = []
     alpha = None
-    for k, m in enumerate(precisions.matrices):
-        sigma = invert_pd(m)
+    for k, (m, f) in enumerate(zip(precisions.matrices, factors)):
         stats = graph_stats(m, tol)
-        edges = edge_set(m, tol)
-        support = support_indices(edges, augment_diagonal)
-        gss = restricted_hessian(sigma, support)
-        kappa_gamma = float(np.abs(np.linalg.inv(gss)).sum(axis=1).max())
-        kappa_sigma = float(np.abs(sigma).sum(axis=1).max())
-        a_k = check_irrepresentability(m, tol, augment_diagonal)
+        kappa_gamma = float(np.abs(f.gss_inverse).sum(axis=1).max())
+        kappa_sigma = float(np.abs(f.sigma).sum(axis=1).max())
+        a_k = _irrepresentability(f)
         alpha = a_k if alpha is None else min(alpha, a_k)
         n_k = None if sample_sizes is None else int(sample_sizes[k])
-        delta = (
-            rate_delta(n_k, precisions.p, gamma, k1, float(np.diag(sigma).max()))
-            if n_k
-            else float("nan")
-        )
+        max_diag = float(np.diag(f.sigma).max())
+        delta = rate_delta(n_k, precisions.p, gamma, k1, max_diag) if n_k else float("nan")
         advisory = (
             advisory_min_samples(
-                precisions.p, gamma, k1, float(np.diag(sigma).max()),
+                precisions.p, gamma, k1, max_diag,
                 kappa_sigma, kappa_gamma, stats.max_degree, alpha,
             )
             if alpha > 0 and stats.max_degree > 0
@@ -356,9 +370,9 @@ def diagnostics_report(
 
     a1_holds = alpha > 0
     try:
-        lhs, rhs, a2_holds = check_between_group(
-            precisions, penalty, psi, max(alpha, 1e-12), tol, augment_diagonal
-        )
+        rhs = _between_group_rhs(penalty, psi, max(alpha, 1e-12), precisions.K)
+        lhs = _between_group_lhs(factors)
+        a2_holds = lhs < rhs
     except DataFormatError:
         lhs, rhs, a2_holds = float("nan"), float("nan"), False
 

@@ -382,9 +382,9 @@ def solve_ggl(
     blocks.  The residuals are those of the normalized problem (see the
     module docstring); the certificate is that of the original one.
 
-    The solve runs each loaded OpenBLAS (numpy's, and scipy's once scipy
-    has loaded it) at one thread and restores the caller's thread counts
-    when the last concurrent solve returns (see :mod:`multiggm._blas`).
+    The solve runs numpy's OpenBLAS at one thread and restores the caller's
+    thread count when the last concurrent solve returns (see
+    :mod:`multiggm._blas`).
     """
     covs.require_positive_diagonal()
     lam, rho = penalty.lam, penalty.rho

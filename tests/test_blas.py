@@ -1,17 +1,14 @@
-"""Solves run each loaded OpenBLAS at one thread, then restore."""
+"""Solves run numpy's OpenBLAS at one thread, then restore."""
 
 import json
 import os
-import subprocess
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
-# Loads scipy's OpenBLAS, so that the tests below see both libraries; the
-# package alone loads only numpy's (see test_scipy_openblas_pinned_once_loaded).
-import scipy.linalg  # noqa: F401
 
 from multiggm import (
     CovarianceSet,
@@ -172,11 +169,22 @@ def test_replication_lanes_draw_single_threaded(caller_counts, monkeypatch):
     assert counts() == caller_counts
 
 
+def test_numpy_openblas_alone_bound_once(caller_counts, monkeypatch):
+    # The libraries are numpy's; once bound, no entry or call looks again.
+    libdir = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    assert all((libdir / lib.name).is_file() for lib in LIBRARIES)
+    monkeypatch.setattr(_blas, "_bind", None)
+    with _blas.single_threaded():
+        assert counts() == [1] * len(LIBRARIES)
+    assert _blas.libraries() == LIBRARIES
+    assert counts() == caller_counts
+
+
 def test_without_libraries_nothing_changes(caller_counts, seen_inside, monkeypatch):
     problem = chain_problem(20)
     expected = solve_ggl(*problem)
     seen_inside.clear()
-    monkeypatch.setattr(_blas, "_bound", {"numpy": [], "scipy": []})
+    monkeypatch.setattr(_blas, "_bound", [])
     got = solve_ggl(*problem)
     assert set(seen_inside) == {tuple(caller_counts)}
     for a, b in zip(got.estimate.matrices, expected.estimate.matrices):
@@ -213,81 +221,12 @@ def test_cli_restores_counts_and_reports_environment(tmp_path, caller_counts):
     assert main(argv) == 0
     assert counts() == caller_counts
     report = json.loads((out / "report.json").read_text())
-    assert report["schema"] == REPORT_SCHEMA == 11
+    assert report["schema"] == REPORT_SCHEMA == 12
     env = report["environment"]
+    assert sorted(env) == ["cpus", "numpy", "openblas", "python"]
     assert env["numpy"] == np.__version__
     assert env["cpus"] == _lanes.usable_cpus() >= 1
     assert [lib["library"] for lib in env["openblas"]] == [lib.name for lib in LIBRARIES]
     assert all(lib["solve_threads"] == 1 for lib in env["openblas"])
     assert all(lib["config"].startswith("OpenBLAS") for lib in env["openblas"])
 
-
-LATE_LOAD = """
-import json, sys
-from multiggm import _blas, cli, solver
-from multiggm.core import draw_mvn_dataset, sample_covariance
-from multiggm.graphs import two_population_chain_spec
-from multiggm.io import write_data_csv
-from multiggm.selection import penalty_scale
-
-out = sys.argv[1]
-dataset = draw_mvn_dataset(two_population_chain_spec().build(20), (600, 600), 5)
-paths = []
-for k, x in enumerate(dataset.data):
-    paths.append(f"{out}/pop{k}.csv")
-    write_data_csv(x, paths[-1])
-
-def estimate(name):
-    argv = ["estimate", "--data", ",".join(paths), "--c1", "0.5", "--c2", "1.5",
-            "--out-dir", f"{out}/{name}", "-q"]
-    assert cli.main(argv) == 0
-    with open(f"{out}/{name}/report.json") as f:
-        return [lib["library"] for lib in json.load(f)["environment"]["openblas"]]
-
-seen = []
-prox = solver._prox_offdiag_stack
-def recording(*args):
-    seen.append(tuple(lib.get_num_threads() for lib in _blas.libraries()))
-    return prox(*args)
-solver._prox_offdiag_stack = recording
-
-scale = penalty_scale(20, 600)
-problem = (sample_covariance(dataset), solver.PenaltyPair(1.0 * scale, 3.5 * scale))
-result = {"first": [lib.name for lib in _blas.libraries()], "first_report": estimate("one")}
-for lib, n in zip(_blas.libraries(), (2, 3)):
-    lib.set_num_threads(n)
-solver.solve_ggl(*problem)
-result["first_inside"] = sorted(set(seen))
-result["first_after"] = [lib.get_num_threads() for lib in _blas.libraries()]
-assert "scipy.linalg" not in sys.modules
-import scipy.linalg
-for lib, n in zip(_blas.libraries(), (2, 3)):
-    lib.set_num_threads(n)
-seen.clear()
-solver.solve_ggl(*problem)
-result["second"] = [lib.name for lib in _blas.libraries()]
-result["second_inside"] = sorted(set(seen))
-result["second_after"] = [lib.get_num_threads() for lib in _blas.libraries()]
-result["second_report"] = estimate("two")
-print(json.dumps(result))
-"""
-
-
-def test_scipy_openblas_pinned_once_loaded(tmp_path):
-    # In a fresh interpreter the package loads numpy's OpenBLAS alone; once
-    # scipy.linalg loads scipy's, the next solve pins and restores both.
-    numpy_libs = [lib.name for lib in _blas._bound["numpy"]]
-    both = numpy_libs + [lib.name for lib in _blas._bound.get("scipy", [])]
-    package_root = os.path.dirname(os.path.dirname(solver.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-c", LATE_LOAD, str(tmp_path)], capture_output=True, text=True,
-        timeout=120, env=dict(os.environ, PYTHONPATH=package_root),
-    )
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["first"] == result["first_report"] == numpy_libs
-    assert result["first_inside"] == [[1] * len(numpy_libs)]
-    assert result["first_after"] == [2, 3][: len(numpy_libs)]
-    assert result["second"] == result["second_report"] == both
-    assert result["second_inside"] == [[1] * len(both)]
-    assert result["second_after"] == [2, 3][: len(both)]

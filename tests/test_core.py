@@ -2,9 +2,6 @@ from contextlib import nullcontext
 
 import numpy as np
 import pytest
-# Loaded up front, so that single_threaded() below also pins scipy's OpenBLAS,
-# which the oracle's triangular solve runs on.
-import scipy.linalg  # noqa: F401
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

@@ -17,6 +17,7 @@ from multiggm import (
     restricted_hessian,
     star_precision,
 )
+from multiggm import diagnostics
 from multiggm.diagnostics import between_group_sufficient, support_indices
 
 from oracles import dense_alpha, dense_between_group_lhs, random_covariance_set
@@ -184,6 +185,18 @@ class TestBetweenGroup:
         prec = PrecisionSet([m1, m2], positive_definite=True)
         with pytest.raises(DataFormatError):
             check_between_group(prec, PenaltyPair(0.1, 0.1), 0.5, 0.5)
+
+
+@pytest.mark.parametrize("entries", [1, 37, 2**19])
+def test_complement_chunks_match_the_dense_oracle(monkeypatch, entries):
+    # One complement pair per chunk, ragged chunks, and one chunk for all.
+    monkeypatch.setattr(diagnostics, "COMPLEMENT_CHUNK_ENTRIES", entries)
+    mats = [star_precision(10, 3, d, o, hub_seed=0)[0] for d, o in ((2.0, 0.3), (2.5, 0.45))]
+    for m in mats:
+        assert check_irrepresentability(m) == pytest.approx(dense_alpha(m), abs=1e-10)
+    prec = PrecisionSet(mats, positive_definite=True)
+    lhs, _, _ = check_between_group(prec, PenaltyPair(0.1, 0.1), 0.5, 0.5)
+    assert lhs == pytest.approx(dense_between_group_lhs(mats), abs=1e-10)
 
 
 class TestRateDelta:

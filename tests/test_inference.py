@@ -1,3 +1,5 @@
+import math
+
 import mpmath
 import numpy as np
 import pytest
@@ -22,6 +24,9 @@ from multiggm import (
 from multiggm import test_linear_combo as linear_combo_test
 
 from oracles import random_covariance_set, scalar_combination, scalar_variance
+
+
+EPS = np.finfo(float).eps
 
 
 def _sets(matrices, covariances, sizes):
@@ -116,8 +121,6 @@ class TestCombine:
     @given(instances, st.sampled_from([0.01, 0.1, 0.5]), st.sampled_from([0.5, 0.9, 0.99]))
     @example((167466170, 1, 1), 0.01, 0.5)  # W_00 ** 2 by scalar pow is 1 ulp off
     def test_array_views_match_the_scalar_loop_bit_for_bit(self, instance, alpha, level):
-        from scipy.special import ndtr
-
         deb, est, _, covs, coefficients, rows, cols = _combination_instance(*instance)
         test = linear_combo_test(deb, est, covs, coefficients, rows, cols, alpha)
         cis = [confidence_interval(deb, est, covs, k, rows, cols, level) for k in range(deb.K)]
@@ -128,7 +131,7 @@ class TestCombine:
             point, std_error = scalar_combination(deb.matrices, est.matrices,
                                                   covs.sample_sizes, coefficients, i, j)
             z = point / std_error
-            expected = (point, std_error, z, 2.0 * float(ndtr(-abs(z))), abs(z) > tau)
+            expected = (point, std_error, z, math.erfc(abs(z) * math.sqrt(0.5)), abs(z) > tau)
             assert tuple(f[m] for f in fields) == expected
             one = linear_combo_test(deb, est, covs, coefficients, i, j, alpha)
             assert (one.estimate, one.std_error, one.z_stat, one.p_value, one.reject) == expected
@@ -260,6 +263,38 @@ class TestNormalAccuracy:
             )
             assert abs(normal_quantile(q) - exact) <= 1e-10
 
+    # Bounds fixed from the spread measured against mpmath at 50 digits,
+    # before these tests first ran: on 4,000 points each, the cdf and the
+    # p-value reached 0.91 and 0.80 times eps * (1 + x^2), the factor by
+    # which rounding x / sqrt(2) grows in erfc's tail; the quantile reached
+    # 5 ulps on 4,000 levels down to 1e-300.
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-37.5, 9.0))
+    def test_cdf_relative_error(self, x):
+        with mpmath.workdps(50):
+            exact = mpmath.ncdf(mpmath.mpf(x))
+            assert abs(float(normal_cdf(x)) - exact) <= 2 * EPS * (1 + x * x) * exact
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(-37.5, 37.5))
+    def test_p_value_relative_error(self, z):
+        # estimate = I and n = 1 give a unit standard error: z is the entry.
+        est, covs = _sets([np.eye(2)], [np.eye(2)], [1])
+        deb = PrecisionSet([np.array([[1.0, z], [z, 1.0]])])
+        p_value = float(linear_combo_test(deb, est, covs, [1.0], 0, 1).p_value)
+        with mpmath.workdps(50):
+            exact = mpmath.erfc(abs(mpmath.mpf(z)) / mpmath.sqrt(2))
+            assert abs(p_value - exact) <= 2 * EPS * (1 + z * z) * exact
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    def test_quantile_ulps(self, q):
+        value = normal_quantile(q)
+        with mpmath.workdps(50):
+            target = mpmath.mpf(q)
+            exact = float(mpmath.findroot(lambda x: mpmath.ncdf(x) - target, value))
+        assert abs(value - exact) <= 8 * np.spacing(abs(exact))
+
     def test_quantile_inverts_cdf(self):
         for x in (-3.7, -1.0, 0.0, 0.5, 4.2):
             assert normal_quantile(normal_cdf(x)) == pytest.approx(x, abs=1e-12)
@@ -287,6 +322,15 @@ class TestTailPValues:
         exact = float(mpmath.erfc(mpmath.mpf(z) / mpmath.sqrt(2)))
         assert result.p_value > 0.0
         assert result.p_value == pytest.approx(exact, rel=1e-10)
+
+
+    def test_p_value_positive_at_thirty_eight(self):
+        # Subnormal there, so only near 1e-8 relative; 2 * ndtr(-38) was 0.
+        est, covs = _sets([np.eye(2)], [np.eye(2)], [1])
+        deb = PrecisionSet([np.array([[1.0, -38.0], [-38.0, 1.0]])])
+        p_value = linear_combo_test(deb, est, covs, [1.0], 0, 1).p_value
+        assert p_value > 0.0
+        assert p_value == pytest.approx(5.77085672013757e-316, rel=1e-8)
 
 
 class TestEntryVariances:

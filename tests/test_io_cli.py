@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -385,8 +386,6 @@ def chain_pair(tmp_path):
 
 class TestTestCommand:
     def test_many_edges_match_a_per_edge_oracle(self, tmp_path, chain_pair):
-        from scipy.special import ndtr
-
         from oracles import scalar_combination
 
         pairs = [(i, j) for i in range(6) for j in range(i, 6)][::-1]
@@ -406,7 +405,7 @@ class TestTestCommand:
             point, se = scalar_combination(deb.matrices, estimate.matrices,
                                            covs.sample_sizes, (2.0, 0.5), i, j)
             z = point / se
-            rows.append([i + 1, j + 1, point, se, z, 2.0 * float(ndtr(-abs(z))),
+            rows.append([i + 1, j + 1, point, se, z, math.erfc(abs(z) * math.sqrt(0.5)),
                          int(abs(z) > tau)])
             bounds = []
             for unit in np.eye(2):
@@ -458,11 +457,10 @@ def test_benchmark_wrap_points_exist():
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
 
 
-def test_cli_loads_scipy_only_for_test_and_diagnose(tmp_path):
-    # One fresh interpreter runs the commands in turn.  Importing the package,
-    # estimate, tune and simulate load numpy alone, also when they run after
-    # each other; test loads scipy.special for its p-values and diagnose
-    # loads scipy.linalg.  pandas and scipy.sparse are never loaded.
+def test_cli_runs_every_command_without_scipy(tmp_path):
+    # One fresh interpreter runs every command in turn, after the import.
+    # The package runs on numpy alone: no scipy module and no pandas is
+    # loaded after the import or after any command.
     from multiggm.graphs import chain_precision
     from multiggm.io import write_matrix_csv
 
@@ -478,14 +476,16 @@ def test_cli_loads_scipy_only_for_test_and_diagnose(tmp_path):
         ["estimate", *data, "--c1", "0.5", "--c2", "1.0", "--debias"],
         ["tune", *data, "--c1-grid", "0.5,1", "--c2-grid", "1,2"],
         ["simulate", "normality", "--p", "6", "--n", "100", "--B", "2"],
+        ["simulate", "coverage", "--p", "6", "--n", "100", "--B", "2",
+         "--penalty-rule", "fixed"],
         ["test", *data, "--c1", "0.5", "--c2", "1.0", "--edges", "1,2", "--coeffs", "1,-1"],
         ["diagnose", "--precision", f"{precision},{precision}", "--sample-sizes", "40,40"],
     ]
     code = (
         "import json, sys\n"
-        "watched = ('pandas', 'scipy.sparse', 'scipy.special', 'scipy.linalg')\n"
         "def loaded():\n"
-        "    return [m for m in watched if m in sys.modules]\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m in ('scipy', 'pandas') or m.startswith('scipy.'))\n"
         "import multiggm\n"
         "seen = [[0, loaded()]]\n"
         "from multiggm import cli\n"
@@ -501,9 +501,5 @@ def test_cli_loads_scipy_only_for_test_and_diagnose(tmp_path):
         env=dict(os.environ, PYTHONPATH=package_root),
     )
     assert result.returncode == 0, result.stderr
-    after_import, estimate, tune, simulate, test, diagnose = json.loads(result.stdout)
-    for exit_code, modules in (after_import, estimate, tune, simulate):
-        assert exit_code == EXIT_OK and modules == []
-    assert test == [EXIT_OK, ["scipy.special"]]
-    assert diagnose[0] == EXIT_OK and "scipy.linalg" in diagnose[1]
-    assert "pandas" not in diagnose[1] and "scipy.sparse" not in diagnose[1]
+    seen = json.loads(result.stdout)
+    assert seen == [[EXIT_OK, []]] * (len(steps) + 1)
