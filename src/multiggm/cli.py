@@ -60,7 +60,7 @@ from .selection import (
 )
 from .solver import PenaltyPair, solve_ggl
 
-REPORT_SCHEMA = 12
+REPORT_SCHEMA = 13
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -380,6 +380,9 @@ def _test(args, report: AnalysisReport) -> int:
         raise ConfigError(f"{len(coeffs)} coefficients for {covs.K} populations")
     if not any(coeffs):
         raise ConfigError("at least one combination coefficient must be nonzero")
+    for flag, level in (("--alpha", args.alpha), ("--ci-level", args.ci_level)):
+        if not 0.0 < level < 1.0:
+            raise ConfigError(f"{flag} must lie strictly in (0, 1), got {level}")
     rows, cols = numpy.array(edges).T
     outside = numpy.flatnonzero(numpy.maximum(rows, cols) >= covs.p)
     if outside.size:
@@ -389,48 +392,35 @@ def _test(args, report: AnalysisReport) -> int:
     with _phase(report, "inference_s"):
         deb = debias(solve.estimate, covs)
         r = test_linear_combo(deb, solve.estimate, covs, coeffs, rows, cols, args.alpha)
-        cis = [
-            confidence_interval(deb, solve.estimate, covs, k, rows, cols, args.ci_level)
-            for k in range(covs.K)
-        ]
-        # Plain Python values: JSON cannot encode numpy scalars.
-        stats = {
-            name: getattr(r, name).tolist()
-            for name in ("estimate", "std_error", "z_stat", "p_value", "reject")
-        }
-        bounds = [(c.lower.tolist(), c.upper.tolist(), c.level) for c in cis]
-        results = [
-            {
-                "edge": [i + 1, j + 1],
-                **{name: values[m] for name, values in stats.items()},
-                "alpha_level": r.alpha_level,
-                "intervals": [
-                    {"population": k + 1, "lower": lower[m], "upper": upper[m], "level": level}
-                    for k, (lower, upper, level) in enumerate(bounds)
-                ],
-            }
-            for m, (i, j) in enumerate(edges)
-        ]
-        table = [["i", "j", "estimate", "std_error", "z", "p_value", "reject"]] + [
-            [*t["edge"], t["estimate"], t["std_error"], t["z_stat"], t["p_value"], int(t["reject"])]
-            for t in results
-        ]
+        header = ["i", "j", "estimate", "std_error", "z", "p_value", "reject"]
+        columns = [rows + 1, cols + 1, r.estimate, r.std_error, r.z_stat, r.p_value,
+                   r.reject.astype(int)]
+        for k in range(covs.K):
+            ci = confidence_interval(deb, solve.estimate, covs, k, rows, cols, args.ci_level)
+            header += [f"lower_k{k + 1}", f"upper_k{k + 1}"]
+            columns += [ci.lower, ci.upper]
+        # One row of plain Python numbers per pair.
+        table = [header, *zip(*(c.tolist() for c in columns))]
     _emit(report, write_csv_atomic, [(table, f"{args.out_dir}/tests.csv")])
     report.payload = {
         "penalty": {"lam": penalty.lam, "rho": penalty.rho},
         "converged": solve.converged,
         **_solve_counts(solve),
-        "tests": results,
+        "tested": len(edges),
+        "rejected": int(r.reject.sum()),
     }
     return code
 
 
 def _tune(args, report: AnalysisReport) -> int:
-    grid = TuningGrid(
-        c1_values=tuple(_float_list(args.c1_grid)),
-        c2_values=tuple(_float_list(args.c2_grid)),
-        gamma=args.gamma,
-    )
+    try:
+        grid = TuningGrid(
+            c1_values=tuple(_float_list(args.c1_grid)),
+            c2_values=tuple(_float_list(args.c2_grid)),
+            gamma=args.gamma,
+        )
+    except DataFormatError as exc:  # TuningGrid's error for library callers
+        raise ConfigError(str(exc)) from None
     covs = _covariances(args, report)
     with _phase(report, "tune_s"):
         result = tune_penalties(covs, grid)
@@ -507,6 +497,8 @@ def _diagnose(args, report: AnalysisReport) -> int:
         sizes = _int_list(args.sample_sizes)
         if len(sizes) != precisions.K:
             raise ConfigError(f"{len(sizes)} sample sizes for {precisions.K} populations")
+        if min(sizes) < 1:
+            raise ConfigError(f"--sample-sizes must be positive, got {min(sizes)}")
     diag = diagnostics_report(
         precisions,
         PenaltyPair(args.lam, args.rho),
@@ -517,7 +509,7 @@ def _diagnose(args, report: AnalysisReport) -> int:
         eigen_bound_l=args.eigen_bound,
     ).to_jsonable()
     _emit(report, write_json_atomic, [(diag, f"{args.out_dir}/diagnostics.json")])
-    report.payload = diag
+    report.payload = {"assumptions_hold": diag["assumptions_hold"]}
     return EXIT_OK
 
 

@@ -335,6 +335,8 @@ def diagnostics_report(
     augment_diagonal: bool = True,
 ) -> DiagnosticsReport:
     """Full diagnostic sweep over a set of true precision matrices."""
+    if sample_sizes is not None and min(int(n) for n in sample_sizes) < 1:
+        raise DataFormatError("sample sizes must be positive")
     factors = [_population(m, tol, augment_diagonal) for m in precisions.matrices]
     pops = []
     alpha = None

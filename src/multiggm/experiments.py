@@ -82,6 +82,10 @@ class ExperimentConfig:
         object.__setattr__(
             self, "sample_sizes", tuple(int(n) for n in self.sample_sizes)
         )
+        if min(self.dims) < 1:
+            raise ConfigError(f"dimension p={min(self.dims)} must be at least 1")
+        if min(self.sample_sizes) < 2:
+            raise ConfigError(f"sample size n={min(self.sample_sizes)} must be at least 2")
         for name in ("dims", "sample_sizes"):
             values = getattr(self, name)
             if len(set(values)) != len(values):
@@ -218,8 +222,10 @@ class _Study:
 
     def __call__(self, config: ExperimentConfig) -> ExperimentResult:
         entries, failures, seed_log, failed_seeds, lanes = {}, {}, {}, {}, 1
-        for p in config.dims:
-            truth = config.graph.build(p)
+        # Every truth first, so that a graph that does not fit some p fails
+        # before any replication runs.
+        truths = [config.graph.build(p) for p in config.dims]
+        for p, truth in zip(config.dims, truths):
             worker = self.prepare(config, truth)
             for n in config.sample_sizes:
                 results, seeds, cell_lanes = _run_cell(config, truth, p, n, worker)

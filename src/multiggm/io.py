@@ -198,14 +198,13 @@ def ingest_csv(
     center: bool = False,
     standardize: bool = False,
     first_difference: bool = False,
-    ddof: int = 1,
 ) -> MultiPopDataset:
     """Load one numeric CSV per population into a dataset.
 
     An initial non-numeric row is consumed as variable names.  Optional
     transforms, applied in order: consecutive-row differencing (n rows
-    become n-1), column mean-centering, division by the column standard
-    deviation (``ddof`` degrees of freedom, default the usual n-1).  Files
+    become n-1), column mean-centering, division by the column sample
+    standard deviation (n-1 degrees of freedom).  Files
     of ``_LANE_MIN_BYTES`` or more in all are parsed in forked lanes; the
     dataset, or the error raised, is that of parsing them one by one.
     """
@@ -229,7 +228,7 @@ def ingest_csv(
         if center:
             x = x - x.mean(axis=0, keepdims=True)
         if standardize:
-            sd = x.std(axis=0, ddof=ddof)
+            sd = x.std(axis=0, ddof=1)
             if np.any(sd == 0):
                 col = int(np.flatnonzero(sd == 0)[0]) + 1
                 raise DataFormatError(f"{path}: column {col} is constant")

@@ -221,7 +221,7 @@ def test_cli_restores_counts_and_reports_environment(tmp_path, caller_counts):
     assert main(argv) == 0
     assert counts() == caller_counts
     report = json.loads((out / "report.json").read_text())
-    assert report["schema"] == REPORT_SCHEMA == 12
+    assert report["schema"] == REPORT_SCHEMA == 13
     env = report["environment"]
     assert sorted(env) == ["cpus", "numpy", "openblas", "python"]
     assert env["numpy"] == np.__version__

@@ -288,6 +288,24 @@ class TestSimulateChecks:
         assert "configuration error: edge (1,20) out of range for p=8" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--p", "0"], "dimension p=0 must be at least 1"),
+        (["--n", "0"], "sample size n=0 must be at least 2"),
+        (["--n", "1"], "sample size n=1 must be at least 2"),
+        (["--n", "100,1"], "sample size n=1 must be at least 2"),
+    ])
+    def test_dimension_and_sample_size_are_config_errors(
+        self, tmp_path, capsys, monkeypatch, flags, message
+    ):
+        from multiggm import experiments
+
+        calls = []
+        monkeypatch.setattr(experiments, "_solve", lambda *a: calls.append(a))
+        assert run([*TPFP_ARGV, *flags], tmp_path / "out") == EXIT_CONFIG
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["consistency", "tpfp", "supnorm", "normality", "coverage"])
     def test_payload_counts_p_n_cells(self, tmp_path, kind):
         argv = ["simulate", kind, "--p", "6,8", "--n", "100,120,150", "--B", "1",

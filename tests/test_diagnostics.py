@@ -245,6 +245,12 @@ class TestReport:
         assert obj["populations"][0]["max_degree"] == 2
         assert obj["sample_size_ratios"] == [1.0, 600 / 700]
 
+    @pytest.mark.parametrize("sizes", [(0, 600), (-5, 600)])
+    def test_nonpositive_sample_size_is_a_data_error(self, sizes):
+        prec = PrecisionSet([chain_precision(4, 0.2)] * 2, positive_definite=True)
+        with pytest.raises(DataFormatError, match="sample sizes must be positive"):
+            diagnostics_report(prec, PenaltyPair(0.1, 0.1), sample_sizes=sizes)
+
     def test_support_indices_augmentation(self):
         es = edge_set(chain_precision(3, 0.2))
         assert support_indices(es, augment_diagonal=True) == [

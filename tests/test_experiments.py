@@ -19,7 +19,7 @@ from multiggm import (
     run_tpfp,
     upper_quantile,
 )
-from multiggm.errors import ConfigError
+from multiggm.errors import ConfigError, DataFormatError
 from multiggm.graphs import GraphSpec
 from multiggm.solver import SolveReport
 
@@ -359,6 +359,25 @@ class TestConfigChecks:
         monkeypatch.setattr(experiments, "_solve", counting)
         result = run_tpfp(small_config(replications=2, dims=(6, 8)))
         assert len(calls) == 4 and len(result.cells) == 2
+
+    @pytest.mark.parametrize("field, values, message", [
+        ("dims", (8, 0), "dimension p=0 must be at least 1"),
+        ("dims", (-3,), "dimension p=-3 must be at least 1"),
+        ("sample_sizes", (150, 1), "sample size n=1 must be at least 2"),
+        ("sample_sizes", (0,), "sample size n=0 must be at least 2"),
+    ])
+    def test_dimension_and_sample_size_bounds(self, field, values, message):
+        with pytest.raises(ConfigError, match=message):
+            small_config(**{field: values})
+
+    def test_star_that_does_not_fit_a_later_p_runs_no_solve(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(experiments, "_solve", lambda *a: calls.append(a))
+        star = GraphSpec(kind="star", star_d=25, star_diag=(2.0, 2.5),
+                         star_offdiag=(0.3, 0.45))
+        with pytest.raises(DataFormatError, match="degree d=25"):
+            run_tpfp(small_config(graph=star, dims=(40, 10), replications=2))
+        assert calls == []
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one(self, threads):

@@ -153,8 +153,8 @@ class TestCli:
             "--edges", "1,2", "--coeffs", "1,-1", "--out-dir", str(out), "-q",
         ])
         assert code == EXIT_OK
-        report = json.loads((out / "report.json").read_text())
-        assert report["payload"]["tests"][0]["p_value"] == pytest.approx(1.0)
+        header, row = (out / "tests.csv").read_text().splitlines()
+        assert float(row.split(",")[header.split(",").index("p_value")]) == pytest.approx(1.0)
 
     def test_simulate_matches_library_bit_for_bit(self, tmp_path):
         from multiggm import ExperimentConfig, run_sign_consistency
@@ -242,6 +242,56 @@ class TestCli:
         diag = json.loads((out / "diagnostics.json").read_text())
         assert diag["assumptions_hold"]["irrepresentability"]
         assert diag["populations"][0]["max_degree"] == 2
+
+    def test_diagnose_payload_is_the_assumption_checks(self, tmp_path):
+        from multiggm import chain_precision
+        from multiggm.io import write_matrix_csv
+
+        paths = []
+        for k, rho in enumerate((0.2, 0.35)):
+            path = tmp_path / f"om{k}.csv"
+            write_matrix_csv(chain_precision(5, rho), str(path))
+            paths.append(str(path))
+        out = tmp_path / "out"
+        assert main(["diagnose", "--precision", ",".join(paths), "--sample-sizes", "600,300",
+                     "--out-dir", str(out), "-q"]) == EXIT_OK
+        # The default penalties (0.1, 0.1) are too small for the between-group
+        # condition; the table itself is in diagnostics.json only.
+        payload = json.loads((out / "report.json").read_text())["payload"]
+        assert payload == {
+            "assumptions_hold": {
+                "irrepresentability": True,
+                "between_group": False,
+                "bounded_eigenvalues": True,
+                "sample_size_ratio": True,
+            }
+        }
+        diag = json.loads((out / "diagnostics.json").read_text())
+        assert diag["assumptions_hold"] == payload["assumptions_hold"]
+        assert diag["sample_size_ratios"] == [0.5, 1.0]
+
+    @pytest.mark.parametrize("sizes", ["0,600", "-5,600"])
+    def test_diagnose_nonpositive_sample_size_is_a_config_error(self, tmp_path, capsys, sizes):
+        from multiggm import chain_precision
+        from multiggm.io import write_matrix_csv
+
+        path = tmp_path / "om.csv"
+        write_matrix_csv(chain_precision(5, 0.2), str(path))
+        out = tmp_path / "out"
+        assert main(["diagnose", "--precision", f"{path},{path}", f"--sample-sizes={sizes}",
+                     "--out-dir", str(out), "-q"]) == EXIT_CONFIG
+        assert "configuration error: --sample-sizes must be positive" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flags", [
+        ["--gamma", "-1"], ["--c1-grid", "0"], ["--c2-grid", "1,0.5"], ["--c1-grid", ","],
+    ])
+    def test_tune_bad_grid_is_a_config_error(self, tmp_path, diag_data, capsys, flags):
+        out = tmp_path / "out"
+        assert main(["tune", "--data", str(diag_data), *flags,
+                     "--out-dir", str(out), "-q"]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith("configuration error: ")
+        assert not out.exists()
 
     def test_config_file_with_flag_override(self, tmp_path, diag_data):
         config = tmp_path / "run.json"
@@ -396,30 +446,51 @@ class TestTestCommand:
                      "--ci-level", "0.9", "--out-dir", str(out), "-q"]) == EXIT_OK
 
         covs = multiggm.sample_covariance(ingest_csv(chain_pair.split(",")))
-        estimate = multiggm.solve_ggl(covs, multiggm.PenaltyPair(0.05, 0.1)).estimate
+        solve = multiggm.solve_ggl(covs, multiggm.PenaltyPair(0.05, 0.1))
+        estimate = solve.estimate
         deb = multiggm.debias(estimate, covs)
         tau, ci_tau = multiggm.upper_quantile(0.1), multiggm.upper_quantile(1.0 - 0.9)
-        rows = [["i", "j", "estimate", "std_error", "z", "p_value", "reject"]]
-        intervals = []
+        rows = [["i", "j", "estimate", "std_error", "z", "p_value", "reject",
+                 "lower_k1", "upper_k1", "lower_k2", "upper_k2"]]
         for i, j in pairs:
             point, se = scalar_combination(deb.matrices, estimate.matrices,
                                            covs.sample_sizes, (2.0, 0.5), i, j)
             z = point / se
-            rows.append([i + 1, j + 1, point, se, z, math.erfc(abs(z) * math.sqrt(0.5)),
-                         int(abs(z) > tau)])
-            bounds = []
+            row = [i + 1, j + 1, point, se, z, math.erfc(abs(z) * math.sqrt(0.5)),
+                   int(abs(z) > tau)]
             for unit in np.eye(2):
                 center, unit_se = scalar_combination(deb.matrices, estimate.matrices,
                                                      covs.sample_sizes, unit, i, j)
-                bounds.append([center - ci_tau * unit_se, center + ci_tau * unit_se])
-            intervals.append(bounds)
+                row += [center - ci_tau * unit_se, center + ci_tau * unit_se]
+            rows.append(row)
         write_csv_atomic(rows, str(tmp_path / "expected.csv"))
         assert (out / "tests.csv").read_bytes() == (tmp_path / "expected.csv").read_bytes()
-        tests = json.loads((out / "report.json").read_text())["payload"]["tests"]
-        assert [t["edge"] for t in tests] == [[i + 1, j + 1] for i, j in pairs]
-        assert [[[c["lower"], c["upper"]] for c in t["intervals"]] for t in tests] == intervals
-        assert all(t["alpha_level"] == 0.1 for t in tests)
-        assert all(c["level"] == 0.9 for t in tests for c in t["intervals"])
+        assert json.loads((out / "report.json").read_text())["payload"] == {
+            "penalty": {"lam": 0.05, "rho": 0.1},
+            "converged": True,
+            "iterations": solve.iterations,
+            "certificate_calls": solve.certificate_calls,
+            "acceleration_restarts": solve.acceleration_restarts,
+            "blocks": len(solve.block_sizes),
+            "largest_block": max(solve.block_sizes),
+            "tested": 21,
+            "rejected": sum(row[6] for row in rows[1:]),
+        }
+
+    def test_flag_levels_are_checked_before_the_solve(
+        self, tmp_path, chain_pair, capsys, monkeypatch
+    ):
+        from multiggm import cli
+
+        monkeypatch.setattr(cli, "solve_ggl", None)
+        base = ["test", "--data", chain_pair, "--c1", "0.5", "--c2", "1.0", "--edges", "1,2",
+                "--coeffs", "1,-1", "-q"]
+        for flag, value in (("--alpha", "0"), ("--alpha", "1"), ("--ci-level", "1.5"),
+                            ("--ci-level", "nan")):
+            assert main([*base, flag, value, "--out-dir", str(tmp_path / "out")]) == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert f"configuration error: {flag} must lie strictly in (0, 1)" in err
+        assert not (tmp_path / "out").exists()
 
     def test_views_run_once_per_command(self, tmp_path, chain_pair, monkeypatch):
         from multiggm import cli
