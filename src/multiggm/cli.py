@@ -372,6 +372,14 @@ def _estimate(args, report: AnalysisReport) -> int:
     return code
 
 
+def _table(header, columns, block: int = 4096):
+    """The header, then one row of plain Python numbers per pair, made as it
+    is written: ``block`` rows of the columns are converted at a time."""
+    yield header
+    for start in range(0, len(columns[0]), block):
+        yield from zip(*(c[start : start + block].tolist() for c in columns))
+
+
 def _test(args, report: AnalysisReport) -> int:
     edges = _edge_list(_given(args.edges, "--edges"))
     coeffs = _float_list(_given(args.coeffs, "--coeffs"))
@@ -399,8 +407,7 @@ def _test(args, report: AnalysisReport) -> int:
             ci = confidence_interval(deb, solve.estimate, covs, k, rows, cols, args.ci_level)
             header += [f"lower_k{k + 1}", f"upper_k{k + 1}"]
             columns += [ci.lower, ci.upper]
-        # One row of plain Python numbers per pair.
-        table = [header, *zip(*(c.tolist() for c in columns))]
+        table = _table(header, columns)
     _emit(report, write_csv_atomic, [(table, f"{args.out_dir}/tests.csv")])
     report.payload = {
         "penalty": {"lam": penalty.lam, "rho": penalty.rho},
@@ -450,29 +457,38 @@ def _tune(args, report: AnalysisReport) -> int:
 
 
 def _simulate(args, report: AnalysisReport) -> int:
-    if args.graph == "star":
-        graph = GraphSpec(
-            kind="star",
-            star_d=args.star_d,
-            star_diag=tuple(_float_list(args.star_diag)),
-            star_offdiag=tuple(_float_list(args.star_offdiag)),
-            hub_seed=args.hub_seed,
+    try:
+        if args.graph == "star":
+            graph = GraphSpec(
+                kind="star",
+                star_d=args.star_d,
+                star_diag=tuple(_float_list(args.star_diag)),
+                star_offdiag=tuple(_float_list(args.star_offdiag)),
+                hub_seed=args.hub_seed,
+            )
+        else:
+            graph = GraphSpec(kind="chain", chain_rho=tuple(_float_list(args.chain_rho)))
+        exp_config = ExperimentConfig(
+            graph=graph,
+            dims=tuple(_int_list(args.p)),
+            sample_sizes=tuple(_int_list(args.n)),
+            replications=args.B,
+            base_seed=args.seed,
+            penalty_rule=args.penalty_rule,
+            fixed_constants=(args.c1, args.c2),
+            ci_level=args.ci_level,
+            edges_of_interest=(
+                tuple(_edge_list(args.edges)) if args.experiment == "normality" else ()
+            ),
+            retune_per_replication=args.retune_per_replication,
+            threads=args.threads,
         )
-    else:
-        graph = GraphSpec(kind="chain", chain_rho=tuple(_float_list(args.chain_rho)))
-    exp_config = ExperimentConfig(
-        graph=graph,
-        dims=tuple(_int_list(args.p)),
-        sample_sizes=tuple(_int_list(args.n)),
-        replications=args.B,
-        base_seed=args.seed,
-        penalty_rule=args.penalty_rule,
-        fixed_constants=(args.c1, args.c2),
-        ci_level=args.ci_level,
-        edges_of_interest=tuple(_edge_list(args.edges)) if args.experiment == "normality" else (),
-        retune_per_replication=args.retune_per_replication,
-        threads=args.threads,
-    )
+        for p in exp_config.dims:
+            graph.build(p)
+    except (DataFormatError, NotPositiveDefiniteError) as exc:
+        # GraphSpec's and the graphs' errors for library callers; here the
+        # flags alone decide them, before any replication runs.
+        raise ConfigError(str(exc)) from None
     result = RUNNERS[args.experiment](exp_config)
     out = f"{args.out_dir}/{args.experiment}"
     _emit(report, write_csv_atomic, [(result.csv_rows(), f"{out}.csv")])

@@ -1,34 +1,42 @@
 """CSV ingestion, report serialization, and atomic file output.
 
-Reading.  A numeric CSV is read once into lines.  Rows whose cells are all
-whitespace are dropped.  The first remaining row is the header when
-``float()`` rejects one of its cells; it goes through ``csv.reader``, so
-quoted names may hold commas.  The data lines go to ``np.loadtxt`` (comma
+Reading.  A numeric CSV streams: no copy of the file's text is held, so
+a parse needs little more memory than the array it returns.  Rows whose
+cells are all whitespace are dropped.  ``csv.reader`` reads the file up to
+the first remaining row, which is the header when ``float()`` rejects one
+of its cells; so quoted names may hold commas or span lines.  The data
+lines then go one at a time from the open file into ``np.loadtxt`` (comma
 delimiter, ``"`` quotes, no comment character, so ``1,2 # note`` is still a
-bad cell).  numpy's reader and ``float()`` both hand the digits to CPython's
-correctly rounded string-to-double routine, so every cell parses to the same
-bits either way.
+bad cell).  numpy's reader and ``float()`` both hand the digits to
+CPython's correctly rounded string-to-double routine, so every cell parses
+to the same bits either way.
 
 Errors.  A file that cannot be opened or decoded as UTF-8, or that holds a
 cell longer than the ``csv`` module's field size limit, is a
-``DataFormatError``.  When ``loadtxt`` raises, or the header's width
-differs from the data's, ``_scan_rows`` parses the lines cell by cell with
-``csv`` and ``float()``.  It raises the positioned ``DataFormatError`` (ragged row,
-non-numeric cell at row and column, header width, empty file, header with
-no data) or, where the file is good, returns its own parse: ``float()``
-accepts cells numpy does not, such as ``1_000`` or non-ASCII digits.  The
-scan also takes, before numpy sees them, the files numpy's reader could
+``DataFormatError``.  When ``loadtxt`` raises, the file has no data row, or
+the header's width differs from the data's, ``_scan_rows`` reads the file
+again and parses it cell by cell with ``csv`` and ``float()``.  It raises
+the positioned ``DataFormatError`` (ragged row, non-numeric cell at row and
+column, header width, empty file, header with no data) or, where the file
+is good, returns its own parse: ``float()`` accepts cells numpy does not,
+such as ``1_000`` or non-ASCII digits.  The scan also takes, as each data
+line goes by and before numpy parses it, the files numpy's reader could
 accept where the scan does not: numbers padded with the separator controls
 U+001C..U+001F, a quoted cell that spans lines, and a cell longer than the
-``csv`` module's field size limit.
+``csv`` module's field size limit.  numpy never sees a file without data
+rows, so it never warns.
 
-Writing.  CSV numbers are written with 17 significant digits (``%.17g``,
-the same CPython routine as ``format(x, ".17g")``) so every float
-round-trips exactly; a float matrix is formatted through one row template.
-A data file's header row goes through ``csv.writer``, so a name holding a
-comma or a quote is quoted and reads back whole.  JSON uses Python's
-shortest-repr floats, which also round-trip.  All writes go through a temp
-file plus rename.
+Writing.  Every CSV is written one row at a time, each row formatted just
+before it is written, so no copy of the file's text is held either.  CSV
+numbers are written with 17 significant digits (``%.17g``, the same
+CPython routine as ``format(x, ".17g")``) so every float round-trips
+exactly.  Each row goes through one ``%`` template: a float matrix's is
+built once, and a table's is cached by the row's cell types (``%.17g``
+for floats, ``%s`` for anything else).  A data file's header row goes
+through ``csv.writer``, so a name holding a comma or a quote is quoted and
+reads back whole.  JSON uses Python's shortest-repr floats, which also
+round-trip.  All writes go through a temp file plus rename; a file with no
+rows is one newline.
 
 Lanes.  Both directions are CPython number conversion under the
 interpreter lock, so :func:`ingest_csv` parses its files in forked lanes
@@ -45,6 +53,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import os
 import tempfile
@@ -73,38 +82,59 @@ _LANE_MIN_CELLS = 20_000
 def _parse_csv_file(path: str):
     """Rows of floats plus optional header names from one numeric CSV."""
     with open(path, newline="") as fh:
-        lines = fh.readlines()
-    reader = csv.reader(lines)
-    start = 0
-    for row in reader:
+        parsed = _parse_lines(fh)
+    return _scan_rows(path) if parsed is None else parsed
+
+
+class _ScanInstead(Exception):
+    """A data line that numpy's reader could take where ``_scan_rows`` does not."""
+
+
+def _parse_lines(fh):
+    """numpy's parse of an open CSV, or ``None`` where ``_scan_rows`` decides.
+
+    The lines of the first row that holds a non-blank cell are kept until
+    that row is known to be data or the header; the data lines then stream
+    from the file into ``np.loadtxt``.
+    """
+    first_lines = []
+
+    def tracked():
+        for line in fh:
+            first_lines.append(line)
+            yield line
+
+    for row in csv.reader(tracked()):
         if row and any(c.strip() for c in row):
             break
-        start = reader.line_num
+        first_lines.clear()
     else:
-        return _scan_rows(path, lines)
+        return None
     header = None
     try:
         for cell in row:
             float(cell)
     except ValueError:
         header = [c.strip() for c in row]
-        start = reader.line_num
-    data = [line for line in lines[start:] if line.replace(",", "").strip()]
-    if not data or _reader_may_differ(data):
-        return _scan_rows(path, lines)
+        first_lines.clear()
+    lines = _data_lines(itertools.chain(first_lines, fh))
     try:
+        # Peek, so that numpy never sees (and warns about) a file with no data.
+        first = next(lines)
         x = np.loadtxt(
-            data, delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float
+            itertools.chain([first], lines),
+            delimiter=",", comments=None, quotechar='"', ndmin=2, dtype=float,
         )
-    except ValueError:
-        return _scan_rows(path, lines)
+    except (StopIteration, _ScanInstead, ValueError):
+        return None
     if header is not None and len(header) != x.shape[1]:
-        return _scan_rows(path, lines)
+        return None
     return x, header
 
 
-def _reader_may_differ(data) -> bool:
-    """Whether numpy's reader could accept data lines that ``_scan_rows`` rejects.
+def _data_lines(lines):
+    """The lines with a non-blank cell; raises :class:`_ScanInstead` at one
+    numpy's reader could accept where ``_scan_rows`` rejects it.
 
     That is a line with a separator control, which numpy strips around a
     number and ``float()`` does not; an odd count of quotes, which leaves a
@@ -112,21 +142,26 @@ def _reader_may_differ(data) -> bool:
     or a cell longer than the ``csv`` module's field size limit.
     """
     limit = csv.field_size_limit()
-    return any(
-        line.count('"') % 2
-        or any(c in line for c in _SEPARATOR_CONTROLS)
-        or (len(line) > limit and max(map(len, line.split(","))) > limit)
-        for line in data
-    )
+    for line in lines:
+        if not line.replace(",", "").strip():
+            continue
+        if (
+            line.count('"') % 2
+            or any(c in line for c in _SEPARATOR_CONTROLS)
+            or (len(line) > limit and max(map(len, line.split(","))) > limit)
+        ):
+            raise _ScanInstead
+        yield line
 
 
-def _scan_rows(path: str, lines):
-    """Cell-by-cell parse of a CSV's lines with ``csv`` and ``float()``.
+def _scan_rows(path: str):
+    """Cell-by-cell parse of a CSV with ``csv`` and ``float()``.
 
     Raises the positioned ``DataFormatError`` for a bad file; returns the
     rows and header for a good one that numpy's reader did not take.
     """
-    raw = [row for row in csv.reader(lines) if row and any(c.strip() for c in row)]
+    with open(path, newline="") as fh:
+        raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if not raw:
         raise DataFormatError(f"{path}: empty file")
 
@@ -237,31 +272,52 @@ def ingest_csv(
     return MultiPopDataset(mats, variable_names=names)
 
 
-def _format_cell(value) -> str:
-    if isinstance(value, float) or isinstance(value, np.floating):
-        return format(float(value), ".17g")
-    return str(value)
+def _cell_format(cell_type) -> str:
+    """A cell's ``%`` format: floats at 17 significant digits, anything else by ``str``.
+
+    ``%.17g`` converts a numpy float through ``float()``, as
+    ``format(float(x), ".17g")`` does.
+    """
+    return "%.17g" if issubclass(cell_type, (float, np.floating)) else "%s"
+
+
+def _row_lines(rows):
+    """CSV lines of ``rows``, each through one template cached by its cell types."""
+    templates = {}
+    for row in rows:
+        types = tuple(map(type, row))
+        template = templates.get(types)
+        if template is None:
+            template = templates[types] = ",".join(map(_cell_format, types)) + "\n"
+        yield template % tuple(row)
 
 
 def write_csv_atomic(rows, path: str) -> None:
-    """Write rows to CSV with 17-significant-digit floats, atomically."""
-    _atomic_write(
-        path,
-        "\n".join(",".join(_format_cell(c) for c in row) for row in rows) + "\n",
-    )
+    """Write rows to CSV with 17-significant-digit floats, atomically.
+
+    ``rows`` may be any iterable, a generator included; each row is
+    formatted and written before the next is taken.
+    """
+    _atomic_write(path, _row_lines(rows))
 
 
 def write_json_atomic(obj, path: str) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
 
 
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks) -> None:
+    """Write the text ``chunks`` one by one to a temp file, then rename it to ``path``.
+
+    A file that would be empty gets one newline.
+    """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
+            if not fh.tell():
+                fh.write("\n")
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -269,15 +325,15 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
-def _format_rows(matrix) -> str:
-    """A float matrix as CSV lines of 17-significant-digit numbers."""
+def _matrix_lines(matrix):
+    """A float matrix as CSV lines of 17-significant-digit numbers, one row at a time."""
     matrix = np.asarray(matrix, dtype=float)
     template = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
-    return "".join([template % tuple(row.tolist()) for row in matrix])
+    return (template % tuple(row.tolist()) for row in matrix)
 
 
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
-    _atomic_write(path, _format_rows(matrix) or "\n")
+    _atomic_write(path, _matrix_lines(matrix))
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -289,9 +345,10 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 def write_data_csv(matrix: np.ndarray, path: str, names=None) -> None:
     """A data matrix, with ``names`` as a header row quoted the ``csv`` way."""
-    text = _format_rows(matrix)
+    lines = _matrix_lines(matrix)
     if names is not None:
         header = io.StringIO()
-        csv.writer(header, lineterminator="\n").writerow(map(_format_cell, names))
-        text = header.getvalue() + text
-    _atomic_write(path, text or "\n")
+        cells = (_cell_format(type(name)) % (name,) for name in names)
+        csv.writer(header, lineterminator="\n").writerow(cells)
+        lines = itertools.chain([header.getvalue()], lines)
+    _atomic_write(path, lines)

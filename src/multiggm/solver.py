@@ -78,6 +78,9 @@ certificate taken at the estimate it returns.  Unpenalized (``lam = rho =
 the absolute certificate can pass far out along the divergence: it is
 never certified, and ADMM returns its start unconverged, with 0
 iterations, infinite residuals and the certificate taken at the start.
+The certificate factorizes and inverts one population at a time and
+checks the groups in chunks (``_stationarity_violation``), so beyond the
+gradients of the groups it holds one population's inverse at a time.
 
 Screening.  Before any ADMM iteration the vertices are split by the exact
 rule of Danaher, Wang & Witten (2014, *The joint graphical lasso*, JRSS-B,
@@ -273,7 +276,7 @@ def kkt_residual(
     if estimate.p != covs.p or estimate.K != covs.K:
         raise DataFormatError("estimate and covariances do not match")
     value = _stationarity_violation(
-        np.stack(estimate.matrices),
+        estimate.matrices,
         covs.matrices,
         penalty.lam,
         penalty.rho,
@@ -284,48 +287,70 @@ def kkt_residual(
     return value
 
 
+# Groups per pass of the certificate: the chunk's temporaries stay near
+# 1 MB at K = 2 while a block of up to 181 vertices is one pass.
+_GROUP_CHUNK = 1 << 14
+
+
 def _stationarity_violation(omegas, s, lam, rho, w) -> float:
     """Array-level core of :func:`kkt_residual`; ``inf`` if a matrix is not PD.
 
-    Takes a (K, p, p) stack of symmetric estimates and the K covariances.
-    One batched Cholesky checks that every estimate is PD, and one batched
-    ``np.linalg.inv`` inverts them; each inverse is then symmetrized.  The
-    value agrees with a per-population Cholesky solve to rounding.
+    Takes the K symmetric estimates (a (K, p, p) stack or a sequence) and
+    the K covariances.  One population at a time, a Cholesky checks that
+    the estimate is PD and ``np.linalg.inv`` inverts it; of its gradient
+    ``w_k * (S_k - (inv + inv') / 2)`` the diagonal and the upper triangle
+    are kept.  The groups are then checked ``_GROUP_CHUNK`` at a time, so
+    the working memory beyond the (K, p (p - 1) / 2) gradients is one
+    population's inverse or one chunk.  The value agrees with a
+    per-population Cholesky solve to rounding.
     """
-    p = omegas.shape[1]
-    try:
-        np.linalg.cholesky(omegas)
-    except np.linalg.LinAlgError:
-        return np.inf
-    grads = w[:, None, None] * (np.asarray(s) - _symmetrized(np.linalg.inv(omegas)))
-    idx = np.arange(p)
-    worst = float(np.max(np.abs(grads[:, idx, idx])))
+    K, p = len(omegas), omegas[0].shape[0]
+    upper = np.flatnonzero(np.triu(np.ones((p, p), dtype=bool), k=1))  # (i, j), i < j
+    diag = np.empty((K, p))
+    grads = np.empty((K, upper.size))
+    for k in range(K):
+        try:
+            np.linalg.cholesky(omegas[k])
+        except np.linalg.LinAlgError:
+            return np.inf
+        grad = np.linalg.inv(omegas[k])
+        grad += grad.T  # numpy reads the overlapping transpose from a copy
+        grad /= 2.0
+        np.subtract(s[k], grad, out=grad)
+        grad *= w[k]
+        diag[k] = np.diagonal(grad)
+        grad.take(upper, out=grads[k])
+        del grad  # before the next population's inverse
+    worst = float(np.max(np.abs(diag)))
 
-    iu, ju = np.triu_indices(p, k=1)
-    g = grads[:, iu, ju]  # (K, n_pairs)
-    om = omegas[:, iu, ju]
-    group_nonzero = np.any(om != 0.0, axis=0)
+    excess, resid = [], []  # the largest violation in each chunk
+    for start in range(0, upper.size, _GROUP_CHUNK):
+        g = grads[:, start : start + _GROUP_CHUNK]
+        om = np.stack([mat.take(upper[start : start + _GROUP_CHUNK]) for mat in omegas])
+        group_nonzero = np.any(om != 0.0, axis=0)
 
-    # Groups at exactly zero: excess of the soft-thresholded gradient norm.
-    if np.any(~group_nonzero):
-        gz = g[:, ~group_nonzero]
-        soft = np.sign(gz) * np.maximum(np.abs(gz) - lam, 0.0)
-        excess = np.linalg.norm(soft, axis=0) - rho
-        if excess.size:
-            worst = max(worst, float(np.max(np.maximum(excess, 0.0))))
+        # Groups at exactly zero: excess of the soft-thresholded gradient norm.
+        if np.any(~group_nonzero):
+            gz = g[:, ~group_nonzero]
+            soft = np.sign(gz) * np.maximum(np.abs(gz) - lam, 0.0)
+            excess.append(np.max(np.maximum(np.linalg.norm(soft, axis=0) - rho, 0.0)))
 
-    # Active groups: direct residual with the subgradients evaluated there.
-    if np.any(group_nonzero):
-        ga = g[:, group_nonzero]
-        oa = om[:, group_nonzero]
-        norms = np.linalg.norm(oa, axis=0)
-        m = oa / norms[None, :]
-        if lam > 0:
-            z = np.where(oa != 0.0, np.sign(oa), np.clip(-ga / lam, -1.0, 1.0))
-        else:
-            z = np.zeros_like(ga)
-        resid = ga + lam * z + rho * m
-        worst = max(worst, float(np.max(np.abs(resid))))
+        # Active groups: direct residual with the subgradients evaluated there.
+        if np.any(group_nonzero):
+            ga = g[:, group_nonzero]
+            oa = om[:, group_nonzero]
+            norms = np.linalg.norm(oa, axis=0)
+            m = oa / norms[None, :]
+            if lam > 0:
+                z = np.where(oa != 0.0, np.sign(oa), np.clip(-ga / lam, -1.0, 1.0))
+            else:
+                z = np.zeros_like(ga)
+            resid.append(np.max(np.abs(ga + lam * z + rho * m)))
+    # np.max over the chunks' maxima is np.max over all groups, NaN included.
+    if excess:
+        worst = max(worst, float(np.max(excess)))
+    if resid:
+        worst = max(worst, float(np.max(resid)))
     return worst
 
 

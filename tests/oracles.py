@@ -7,7 +7,9 @@ certify the main implementations.  The
 CSV parser and writers are the cell-by-cell ``csv``/``float()``/``format()``
 code that ``multiggm.io`` replaced with numpy's reader and row templates.
 The sampler and the certificate keep the scipy forms (``solve_triangular``,
-``cho_solve``) that the package replaced with numpy calls.  The scalar
+``cho_solve``) that the package replaced with numpy calls, and the
+certificate also keeps its batched numpy form, which the package replaced
+with a loop over populations.  The scalar
 linear-combination statistic is the per-edge loop over a 2x2 variance block
 that ``multiggm.inference.combine`` replaced.
 """
@@ -15,6 +17,7 @@ that ``multiggm.inference.combine`` replaced.
 from __future__ import annotations
 
 import csv
+import io
 import math
 
 import numpy as np
@@ -364,6 +367,46 @@ def kkt_oracle(mats, covs, lam, rho, weights=None) -> float:
     return worst
 
 
+def stationarity_stack_oracle(omegas, s, lam, rho, w) -> float:
+    """The certificate's batched array form, bit for bit what the package computed
+    before it built the gradients one population at a time.
+
+    One Cholesky and one ``np.linalg.inv`` over the whole (K, p, p) stack,
+    the gradient stack in one expression, and fancy-indexed copies of every
+    group; ``inf`` when a matrix is not PD.
+    """
+    p = omegas.shape[1]
+    try:
+        np.linalg.cholesky(omegas)
+    except np.linalg.LinAlgError:
+        return np.inf
+    inv = np.linalg.inv(omegas)
+    grads = w[:, None, None] * (np.asarray(s) - (inv + inv.transpose(0, 2, 1)) / 2.0)
+    idx = np.arange(p)
+    worst = float(np.max(np.abs(grads[:, idx, idx])))
+    iu, ju = np.triu_indices(p, k=1)
+    g = grads[:, iu, ju]
+    om = omegas[:, iu, ju]
+    group_nonzero = np.any(om != 0.0, axis=0)
+    if np.any(~group_nonzero):
+        gz = g[:, ~group_nonzero]
+        soft = np.sign(gz) * np.maximum(np.abs(gz) - lam, 0.0)
+        excess = np.linalg.norm(soft, axis=0) - rho
+        if excess.size:
+            worst = max(worst, float(np.max(np.maximum(excess, 0.0))))
+    if np.any(group_nonzero):
+        ga = g[:, group_nonzero]
+        oa = om[:, group_nonzero]
+        m = oa / np.linalg.norm(oa, axis=0)[None, :]
+        if lam > 0:
+            z = np.where(oa != 0.0, np.sign(oa), np.clip(-ga / lam, -1.0, 1.0))
+        else:
+            z = np.zeros_like(ga)
+        resid = ga + lam * z + rho * m
+        worst = max(worst, float(np.max(np.abs(resid))))
+    return worst
+
+
 # --- CSV oracles -------------------------------------------------------------
 
 
@@ -424,7 +467,20 @@ def csv_text_oracle(rows) -> str:
 
 
 def data_csv_oracle(matrix, names=None) -> str:
-    """The text of a float matrix's CSV, under an optional row of names."""
-    rows = [] if names is None else [list(names)]
-    rows.extend(np.asarray(matrix, dtype=float).tolist())
-    return csv_text_oracle(rows)
+    """The text of a float matrix's CSV, under an optional row of names
+    quoted the ``csv`` way."""
+    rows = np.asarray(matrix, dtype=float).tolist()
+    text = csv_text_oracle(rows) if rows else ""
+    if names is None:
+        return text or "\n"
+    header = io.StringIO()
+    csv.writer(header, lineterminator="\n").writerow(map(_format_cell, names))
+    return header.getvalue() + text
+
+
+def matrix_text_oracle(matrix) -> str:
+    """A float matrix's CSV as one string through one ``%.17g`` row template,
+    as the package built it before it wrote row by row."""
+    matrix = np.asarray(matrix, dtype=float)
+    template = ",".join(["%.17g"] * matrix.shape[1]) + "\n"
+    return "".join([template % tuple(row.tolist()) for row in matrix]) or "\n"

@@ -306,6 +306,28 @@ class TestSimulateChecks:
         assert calls == []
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--graph", "star", "--star-d=-1", "--p", "10"], "degree d=-1 must satisfy 0 <= d < p=10"),
+        (["--chain-rho", "0.2,0.9", "--p", "10"],
+         "chain parameter rho=0.9 is not positive definite at p=10"),
+        (["--graph", "star", "--star-diag", "2", "--star-offdiag", "0.3,0.4"],
+         "star spec needs matching diag and offdiag value lists"),
+        (["--graph", "star", "--star-d", "25", "--p", "40,10"],
+         "degree d=25 must satisfy 0 <= d < p=10"),
+        (["--graph", "star", "--star-d", "4", "--star-offdiag", "0.3,1.5", "--p", "10"],
+         "star parameters are not positive definite"),
+    ])
+    def test_graph_flags_are_config_errors(self, tmp_path, capsys, monkeypatch, flags, message):
+        from multiggm import experiments
+
+        calls = []
+        monkeypatch.setattr(experiments, "_solve", lambda *a: calls.append(a))
+        argv = ["simulate", "tpfp", "--n", "100", "--penalty-rule", "fixed", *flags]
+        assert run(argv, tmp_path / "out") == EXIT_CONFIG
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert calls == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("kind", ["consistency", "tpfp", "supnorm", "normality", "coverage"])
     def test_payload_counts_p_n_cells(self, tmp_path, kind):
         argv = ["simulate", kind, "--p", "6,8", "--n", "100,120,150", "--B", "1",

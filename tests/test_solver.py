@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from oracles import (
     pg_solve,
     random_covariance_set,
     relaxed_admm,
+    stationarity_stack_oracle,
 )
 
 
@@ -199,6 +201,55 @@ class TestKktResidual:
                              PenaltyPair(lam, rho), w)
         else:
             assert abs(got - want) <= 1e-12 * want
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 12),
+           st.sampled_from(["dense", "sparse", "diagonal"]), st.booleans(), st.booleans(),
+           st.sampled_from([1, 4, 7, solver._GROUP_CHUNK]))
+    def test_bit_identical_to_the_batched_formula(
+        self, seed, K, p, support, definite, lasso, chunk
+    ):
+        rng = np.random.default_rng(seed)
+        covs = np.stack(random_covariance_set(rng, p, K))
+        mask = {"dense": np.ones((p, p), dtype=bool),
+                "sparse": rng.uniform(size=(p, p)) < 0.3,
+                "diagonal": np.zeros((p, p), dtype=bool)}[support]
+        mats = []
+        for k in range(K):
+            a = rng.standard_normal((p, p)) * (mask | mask.T)
+            if support != "dense":  # some coordinates of an active group at zero
+                a *= rng.uniform(size=(p, p)) < 0.7
+            a = (a + a.T) / 2.0
+            np.fill_diagonal(a, 0.0)
+            low, high = np.linalg.eigvalsh(a)[[0, -1]]
+            shift = rng.uniform(0.05, 2.0)
+            pd = definite or k < K - 1
+            mats.append(a + ((shift - low) if pd else -(shift + high)) * np.eye(p))
+        omegas = np.stack(mats)
+        lam = float(rng.uniform(0.0, 1.0)) if lasso else 0.0
+        rho = float(rng.uniform(0.0, 1.0))
+        w = rng.uniform(1.0, 500.0, size=K)
+        want = stationarity_stack_oracle(omegas, covs, lam, rho, w)
+        # Small chunks split the groups of these small problems over passes.
+        with mock.patch.object(solver, "_GROUP_CHUNK", chunk):
+            assert solver._stationarity_violation(omegas, covs, lam, rho, w) == want
+            assert solver._stationarity_violation(mats, list(covs), lam, rho, w) == want
+        assert (want == np.inf) == (not definite)
+
+    def test_bit_identical_to_the_batched_formula_at_solver_estimates(self):
+        # Estimates of e-BIC cells on a p=100 chain draw, and the unconverged
+        # iterates after 3 iterations: sparse, PD, some groups half zero.
+        covs = sample_covariance(draw_mvn_dataset(two_population_chain_spec().build(100),
+                                                  (600, 600), 5))
+        s = np.stack(covs.matrices)
+        w = np.ones(2)
+        scale = penalty_scale(100, 600)
+        for c1, c2 in [(0.25, 0.5), (0.5, 1.0), (1.0, 0.25)]:
+            pen = PenaltyPair(c1 * scale, c2 * scale)
+            for opts in (SolverOptions(), SolverOptions(max_iter=3)):
+                omegas = np.stack(solve_ggl(covs, pen, opts).estimate.matrices)
+                want = stationarity_stack_oracle(omegas, s, pen.lam, pen.rho, w)
+                assert kkt_residual(PrecisionSet(list(omegas)), covs, pen) == want
 
 
 class TestSolverProperties:
