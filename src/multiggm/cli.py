@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import platform
 import sys
@@ -274,15 +275,24 @@ def _existing_paths(text, name: str) -> list[str]:
     return paths
 
 
+def _penalty_flags(values, flags: str) -> PenaltyPair:
+    """``PenaltyPair(*values)``, with a bad value reported as the flags' error."""
+    try:
+        return PenaltyPair(*values)
+    except DataFormatError as exc:
+        raise ConfigError(f"{flags}: {exc}") from None
+
+
 def _resolve_penalty(args, p: int, n: int) -> PenaltyPair:
     absolute, scaled = (args.lam, args.rho), (args.c1, args.c2)
     given = [pair for pair in (absolute, scaled) if pair != (None, None)]
     if len(given) != 1 or None in given[0]:
         raise ConfigError("give one complete penalty pair: --lam with --rho, or --c1 with --c2")
     if given[0] is absolute:
-        return PenaltyPair(*absolute)
+        return _penalty_flags(absolute, "--lam/--rho")
+    constants = _penalty_flags(scaled, "--c1/--c2")
     scale = penalty_scale(p, n)
-    return PenaltyPair(args.c1 * scale, args.c2 * scale)
+    return PenaltyPair(constants.lam * scale, constants.rho * scale)
 
 
 @contextmanager
@@ -386,6 +396,8 @@ def _test(args, report: AnalysisReport) -> int:
     covs = _covariances(args, report)
     if len(coeffs) != covs.K:
         raise ConfigError(f"{len(coeffs)} coefficients for {covs.K} populations")
+    if not all(map(math.isfinite, coeffs)):
+        raise ConfigError(f"combination coefficients must be finite, got {args.coeffs}")
     if not any(coeffs):
         raise ConfigError("at least one combination coefficient must be nonzero")
     for flag, level in (("--alpha", args.alpha), ("--ci-level", args.ci_level)):
@@ -517,7 +529,7 @@ def _diagnose(args, report: AnalysisReport) -> int:
             raise ConfigError(f"--sample-sizes must be positive, got {min(sizes)}")
     diag = diagnostics_report(
         precisions,
-        PenaltyPair(args.lam, args.rho),
+        _penalty_flags((args.lam, args.rho), "--lam/--rho"),
         psi=args.psi,
         sample_sizes=sizes,
         gamma=args.gamma,

@@ -23,6 +23,7 @@ value does not depend on the lane that ran it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,14 +42,11 @@ from .core import (
 from .errors import ConfigError, DataFormatError
 from .graphs import GraphSpec
 from .inference import combine, debias, upper_quantile
-from .selection import TuningGrid, penalty_scale, tune_penalties
-from .solver import PenaltyPair, SolverOptions, solve_ggl
+from .selection import EDGE_TOL, TuningGrid, penalty_scale, tune_penalties
+from .solver import PenaltyPair, solve_ggl
 
 # Indirection point so tests can inject oracle estimates in place of solves.
 _solve = solve_ggl
-
-# Entries of an estimate at or below this magnitude count as absent edges.
-EDGE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -61,7 +59,6 @@ class ExperimentConfig:
     penalty_rule: str = "ebic_grid"
     fixed_constants: tuple[float, float] = (1.0, 3.5)
     grid: TuningGrid = field(default_factory=TuningGrid)
-    solver: SolverOptions = field(default_factory=SolverOptions)
     ci_level: float = 0.95
     edges_of_interest: tuple[tuple[int, int], ...] = ()
     retune_per_replication: bool = False
@@ -78,6 +75,10 @@ class ExperimentConfig:
             raise ConfigError("dims and sample_sizes must be nonempty")
         if not 0 < self.ci_level < 1:
             raise ConfigError(f"ci_level must lie strictly in (0, 1), got {self.ci_level}")
+        if not all(math.isfinite(c) and c >= 0 for c in self.fixed_constants):
+            raise ConfigError(
+                f"fixed_constants must be finite and nonnegative, got {self.fixed_constants}"
+            )
         object.__setattr__(self, "dims", tuple(int(p) for p in self.dims))
         object.__setattr__(
             self, "sample_sizes", tuple(int(n) for n in self.sample_sizes)
@@ -186,12 +187,12 @@ def _run_cell(config: ExperimentConfig, truth: PrecisionSet, p: int, n: int, wor
         penalty = None
     else:
         first = _draw_covs(truth, n, seeds[0])
-        penalty = tune_penalties(first, config.grid, config.solver).best_penalty
+        penalty = tune_penalties(first, config.grid).best_penalty
 
     def one(seed: int):
         covs = _draw_covs(truth, n, seed)
-        pen = penalty or tune_penalties(covs, config.grid, config.solver).best_penalty
-        report = _solve(covs, pen, config.solver)
+        pen = penalty or tune_penalties(covs, config.grid).best_penalty
+        report = _solve(covs, pen)
         return worker(covs, report) if report.converged else None
 
     lanes = min(config.threads, lane_count(len(seeds)))

@@ -131,7 +131,10 @@ def combine(
         raise DimensionMismatchError("combination length must equal K")
     if debiased.K != covs.K:
         raise DimensionMismatchError("debiased set and covariances do not match")
-    if not np.any(np.asarray(coefficients, dtype=float)):
+    values = np.asarray(coefficients, dtype=float)
+    if not np.isfinite(values).all():
+        raise DataFormatError(f"combination coefficients must be finite, got {values.tolist()}")
+    if not values.any():
         raise DataFormatError("at least one combination coefficient must be nonzero")
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)

@@ -36,7 +36,9 @@ for floats, ``%s`` for anything else).  A data file's header row goes
 through ``csv.writer``, so a name holding a comma or a quote is quoted and
 reads back whole.  JSON uses Python's shortest-repr floats, which also
 round-trip.  All writes go through a temp file plus rename; a file with no
-rows is one newline.
+rows is one newline.  The temp file is created with mode 0666 less the
+umask, as ``open()`` creates a file, so the renamed output has the
+permissions any other new file of the process would have.
 
 Lanes.  Both directions are CPython number conversion under the
 interpreter lock, so :func:`ingest_csv` parses its files in forked lanes
@@ -56,7 +58,6 @@ import io
 import itertools
 import json
 import os
-import tempfile
 
 import numpy as np
 
@@ -308,11 +309,13 @@ def write_json_atomic(obj, path: str) -> None:
 def _atomic_write(path: str, chunks) -> None:
     """Write the text ``chunks`` one by one to a temp file, then rename it to ``path``.
 
-    A file that would be empty gets one newline.
+    A file that would be empty gets one newline.  The temp file has a
+    random name next to ``path``, and ``O_EXCL`` makes sure it is new.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
+    tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", newline="") as fh:
             fh.writelines(chunks)

@@ -8,7 +8,7 @@ the dimensionless constants (C1, C2).  The score per fitted model is
            + sum_k |E_k| * log n  +  4 * gamma * log p * sum_k |E_k|,
 
 where |E_k| counts unordered off-diagonal pairs with |W_k[i, j]| above
-``edge_tol``.  gamma = 0 recovers ordinary BIC; gamma = 0.5 is the default.
+``EDGE_TOL``.  gamma = 0 recovers ordinary BIC; gamma = 0.5 is the default.
 
 :func:`tune_penalties` solves each (C1, C2) cell on its own, from the
 solver's cold start.  The cells share nothing, so they run side by side in
@@ -34,13 +34,16 @@ from .solver import PenaltyPair, SolverOptions, solve_ggl
 
 DEFAULT_GRID_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
 
+# Entries of an estimate at or below this magnitude count as absent edges.
+EDGE_TOL = 1e-8
+
+
 @dataclass(frozen=True)
 class EbicScore:
     value: float
     loglik_term: float
     edge_counts: tuple[int, ...]
     gamma: float
-    penalty_constants: tuple[float, float] | None = None
 
 
 @dataclass(frozen=True)
@@ -87,11 +90,11 @@ class TuningResult:
     grid_lanes: int
 
 
-def edge_count(matrix: np.ndarray, edge_tol: float = 1e-8) -> int:
-    """Unordered off-diagonal pairs with magnitude above ``edge_tol``."""
+def edge_count(matrix: np.ndarray) -> int:
+    """Unordered off-diagonal pairs with magnitude above ``EDGE_TOL``."""
     m = np.asarray(matrix)
     iu = np.triu_indices(m.shape[0], k=1)
-    return int(np.sum(np.abs(m[iu]) > edge_tol))
+    return int(np.sum(np.abs(m[iu]) > EDGE_TOL))
 
 
 def penalty_scale(p: int, n: int) -> float:
@@ -101,13 +104,7 @@ def penalty_scale(p: int, n: int) -> float:
     return math.sqrt(math.log(p) / n)
 
 
-def ebic(
-    estimate: PrecisionSet,
-    covs: CovarianceSet,
-    gamma: float = 0.5,
-    edge_tol: float = 1e-8,
-    penalty_constants: tuple[float, float] | None = None,
-) -> EbicScore:
+def ebic(estimate: PrecisionSet, covs: CovarianceSet, gamma: float = 0.5) -> EbicScore:
     """Extended-BIC score of a fitted precision set against its covariances."""
     if gamma < 0:
         raise DataFormatError("gamma must be nonnegative")
@@ -122,7 +119,7 @@ def ebic(
         if sign <= 0:
             raise NotPositiveDefiniteError(f"estimate {k} has nonpositive determinant")
         loglik += -2.0 * covs.sample_sizes[k] * (logdet - float(np.sum(s * w)))
-        counts.append(edge_count(w, edge_tol))
+        counts.append(edge_count(w))
     total_edges = sum(counts)
     value = loglik + total_edges * math.log(n) + 4.0 * gamma * math.log(p) * total_edges
     return EbicScore(
@@ -130,7 +127,6 @@ def ebic(
         loglik_term=float(loglik),
         edge_counts=tuple(counts),
         gamma=float(gamma),
-        penalty_constants=penalty_constants,
     )
 
 
@@ -138,7 +134,6 @@ def tune_penalties(
     covs: CovarianceSet,
     grid: TuningGrid = TuningGrid(),
     opts: SolverOptions = SolverOptions(),
-    edge_tol: float = 1e-8,
 ) -> TuningResult:
     """Grid search over (C1, C2) minimizing the e-BIC.
 
@@ -163,7 +158,7 @@ def tune_penalties(
         penalty = PenaltyPair(c1 * scale, c2 * scale)
         report = solve_ggl(covs, penalty, opts)
         if report.converged:
-            score = ebic(report.estimate, covs, grid.gamma, edge_tol, constants)
+            score = ebic(report.estimate, covs, grid.gamma)
             value, counts = score.value, score.edge_counts
         else:
             value, counts = float("nan"), tuple([-1] * covs.K)

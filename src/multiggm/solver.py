@@ -2,25 +2,23 @@
 
 Jointly estimates K precision matrices by minimizing
 
-    sum_k w_k [ trace(S_k W_k) - log det W_k ]
+    sum_k [ trace(S_k W_k) - log det W_k ]
         + lam * sum_k sum_{i != j} |W_k[i, j]|
         + rho * sum_{i != j} sqrt(sum_k W_k[i, j]^2)
 
 over symmetric positive definite ``W_k``, where ``S_k`` is the sample
 covariance of population ``k``.  Both penalty sums run over ordered pairs
 ``i != j``, so each unordered edge is counted twice; diagonals are never
-penalized.  The weights ``w_k`` are 1 by default (plain sum over populations)
-or ``n_k`` when ``weighted_by_n`` is set.
+penalized.  The populations enter with unit weights; the likelihood is not
+weighted by ``n_k``.
 
-Normalization.  ADMM runs on each block divided by ``s_bar * w_bar``,
-where ``s_bar`` is the mean of ``diag(S_k)`` over the block's vertices and
-populations and ``w_bar`` is the mean weight: ``S'_k = S_k / s_bar``,
-``w'_k = w_k / w_bar``, ``lam' = lam / (s_bar * w_bar)`` and ``rho' = rho /
-(s_bar * w_bar)``.  With ``W' = s_bar * W`` the objective is ``s_bar * w_bar``
-times the normalized one plus a constant, so the minimizers agree exactly
-and the solver returns ``W = W' / s_bar``.  Both factors are uniform
-scalars; per-variable scaling would change the penalty.  So the iterates do
-not depend on the units of the data or on the size of the weights: data
+Normalization.  ADMM runs on each block divided by ``s_bar``, the mean of
+``diag(S_k)`` over the block's vertices and populations: ``S'_k = S_k /
+s_bar``, ``lam' = lam / s_bar`` and ``rho' = rho / s_bar``.  With ``W' =
+s_bar * W`` the objective is ``s_bar`` times the normalized one plus a
+constant, so the minimizers agree exactly and the solver returns ``W = W' /
+s_bar``.  The factor is a uniform scalar; per-variable scaling would change
+the penalty.  So the iterates do not depend on the units of the data: data
 times ``c`` with penalties times ``c`` runs the same normalized iterates
 and returns ``W / c``.  Only the certificate, which stays in the units of
 the data, can ask for more iterations when ``c`` is large.
@@ -29,9 +27,9 @@ The solver is ADMM with the consensus split ``W'_k = Z_k`` on the
 normalized problem, with the fixed step ``eta = ADMM_STEP = 1.0``:
 
 * W-step: per population, the closed-form eigendecomposition update.  With
-  ``A = eta * (Z_k - U_k) - w'_k * S'_k = Q diag(d) Q'``, the minimizer has
-  the same eigenvectors and eigenvalues ``(d + sqrt(d^2 + 4 * eta * w'_k)) /
-  (2 * eta)``, which are strictly positive, so every W iterate is PD.
+  ``A = eta * (Z_k - U_k) - S'_k = Q diag(d) Q'``, the minimizer has the
+  same eigenvectors and eigenvalues ``(d + sqrt(d^2 + 4 * eta)) / (2 *
+  eta)``, which are strictly positive, so every W iterate is PD.
 * over-relaxation (Boyd et al. 2011, *Distributed Optimization and
   Statistical Learning via ADMM*, sec. 3.4.3): ``W_hat = alpha * W + (1 -
   alpha) * Z_old`` with the fixed constant ``alpha = 1.8``;
@@ -69,7 +67,7 @@ The primal residual is ``||W - Z||`` and the dual residual
 Convergence requires the standard primal/dual residual test *and* a
 stationarity certificate on the original problem: the
 subgradient-inclusion residual of the sparse iterate ``Z / s_bar`` against
-``S``, ``lam``, ``rho`` and ``w`` must fall below ``10 * tol_abs``.  The
+``S``, ``lam`` and ``rho`` must fall below ``10 * tol_abs``.  The
 returned estimate is that iterate, which carries exact zeros produced by
 the group prox.  A block that reaches ``max_iter`` returns its last sparse
 iterate, or the eigenvalue-map iterate when that one is not PD, with the
@@ -86,21 +84,21 @@ Screening.  Before any ADMM iteration the vertices are split by the exact
 rule of Danaher, Wang & Witten (2014, *The joint graphical lasso*, JRSS-B,
 Thm 2) and Witten, Friedman & Simon (2011, JCGS): the pair ``(i, j)`` is
 zero at the optimum in every population, and the solution is block-diagonal
-across it, whenever ``||soft(w_k S_k[i, j], lam)||_2 <= rho``.  The blocks
-are the connected components of the pairs that fail this test.  A single
-vertex has the closed form ``W_k[i, i] = 1 / S_k[i, i]`` for any weights,
-since diagonals are not penalized; ADMM runs on each larger block alone.
+across it, whenever ``||soft(S_k[i, j], lam)||_2 <= rho``.  The blocks are
+the connected components of the pairs that fail this test.  A single vertex
+has the closed form ``W_k[i, i] = 1 / S_k[i, i]``, since diagonals are not
+penalized; ADMM runs on each larger block alone.
 The certificate stays exact when taken block by block: the inverse of a
 block-diagonal estimate is block-diagonal, so an off-block gradient is
-``w_k S_k[i, j]``, which the screening rule already keeps within the
+``S_k[i, j]``, which the screening rule already keeps within the
 subdifferential, and the full problem's violation is the largest block
 violation.
 
 Start.  Every block starts cold, from ``diag(1 / S_k[i, i])`` and the dual
-``Lambda_k = w_k (W_k^{-1} - S_k)`` there, in the units of the data:
-``-w_k S_k`` off the diagonal and 0 on it, projected onto the penalty's
-subdifferential at zero (``x - prox(x)``, by Moreau's decomposition).
-ADMM's scaled dual is ``U = Lambda / (eta * s_bar * w_bar)``.
+``Lambda_k = W_k^{-1} - S_k`` there, in the units of the data: ``-S_k`` off
+the diagonal and 0 on it, projected onto the penalty's subdifferential at
+zero (``x - prox(x)``, by Moreau's decomposition).  ADMM's scaled dual is
+``U = Lambda / (eta * s_bar)``.
 """
 
 from __future__ import annotations
@@ -115,10 +113,11 @@ from . import _blas
 from .core import CovarianceSet, PrecisionSet, is_positive_definite
 from .errors import DataFormatError, NotPositiveDefiniteError
 
-# Step of the normalized problem, and the over-relaxation constant of the
-# Z-step and the dual update.
+# Step of the normalized problem, the over-relaxation constant of the
+# Z-step and the dual update, and the relative tolerance of the residual test.
 ADMM_STEP = 1.0
 RELAXATION = 1.8
+TOL_REL = 1e-4
 # Anderson acceleration: the number of past fixed-point residuals each
 # extrapolation combines, and the regularization of its least-squares solve
 # relative to the trace of their Gram matrix.
@@ -134,28 +133,28 @@ class PenaltyPair:
     rho: float
 
     def __post_init__(self):
-        if self.lam < 0 or self.rho < 0:
-            raise DataFormatError("penalty parameters must be nonnegative")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.lam, self.rho)):
+            raise DataFormatError(
+                f"penalty parameters must be finite and nonnegative, got {self.lam}, {self.rho}"
+            )
 
 
 @dataclass(frozen=True)
 class SolverOptions:
     """ADMM settings.
 
-    ``tol_abs`` and ``tol_rel`` set the residual test on the normalized
-    problem (see the module docstring); ``10 * tol_abs`` also bounds the
-    certificate on the original one.  ``max_iter`` applies to each
-    screening block.
+    ``tol_abs``, with the constant ``TOL_REL``, sets the residual test on
+    the normalized problem (see the module docstring); ``10 * tol_abs``
+    also bounds the certificate on the original one.  ``max_iter`` applies
+    to each screening block.
     """
 
     max_iter: int = 10000
     tol_abs: float = 1e-6
-    tol_rel: float = 1e-4
-    weighted_by_n: bool = False
 
     def __post_init__(self):
-        if self.tol_abs <= 0 or self.tol_rel <= 0:
-            raise DataFormatError("tolerances must be positive")
+        if self.tol_abs <= 0:
+            raise DataFormatError("tol_abs must be positive")
         if self.max_iter < 1:
             raise DataFormatError("max_iter must be at least 1")
 
@@ -222,45 +221,30 @@ def _prox_offdiag_stack(v: np.ndarray, lam_eff: float, rho_eff: float) -> np.nda
     return out
 
 
-def ggl_objective(
-    matrices, covs: CovarianceSet, penalty: PenaltyPair, weights=None
-) -> float:
+def ggl_objective(matrices, covs: CovarianceSet, penalty: PenaltyPair) -> float:
     """Objective value at the given matrices; ``inf`` if any matrix is not PD."""
     mats = np.stack([np.asarray(m, dtype=float) for m in matrices])
-    return _objective(
-        mats, np.stack(covs.matrices), _weights(covs, weights), penalty.lam, penalty.rho
-    )
+    return _objective(mats, np.stack(covs.matrices), penalty.lam, penalty.rho)
 
 
-def _objective(mats, s, w, lam: float, rho: float) -> float:
+def _objective(mats, s, lam: float, rho: float) -> float:
     """Array-level core of :func:`ggl_objective` on (K, q, q) stacks."""
     sign, logdet = np.linalg.slogdet(mats)
     if np.any(sign <= 0):
         return np.inf
     total = 0.0
     for k in range(mats.shape[0]):
-        total += w[k] * (np.sum(s[k] * mats[k]) - logdet[k])
+        total += np.sum(s[k] * mats[k]) - logdet[k]
     off = ~np.eye(mats.shape[1], dtype=bool)
     total += lam * np.abs(mats[:, off]).sum()
     total += rho * np.sqrt((mats**2).sum(axis=0)[off]).sum()
     return float(total)
 
 
-def _weights(covs: CovarianceSet, weights) -> np.ndarray:
-    if weights is None:
-        return np.ones(covs.K)
-    w = np.asarray(weights, dtype=float)
-    if w.shape != (covs.K,):
-        raise DataFormatError("one weight per population required")
-    return w
-
-
-def kkt_residual(
-    estimate: PrecisionSet, covs: CovarianceSet, penalty: PenaltyPair, weights=None
-) -> float:
+def kkt_residual(estimate: PrecisionSet, covs: CovarianceSet, penalty: PenaltyPair) -> float:
     """Maximum violation of the stationarity system at ``estimate``.
 
-    With ``G_k = w_k * (S_k - W_k^{-1})`` the conditions are ``G_k[i, i] = 0``
+    With ``G_k = S_k - W_k^{-1}`` the conditions are ``G_k[i, i] = 0``
     on diagonals and, per off-diagonal group ``(i, j)``:
 
     * all populations zero: membership requires the soft-thresholded gradient
@@ -275,13 +259,7 @@ def kkt_residual(
     """
     if estimate.p != covs.p or estimate.K != covs.K:
         raise DataFormatError("estimate and covariances do not match")
-    value = _stationarity_violation(
-        estimate.matrices,
-        covs.matrices,
-        penalty.lam,
-        penalty.rho,
-        _weights(covs, weights),
-    )
+    value = _stationarity_violation(estimate.matrices, covs.matrices, penalty.lam, penalty.rho)
     if value == np.inf:
         raise NotPositiveDefiniteError("estimate is not positive definite")
     return value
@@ -292,13 +270,13 @@ def kkt_residual(
 _GROUP_CHUNK = 1 << 14
 
 
-def _stationarity_violation(omegas, s, lam, rho, w) -> float:
+def _stationarity_violation(omegas, s, lam, rho) -> float:
     """Array-level core of :func:`kkt_residual`; ``inf`` if a matrix is not PD.
 
     Takes the K symmetric estimates (a (K, p, p) stack or a sequence) and
     the K covariances.  One population at a time, a Cholesky checks that
     the estimate is PD and ``np.linalg.inv`` inverts it; of its gradient
-    ``w_k * (S_k - (inv + inv') / 2)`` the diagonal and the upper triangle
+    ``S_k - (inv + inv') / 2`` the diagonal and the upper triangle
     are kept.  The groups are then checked ``_GROUP_CHUNK`` at a time, so
     the working memory beyond the (K, p (p - 1) / 2) gradients is one
     population's inverse or one chunk.  The value agrees with a
@@ -317,7 +295,6 @@ def _stationarity_violation(omegas, s, lam, rho, w) -> float:
         grad += grad.T  # numpy reads the overlapping transpose from a copy
         grad /= 2.0
         np.subtract(s[k], grad, out=grad)
-        grad *= w[k]
         diag[k] = np.diagonal(grad)
         grad.take(upper, out=grads[k])
         del grad  # before the next population's inverse
@@ -354,15 +331,15 @@ def _stationarity_violation(omegas, s, lam, rho, w) -> float:
     return worst
 
 
-def _screened_blocks(s, w, lam: float, rho: float) -> list[np.ndarray]:
+def _screened_blocks(s, lam: float, rho: float) -> list[np.ndarray]:
     """Vertex sets of the connected components of the screening graph.
 
-    Vertices ``i != j`` are adjacent when ``||soft(w_k S_k[i, j], lam)||_2 >
+    Vertices ``i != j`` are adjacent when ``||soft(S_k[i, j], lam)||_2 >
     rho``.  Each set is sorted; sets come in the order of their smallest
     vertex.
     """
     p = s.shape[1]
-    soft = np.maximum(np.abs(w[:, None, None] * s) - lam, 0.0)
+    soft = np.maximum(np.abs(s) - lam, 0.0)
     adjacent = np.sqrt(np.einsum("kij,kij->ij", soft, soft)) > rho
     np.fill_diagonal(adjacent, False)
     isolated = ~adjacent.any(axis=1)
@@ -413,27 +390,22 @@ def solve_ggl(
     """
     covs.require_positive_diagonal()
     lam, rho = penalty.lam, penalty.rho
-    w = (
-        np.asarray(covs.sample_sizes, dtype=float)
-        if opts.weighted_by_n
-        else np.ones(covs.K)
-    )
     s = np.stack(covs.matrices)
-    blocks = _screened_blocks(s, w, lam, rho)
+    blocks = _screened_blocks(s, lam, rho)
 
     mats = np.zeros_like(s)
     idx = np.arange(covs.p)
     mats[:, idx, idx] = 1.0 / s[:, idx, idx]
     # The objective is a sum over the blocks.  A single vertex adds
-    # w_k (S_ii / S_ii - log(1 / S_ii)) = w_k (1 + log S_ii).
+    # S_ii / S_ii - log(1 / S_ii) = 1 + log S_ii.
     singles = np.array([ix[0] for ix in blocks if ix.size == 1], dtype=int)
-    objective = float(np.sum(w[:, None] * (1.0 + np.log(s[:, singles, singles]))))
+    objective = float(np.sum(1.0 + np.log(s[:, singles, singles])))
     solved = []
     for ix in blocks:
         if ix.size > 1:
             sub = np.ix_(np.arange(covs.K), ix, ix)
-            mats[sub], result = _admm(s[sub], w, lam, rho, opts)
-            objective += _objective(mats[sub], s[sub], w, lam, rho)
+            mats[sub], result = _admm(s[sub], lam, rho, opts)
+            objective += _objective(mats[sub], s[sub], lam, rho)
             solved.append(result)
 
     estimate = PrecisionSet(list(mats), positive_definite=True)
@@ -525,11 +497,11 @@ class _Anderson:
         return image
 
 
-def _admm(s, w, lam: float, rho: float, opts: SolverOptions):
+def _admm(s, lam: float, rho: float, opts: SolverOptions):
     """Over-relaxed, Anderson-accelerated ADMM on one (K, q, q) block.
 
     Starts cold (see the module docstring) and runs on the block divided
-    by ``s_bar * w_bar``.  Returns the block's estimate and its
+    by ``s_bar``.  Returns the block's estimate and its
     :class:`_BlockResult`, in the units of ``s``.  The estimate is the
     symmetrized sparse iterate, or the eigenvalue-map iterate when an
     unconverged sparse iterate is not PD; the certificate is taken at the
@@ -543,20 +515,18 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions):
     if lam == rho == 0 and np.any(np.linalg.matrix_rank(s) < p):
         # Unpenalized with a rank-deficient covariance: no minimizer, and
         # never certified (see the module docstring), so do not iterate.
-        kkt_value = float(_stationarity_violation(z0, s, lam, rho, w))
+        kkt_value = float(_stationarity_violation(z0, s, lam, rho))
         return z0, _BlockResult(0, np.inf, np.inf, False, kkt_value, 1, 0)
-    # The dual at the diagonal start, -w_k S_k off the diagonal, projected
-    # onto the penalty's subdifferential at zero: x - prox(x).
-    outside = s * -w[:, None, None]
+    # The dual at the diagonal start, -S_k off the diagonal, projected onto
+    # the penalty's subdifferential at zero: x - prox(x).
+    outside = -s
     outside[:, idx, idx] = 0.0
     dual0 = outside - _group_shrink(outside, lam, rho)
     eta = ADMM_STEP
     s_bar = float(np.mean(np.diagonal(s, axis1=1, axis2=2)))
-    w_bar = float(np.mean(w))
-    w_norm = w / w_bar
     # The scaled dual of the normalized problem is U = dual / unit, and its
     # prox thresholds are lam / unit and rho / unit.
-    unit = eta * s_bar * w_bar
+    unit = eta * s_bar
     z = z0 * s_bar
     u = dual0 / unit
 
@@ -565,7 +535,7 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions):
     sqrt_dim = np.sqrt(K * p * p)
     converged = False
     iterations = certificates = 0
-    weighted_s = (w_norm / s_bar)[:, None, None] * s
+    scaled_s = (1.0 / s_bar) * s
     # The Z-step input x is the fixed-point state: Z = prox(x), U = x - Z.
     # The start (z0, dual0) need not be of that form, so x begins after the
     # first W-step.
@@ -573,10 +543,10 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions):
     history = _Anderson(K * p * p) if ANDERSON_MEMORY else None
 
     for iterations in range(1, opts.max_iter + 1):
-        a = eta * (z - u) - weighted_s
+        a = eta * (z - u) - scaled_s
         a = (a + a.transpose(0, 2, 1)) / 2.0
         d, q = np.linalg.eigh(a)
-        eig = (d + np.sqrt(d * d + 4.0 * eta * w_norm[:, None])) / (2.0 * eta)
+        eig = (d + np.sqrt(d * d + 4.0 * eta)) / (2.0 * eta)
         omega = q @ (eig[:, :, None] * q.transpose(0, 2, 1))
         omega = (omega + omega.transpose(0, 2, 1)) / 2.0
 
@@ -588,16 +558,14 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions):
 
         primal = float(np.linalg.norm(omega - z))
         dual = float(eta * np.linalg.norm(z - z_old))
-        eps_pri = sqrt_dim * opts.tol_abs + opts.tol_rel * max(
+        eps_pri = sqrt_dim * opts.tol_abs + TOL_REL * max(
             float(np.linalg.norm(omega)), float(np.linalg.norm(z))
         )
-        eps_dual = sqrt_dim * opts.tol_abs + opts.tol_rel * float(
-            eta * np.linalg.norm(u)
-        )
+        eps_dual = sqrt_dim * opts.tol_abs + TOL_REL * float(eta * np.linalg.norm(u))
         if primal <= eps_pri and dual <= eps_dual:
             mats = _symmetrized(z) / s_bar
             certificates += 1
-            kkt_value = _stationarity_violation(mats, s, lam, rho, w)
+            kkt_value = _stationarity_violation(mats, s, lam, rho)
             if kkt_value <= 10.0 * opts.tol_abs:
                 converged = True
                 break
@@ -609,7 +577,7 @@ def _admm(s, w, lam: float, rho: float, opts: SolverOptions):
         if not all(is_positive_definite(m) for m in mats):
             mats = _symmetrized(omega) / s_bar
         certificates += 1
-        kkt_value = _stationarity_violation(mats, s, lam, rho, w)
+        kkt_value = _stationarity_violation(mats, s, lam, rho)
     restarts = history.restarts if history is not None else 0
     return mats, _BlockResult(
         iterations, primal, dual, converged, float(kkt_value), certificates, restarts

@@ -163,6 +163,39 @@ class TestPenaltyPairs:
         code = run(["estimate", "--data", pair_data, *flags], tmp_path / "out")
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags", [
+        ["--lam", "nan", "--rho", "0.1"],
+        ["--lam", "-0.1", "--rho", "0.1"],
+        ["--lam", "0.1", "--rho", "inf"],
+        ["--c1", "nan", "--c2", "1"],
+        ["--c1", "1", "--c2=-inf"],
+    ])
+    @pytest.mark.parametrize("command", [
+        ["estimate"], ["test", "--edges", "1,2", "--coeffs", "1,-1"],
+    ])
+    def test_bad_values_exit_1_before_the_solve(
+        self, tmp_path, pair_data, capsys, monkeypatch, command, flags
+    ):
+        from multiggm import cli
+
+        monkeypatch.setattr(cli, "solve_ggl", lambda *a: pytest.fail("solved"))
+        out = tmp_path / "out"
+        assert run([*command, "--data", pair_data, *flags], out) == EXIT_CONFIG
+        pair = "--lam/--rho" if "--lam" in flags else "--c1/--c2"
+        message = f"configuration error: {pair}: penalty parameters must be finite"
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_diagnose_bad_values_exit_1(self, tmp_path, capsys):
+        from multiggm import chain_precision
+        from multiggm.io import write_matrix_csv
+
+        path = tmp_path / "om.csv"
+        write_matrix_csv(chain_precision(4, 0.2), str(path))
+        argv = ["diagnose", "--precision", f"{path},{path}", "--lam", "nan", "--rho", "0.1"]
+        assert run(argv, tmp_path / "out") == EXIT_CONFIG
+        assert "configuration error: --lam/--rho: penalty" in capsys.readouterr().err
+
     def test_zero_pair_is_a_complete_pair(self, tmp_path, pair_data):
         out = tmp_path / "out"
         assert run(["estimate", "--data", pair_data, "--c1", "0", "--c2", "0"], out) == EXIT_OK
@@ -206,6 +239,20 @@ class TestRequiredValues:
         assert solves == []
         assert run(base + ["--edges", "1,2", "--coeffs", "1,-1"], tmp_path / "d") == EXIT_OK
         assert solves == [1]
+
+    @pytest.mark.parametrize("coeffs", ["nan,1", "inf,1", "1,-inf"])
+    def test_nonfinite_coeffs_exit_1_before_the_solve(
+        self, tmp_path, pair_data, capsys, monkeypatch, coeffs
+    ):
+        from multiggm import cli
+
+        monkeypatch.setattr(cli, "solve_ggl", lambda *a: pytest.fail("solved"))
+        argv = ["test", "--data", pair_data, "--c1", "0.5", "--c2", "1.0", "--edges", "1,2",
+                "--coeffs", coeffs]
+        assert run(argv, tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"configuration error: combination coefficients must be finite, got {coeffs}" in err
+        assert not (tmp_path / "out").exists()
 
     def test_data_from_config_file(self, tmp_path, pair_data):
         out = tmp_path / "out"
@@ -278,6 +325,14 @@ class TestSimulateChecks:
         err = capsys.readouterr().err
         assert "configuration error: ci_level must lie strictly in (0, 1)" in err
         assert "alpha" not in err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("flags", [["--c1", "nan"], ["--c2", "inf"], ["--c1", "-1"]])
+    def test_bad_fixed_constants_are_config_errors(self, tmp_path, capsys, flags):
+        argv = ["simulate", "normality", "--p", "8", "--n", "100", "--B", "1",
+                "--penalty-rule", "fixed", *flags]
+        assert run(argv, tmp_path / "out") == EXIT_CONFIG
+        assert "configuration error: fixed_constants must be finite" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_out_of_range_edge_is_a_config_error(self, tmp_path, capsys):

@@ -8,6 +8,8 @@ bytes.  Both stream: their memory is bounded by a row, not by the file.
 
 import csv
 import math
+import os
+import stat
 import tracemalloc
 import warnings
 
@@ -26,6 +28,7 @@ from multiggm.io import (
     ingest_csv,
     write_csv_atomic,
     write_data_csv,
+    write_json_atomic,
     write_matrix_csv,
 )
 
@@ -288,6 +291,27 @@ class TestStreamedWriters:
         ]:
             write()
             assert read_bytes(path) == expected
+
+
+class TestFileMode:
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["umask022", "umask077"])
+    def test_outputs_get_the_mode_open_gives(self, tmp_path, umask):
+        # 0666 less the umask, as for any file the process creates.
+        writers = {
+            "matrix.csv": lambda path: write_matrix_csv(np.eye(2), path),
+            "table.csv": lambda path: write_csv_atomic([["i", "p"], [1, 0.5]], path),
+            "report.json": lambda path: write_json_atomic({"a": [1.0]}, path),
+            "data.csv": lambda path: write_data_csv(np.eye(2), path, ["x", "y"]),
+        }
+        previous = os.umask(umask)
+        try:
+            for name, write in writers.items():
+                write(str(tmp_path / name))
+        finally:
+            os.umask(previous)
+        assert sorted(os.listdir(tmp_path)) == sorted(writers)
+        for name in writers:
+            assert stat.S_IMODE(os.stat(tmp_path / name).st_mode) == 0o666 & ~umask
 
 
 class TestStreamedMemory:

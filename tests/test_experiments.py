@@ -39,7 +39,7 @@ def small_config(**overrides):
 
 
 def truth_injecting_solve(truth: PrecisionSet):
-    def fake(covs, penalty, opts):
+    def fake(covs, penalty):
         return SolveReport(
             estimate=truth,
             iterations=0,
@@ -119,7 +119,7 @@ class TestDeterminism:
             data = MultiPopDataset(
                 [draw_mvn(m, n, population_seed(rep_seed, k)) for k, m in enumerate(truth.matrices)]
             )
-            report = solve_ggl(sample_covariance(data), pen, config.solver)
+            report = solve_ggl(sample_covariance(data), pen)
             ok = all(
                 np.array_equal(np.sign(est), np.sign(tr))
                 for est, tr in zip(report.estimate.matrices, truth.matrices)
@@ -209,10 +209,14 @@ class TestNormality:
 
 
 class TestFailureAccounting:
-    def test_nonconverged_replications_counted_and_excluded(self):
-        config = small_config(
-            replications=3, solver=SolverOptions(max_iter=1), penalty_rule="fixed"
-        )
+    def test_nonconverged_replications_counted_and_excluded(self, monkeypatch):
+        solve = experiments._solve
+
+        def one_iteration(covs, penalty):
+            return solve(covs, penalty, SolverOptions(max_iter=1))
+
+        monkeypatch.setattr(experiments, "_solve", one_iteration)
+        config = small_config(replications=3, penalty_rule="fixed")
         consistency = run_sign_consistency(config)
         assert consistency.failure_counts[(8, 150)] == 3
         assert consistency.cells[(8, 150)]["success_fraction"] == 0.0
@@ -236,8 +240,8 @@ class TestFailureAccounting:
         failing = set(seeds[1::2])
         real = experiments._solve
 
-        def failing_some(covs, penalty, opts):
-            report = real(covs, penalty, opts)
+        def failing_some(covs, penalty):
+            report = real(covs, penalty)
             if seed_of[covs.matrices[0][0, 0]] in failing:
                 return dataclasses.replace(report, converged=False)
             return report
@@ -378,6 +382,11 @@ class TestConfigChecks:
         with pytest.raises(DataFormatError, match="degree d=25"):
             run_tpfp(small_config(graph=star, dims=(40, 10), replications=2))
         assert calls == []
+
+    @pytest.mark.parametrize("constants", [(np.nan, 1.0), (1.0, np.inf), (-0.5, 1.0)])
+    def test_fixed_constants_finite_and_nonnegative(self, constants):
+        with pytest.raises(ConfigError, match="fixed_constants"):
+            small_config(fixed_constants=constants)
 
     @pytest.mark.parametrize("threads", [0, -3])
     def test_threads_below_one(self, threads):

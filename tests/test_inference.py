@@ -230,6 +230,12 @@ class TestLinearComboTest:
         with pytest.raises(DataFormatError, match="at least one combination coefficient"):
             combine(est, est, covs, (0.0, 0.0), 0, 1)
 
+    @pytest.mark.parametrize("coefficients", [(np.nan, 1.0), (np.inf, 1.0), (1.0, -np.inf)])
+    def test_nonfinite_coefficients_rejected(self, coefficients):
+        est, covs = _sets([np.eye(2)] * 2, [np.eye(2)] * 2, [50, 50])
+        with pytest.raises(DataFormatError, match="coefficients must be finite"):
+            combine(est, est, covs, coefficients, 0, 1)
+
 
 class TestConfidenceInterval:
     def test_half_width_arithmetic(self):

@@ -365,11 +365,20 @@ class TestCli:
     def test_tune_records_a_choice_on_the_grid_edge(
         self, tmp_path, monkeypatch, capsys, best, on_edge
     ):
-        # A score whose minimum is the chosen cell of the 3x3 grid.
-        def bowl(estimate, covs, gamma, edge_tol, constants):
-            value = sum((c - b) ** 2 for c, b in zip(constants, best))
-            return selection.EbicScore(value, value, (0,) * covs.K, gamma, constants)
+        # A score whose minimum is the chosen cell of the 3x3 grid, read off
+        # the penalty of the solve just before it: a cell's solve and score
+        # run one after the other in the same lane.
+        scale, solve, last = selection.penalty_scale(4, 60), selection.solve_ggl, {}
 
+        def recording(covs, penalty, opts):
+            last["constants"] = (penalty.lam / scale, penalty.rho / scale)
+            return solve(covs, penalty, opts)
+
+        def bowl(estimate, covs, gamma):
+            value = sum((c - b) ** 2 for c, b in zip(last["constants"], best))
+            return selection.EbicScore(value, value, (0,) * covs.K, gamma)
+
+        monkeypatch.setattr(selection, "solve_ggl", recording)
         monkeypatch.setattr(selection, "ebic", bowl)
         path = tmp_path / "p.csv"
         write_data_csv(np.random.default_rng(3).standard_normal((60, 4)), path)
@@ -526,6 +535,21 @@ def test_benchmark_wrap_points_exist():
     assert targets
     for module, attr, _, _ in targets:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_benchmark_workloads_build(tmp_path):
+    # The benchmark builds its workloads from package names (ExperimentConfig
+    # fields, SolverOptions().tol_abs, ...); a removed one would only fail
+    # there.  Build each workload at its tiny size without running it.
+    import runpy
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    workloads = runpy.run_path(os.path.join(root, "bench", "workloads.py"))["WORKLOADS"]
+    with open(os.path.join(root, "BENCHMARK.json")) as fh:
+        declared = [w["name"] for w in json.load(fh)["workloads"]]
+    assert sorted(workloads) == sorted(declared)
+    for name, workload in workloads.items():
+        assert workload(1, True, str(tmp_path / name)).name == name
 
 
 def test_cli_runs_every_command_without_scipy(tmp_path):

@@ -258,10 +258,10 @@ class TestGridAndReplications:
         caller = os.getpid()
         solve = experiments._solve
 
-        def fails_in_child(covs, penalty, opts):
+        def fails_in_child(covs, penalty):
             if os.getpid() != caller:
                 raise DataFormatError("injected in a replication")
-            return solve(covs, penalty, opts)
+            return solve(covs, penalty)
 
         monkeypatch.setattr(experiments, "_solve", fails_in_child)
         argv = [*self.TPFP, "--penalty-rule", "fixed"]

@@ -180,8 +180,8 @@ class TestTuningPath:
         ]
 
     def test_exact_tie_picks_the_sparser_model(self, monkeypatch):
-        def flat(estimate, covs, gamma, edge_tol, constants):
-            return EbicScore(1.0, 1.0, (0,) * covs.K, gamma, constants)
+        def flat(estimate, covs, gamma):
+            return EbicScore(1.0, 1.0, (0,) * covs.K, gamma)
 
         monkeypatch.setattr(selection, "ebic", flat)
         result = tune_penalties(chain_covs(), self.GRID)

@@ -105,6 +105,13 @@ class TestSolveTrivial:
         with pytest.raises(DataFormatError):
             solve_ggl(covs, PenaltyPair(0.1, 0.1))
 
+    @pytest.mark.parametrize("lam, rho", [
+        (np.nan, 0.1), (0.1, np.nan), (np.inf, 0.1), (0.1, -np.inf), (-0.1, 0.1), (0.0, -1e-300),
+    ])
+    def test_penalty_must_be_finite_and_nonnegative(self, lam, rho):
+        with pytest.raises(DataFormatError, match="finite and nonnegative"):
+            PenaltyPair(lam, rho)
+
     def test_nonconvergence_returns_best_iterate(self):
         rng = np.random.default_rng(5)
         covs = CovarianceSet(random_covariance_set(rng, 6, 2), [40, 40])
@@ -191,14 +198,13 @@ class TestKktResidual:
             else:
                 mats.append(a - (shift + np.linalg.eigvalsh(a)[-1]) * np.eye(p))
         lam, rho = rng.uniform(0.0, 1.0, size=2)
-        w = rng.uniform(1.0, 500.0, size=K)
-        got = solver._stationarity_violation(np.stack(mats), covs, lam, rho, w)
-        want = kkt_oracle(mats, covs, lam, rho, w)
+        got = solver._stationarity_violation(np.stack(mats), covs, lam, rho)
+        want = kkt_oracle(mats, covs, lam, rho)
         if not definite:
             assert got == want == np.inf
             with pytest.raises(NotPositiveDefiniteError):
                 kkt_residual(PrecisionSet(mats), CovarianceSet(covs, [50] * K),
-                             PenaltyPair(lam, rho), w)
+                             PenaltyPair(lam, rho))
         else:
             assert abs(got - want) <= 1e-12 * want
 
@@ -228,12 +234,11 @@ class TestKktResidual:
         omegas = np.stack(mats)
         lam = float(rng.uniform(0.0, 1.0)) if lasso else 0.0
         rho = float(rng.uniform(0.0, 1.0))
-        w = rng.uniform(1.0, 500.0, size=K)
-        want = stationarity_stack_oracle(omegas, covs, lam, rho, w)
+        want = stationarity_stack_oracle(omegas, covs, lam, rho, np.ones(K))
         # Small chunks split the groups of these small problems over passes.
         with mock.patch.object(solver, "_GROUP_CHUNK", chunk):
-            assert solver._stationarity_violation(omegas, covs, lam, rho, w) == want
-            assert solver._stationarity_violation(mats, list(covs), lam, rho, w) == want
+            assert solver._stationarity_violation(omegas, covs, lam, rho) == want
+            assert solver._stationarity_violation(mats, list(covs), lam, rho) == want
         assert (want == np.inf) == (not definite)
 
     def test_bit_identical_to_the_batched_formula_at_solver_estimates(self):
@@ -299,35 +304,19 @@ class TestSolverProperties:
         offdiag = report.estimate.matrices[0][np.triu_indices(12, 1)]
         assert np.any(offdiag == 0.0)
 
-    def test_weighted_by_n_matches_rescaled_problem(self):
-        # With equal sample sizes, weighting the likelihood by n is the same
-        # problem as dividing both penalties by n.
-        rng = np.random.default_rng(8)
-        mats = random_covariance_set(rng, 4, 2)
-        covs = CovarianceSet(mats, [50, 50])
-        lam, rho = 0.1, 0.2
-        plain = solve_ggl(covs, PenaltyPair(lam / 50, rho / 50), SolverOptions(tol_abs=1e-9))
-        weighted = solve_ggl(
-            covs, PenaltyPair(lam, rho), SolverOptions(tol_abs=1e-8, weighted_by_n=True)
-        )
-        for a, b in zip(plain.estimate.matrices, weighted.estimate.matrices):
-            assert np.max(np.abs(a - b)) <= 1e-5
 
 
-def split_instance(seed, K, weighted, blocks=(3, 2), singles=2):
-    """Covariances that screening splits, with the penalty and solver weights.
+def split_instance(seed, K, blocks=(3, 2), singles=2):
+    """Covariances that screening splits, with the penalty and solver options.
 
     Random PD blocks and single vertices are interleaved by a random
     permutation.  Every pair across two of them gets nonzero entries whose
-    weighted soft-thresholded group norm stays below ``rho``, so the pair is
+    soft-thresholded group norm stays below ``rho``, so the pair is
     screened out without being zero in ``S``.
     """
     rng = np.random.default_rng(seed)
-    sizes = [int(n) for n in rng.integers(50, 501, size=K)] if weighted else [50] * K
-    w = np.array(sizes, dtype=float) if weighted else np.ones(K)
-    scale = float(np.mean(w))
-    lam = float(rng.choice([0.0, 0.05, 0.1])) * scale
-    rho = float(rng.choice([0.05, 0.1, 0.2])) * scale
+    lam = float(rng.choice([0.0, 0.05, 0.1]))
+    rho = float(rng.choice([0.05, 0.1, 0.2]))
     parts = list(blocks) + [1] * singles
     p = sum(parts)
     order = rng.permutation(p)
@@ -343,41 +332,28 @@ def split_instance(seed, K, weighted, blocks=(3, 2), singles=2):
                 continue
             t = rng.standard_normal(K)
             t *= 0.9 * rng.uniform() / np.linalg.norm(t)
-            v = np.sign(t) * (lam + rho * np.abs(t)) / w
+            v = np.sign(t) * (lam + rho * np.abs(t))
             mats[:, i, j] = mats[:, j, i] = v
     for k in range(K):
         mats[k] += np.diag(np.abs(mats[k]).sum(axis=1) - np.abs(np.diag(mats[k])))
-    covs = CovarianceSet(list(mats), sizes)
-    opts = SolverOptions(weighted_by_n=weighted)
-    return covs, PenaltyPair(lam, rho), opts, (w if weighted else None)
+    covs = CovarianceSet(list(mats), [50] * K)
+    return covs, PenaltyPair(lam, rho), SolverOptions()
 
 
-def oracle_solve(covs, pen, w):
-    """``pg_solve`` on the problem divided by the mean weight.
-
-    That problem has the same minimizer, and its objective stays near unit
-    scale, where the oracle's absolute stall test is reachable.  The stall
-    of 1e-15 keeps the oracle's objective within 1e-8 of the optimum in the
-    units of the weighted problem, at weights up to 500.
-    """
-    w_bar = 1.0 if w is None else float(np.mean(w))
-    weights = None if w is None else np.asarray(w, dtype=float) / w_bar
-    oracle, _ = pg_solve(
-        list(covs.matrices), pen.lam / w_bar, pen.rho / w_bar,
-        adaptive=True, stall=1e-15, weights=weights,
-    )
+def oracle_solve(covs, pen):
+    """``pg_solve`` run until its objective stalls below 1e-15."""
+    oracle, _ = pg_solve(list(covs.matrices), pen.lam, pen.rho, adaptive=True, stall=1e-15)
     return oracle
 
 
-def screened_singles(covs, pen, w):
+def screened_singles(covs, pen):
     """Vertices the screening rule separates from all others, checked pair by pair."""
-    w = np.ones(covs.K) if w is None else w
     singles = []
     for i in range(covs.p):
         alone = True
         for j in range(covs.p):
             if i != j:
-                g = np.array([w[k] * m[i, j] for k, m in enumerate(covs.matrices)])
+                g = np.array([m[i, j] for m in covs.matrices])
                 soft = np.sign(g) * np.maximum(np.abs(g) - pen.lam, 0.0)
                 alone = alone and np.linalg.norm(soft) <= pen.rho
         if alone:
@@ -385,39 +361,37 @@ def screened_singles(covs, pen, w):
     return singles
 
 
-instances = st.tuples(
-    st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]), st.booleans()
-)
+instances = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
 
 
 class TestScreening:
     @settings(max_examples=25, deadline=None)
     @given(instances)
     def test_matches_oracle(self, instance):
-        covs, pen, opts, w = split_instance(*instance)
-        report = solve_ggl(covs, pen, SolverOptions(tol_abs=1e-9, weighted_by_n=opts.weighted_by_n))
+        covs, pen, opts = split_instance(*instance)
+        report = solve_ggl(covs, pen, SolverOptions(tol_abs=1e-9))
         assert report.converged and len(report.block_sizes) >= 3
-        oracle = oracle_solve(covs, pen, w)
+        oracle = oracle_solve(covs, pen)
         for est, ref in zip(report.estimate.matrices, oracle):
             assert np.max(np.abs(est - ref)) <= 1e-4
-        assert abs(ggl_objective(oracle, covs, pen, w) - report.objective) <= 1e-8
+        assert abs(ggl_objective(oracle, covs, pen) - report.objective) <= 1e-8
 
     @settings(max_examples=50, deadline=None)
     @given(instances)
     def test_objective_sums_over_blocks(self, instance):
         # solve_ggl adds the blocks' objectives and the single vertices'
         # closed forms; ggl_objective evaluates the full stack.
-        covs, pen, opts, w = split_instance(*instance)
+        covs, pen, opts = split_instance(*instance)
         report = solve_ggl(covs, pen, opts)
-        full = ggl_objective(report.estimate.matrices, covs, pen, w)
+        full = ggl_objective(report.estimate.matrices, covs, pen)
         assert abs(report.objective - full) <= 1e-10 * abs(full)
 
     @settings(max_examples=50, deadline=None)
     @given(instances)
     def test_certificate_on_full_problem(self, instance):
-        covs, pen, opts, w = split_instance(*instance)
+        covs, pen, opts = split_instance(*instance)
         report = solve_ggl(covs, pen, opts)
-        full = kkt_residual(report.estimate, covs, pen, w)
+        full = kkt_residual(report.estimate, covs, pen)
         assert report.converged
         assert full <= 10 * opts.tol_abs
         assert abs(full - report.kkt_violation) <= 1e-12
@@ -425,9 +399,9 @@ class TestScreening:
     @settings(max_examples=50, deadline=None)
     @given(instances)
     def test_single_vertices_closed_form(self, instance):
-        covs, pen, opts, w = split_instance(*instance)
+        covs, pen, opts = split_instance(*instance)
         report = solve_ggl(covs, pen, opts)
-        singles = screened_singles(covs, pen, w)
+        singles = screened_singles(covs, pen)
         assert len(singles) >= 2
         assert report.block_sizes.count(1) == len(singles)
         assert sum(report.block_sizes) == covs.p
@@ -439,12 +413,12 @@ class TestScreening:
     @settings(max_examples=25, deadline=None)
     @given(instances, st.integers(0, 2**32 - 1))
     def test_permutation_equivariance(self, instance, perm_seed):
-        covs, pen, opts, w = split_instance(*instance)
+        covs, pen, opts = split_instance(*instance)
         perm = np.random.default_rng(perm_seed).permutation(covs.p)
         permuted = CovarianceSet(
             [s[np.ix_(perm, perm)] for s in covs.matrices], covs.sample_sizes
         )
-        tight = SolverOptions(tol_abs=1e-11, weighted_by_n=opts.weighted_by_n)
+        tight = SolverOptions(tol_abs=1e-11)
         base = solve_ggl(covs, pen, tight)
         moved = solve_ggl(permuted, pen, tight)
         assert sorted(base.block_sizes) == sorted(moved.block_sizes)
@@ -454,7 +428,7 @@ class TestScreening:
     @settings(max_examples=25, deadline=None)
     @given(instances)
     def test_one_prox_call_per_counted_iteration(self, instance):
-        covs, pen, opts, w = split_instance(*instance)
+        covs, pen, opts = split_instance(*instance)
         calls = []
         prox = solver._prox_offdiag_stack
 
@@ -471,13 +445,13 @@ class TestScreening:
     @settings(max_examples=25, deadline=None)
     @given(instances)
     def test_all_single_vertices(self, instance):
-        covs, pen, opts, w = split_instance(*instance, blocks=(), singles=5)
+        covs, pen, opts = split_instance(*instance, blocks=(), singles=5)
         report = solve_ggl(covs, pen, opts)
         assert report.iterations == 0 and report.converged
         assert report.block_sizes == (1,) * 5
         for est, s in zip(report.estimate.matrices, covs.matrices):
             assert np.array_equal(est, np.diag(1.0 / np.diag(s)))
-        assert kkt_residual(report.estimate, covs, pen, w) <= 1e-12
+        assert kkt_residual(report.estimate, covs, pen) <= 1e-12
 
     def test_one_block_when_nothing_splits(self):
         rng = np.random.default_rng(4)
@@ -486,62 +460,41 @@ class TestScreening:
 
 
 class TestNormalizedProblem:
-    """ADMM runs on the problem divided by s_bar * w_bar; nothing depends on units."""
+    """ADMM runs on the problem divided by s_bar; nothing depends on units."""
 
     @settings(max_examples=25, deadline=None)
     @given(instances, st.floats(-4.0, 4.0))
     def test_scaled_problem_gives_scaled_estimate(self, instance, log_c):
         # Data times c and penalties times c: the exact solution is W / c.
         c = 10.0**log_c
-        covs, pen, opts, w = split_instance(*instance)
+        covs, pen, opts = split_instance(*instance)
         scaled = CovarianceSet([c * s for s in covs.matrices], covs.sample_sizes)
         scaled_pen = PenaltyPair(c * pen.lam, c * pen.rho)
         base = solve_ggl(covs, pen, opts)
         moved = solve_ggl(scaled, scaled_pen, opts)
         assert base.converged and moved.converged
         # The certificate holds in the units of each problem.
-        assert kkt_residual(moved.estimate, scaled, scaled_pen, w) <= 10 * opts.tol_abs
-        oracle = oracle_solve(covs, pen, w)
+        assert kkt_residual(moved.estimate, scaled, scaled_pen) <= 10 * opts.tol_abs
+        oracle = oracle_solve(covs, pen)
         for a, b, ref in zip(base.estimate.matrices, moved.estimate.matrices, oracle):
             assert np.max(np.abs(c * b - a)) <= 1e-4
             assert np.max(np.abs(a - ref)) <= 1e-4
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
-    def test_weighted_by_n_converges_at_realistic_sample_sizes(self, seed, K):
-        rng = np.random.default_rng(seed)
-        sizes = [int(n) for n in rng.integers(50, 501, size=K)]
-        mats = random_covariance_set(rng, int(rng.integers(3, 8)), K)
-        covs = CovarianceSet(mats, sizes)
-        scale = float(np.mean(sizes))
-        pen = PenaltyPair(float(rng.uniform(0.0, 0.2)) * scale, float(rng.uniform(0.0, 0.2)) * scale)
-        opts = SolverOptions(weighted_by_n=True)
-        report = solve_ggl(covs, pen, opts)
-        assert report.converged and report.iterations <= opts.max_iter // 20
-        assert kkt_residual(report.estimate, covs, pen, sizes) <= 10 * opts.tol_abs
-        oracle = oracle_solve(covs, pen, sizes)
-        for est, ref in zip(report.estimate.matrices, oracle):
-            assert np.max(np.abs(est - ref)) <= 1e-4
 
 
 class TestAcceleration:
     """The Anderson-accelerated loop against the oracles."""
 
     @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.sampled_from([1, 2, 3]),
-           st.booleans())
-    def test_certified_and_matches_oracle(self, seed, p, K, weighted):
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 8), st.sampled_from([1, 2, 3]))
+    def test_certified_and_matches_oracle(self, seed, p, K):
         rng = np.random.default_rng(seed)
-        sizes = [int(n) for n in rng.integers(50, 501, size=K)] if weighted else [50] * K
-        covs = CovarianceSet(random_covariance_set(rng, p, K), sizes)
-        w = np.array(sizes, dtype=float) if weighted else None
-        scale = float(np.mean(sizes)) if weighted else 1.0
-        pen = PenaltyPair(*(rng.uniform(0.0, 0.2, size=2) * scale))
-        opts = SolverOptions(tol_abs=1e-9, weighted_by_n=weighted)
+        covs = CovarianceSet(random_covariance_set(rng, p, K), [50] * K)
+        pen = PenaltyPair(*rng.uniform(0.0, 0.2, size=2))
+        opts = SolverOptions(tol_abs=1e-9)
         report = solve_ggl(covs, pen, opts)
         assert report.converged
-        assert kkt_residual(report.estimate, covs, pen, w) <= 10 * opts.tol_abs
-        for est, ref in zip(report.estimate.matrices, oracle_solve(covs, pen, w)):
+        assert kkt_residual(report.estimate, covs, pen) <= 10 * opts.tol_abs
+        for est, ref in zip(report.estimate.matrices, oracle_solve(covs, pen)):
             assert np.max(np.abs(est - ref)) <= 1e-4
 
     def test_without_memory_the_loop_is_plain_admm(self, monkeypatch):
@@ -591,7 +544,7 @@ class TestAcceleration:
     def test_certificate_calls_and_restarts_are_counted(self, instance, max_iter):
         # max_iter=2 stops before the residual test passes, so the only
         # certificate is the one taken after the loop.
-        covs, pen, opts, w = split_instance(*instance)
+        covs, pen, opts = split_instance(*instance)
         opts = replace(opts, max_iter=max_iter)
         certificates, restarts = [], []
         certify, restart = solver._stationarity_violation, solver._Anderson._restart
@@ -628,9 +581,9 @@ class TestAcceleration:
     @settings(max_examples=50, deadline=None)
     @given(instances, st.integers(1, 40))
     def test_violation_is_the_certificate_of_the_estimate(self, instance, max_iter):
-        covs, pen, opts, w = split_instance(*instance)
+        covs, pen, opts = split_instance(*instance)
         report = solve_ggl(covs, pen, replace(opts, max_iter=max_iter))
-        full = kkt_residual(report.estimate, covs, pen, w)
+        full = kkt_residual(report.estimate, covs, pen)
         assert report.kkt_violation == pytest.approx(full, rel=1e-9)
 
     def test_a_rising_residual_restarts_the_memory(self):
