@@ -11,6 +11,7 @@ from .core import (
     derive_seed,
     draw_mvn,
     draw_mvn_dataset,
+    edge_mask,
     invert_pd,
     population_seed,
     sample_covariance,
@@ -18,11 +19,9 @@ from .core import (
 )
 from .diagnostics import (
     DiagnosticsReport,
-    EdgeSet,
     check_between_group,
     check_irrepresentability,
     diagnostics_report,
-    edge_set,
     graph_stats,
     rate_delta,
     restricted_hessian,

@@ -32,7 +32,7 @@ import numpy
 from . import __version__, _blas
 from ._lanes import map_in_lanes, usable_cpus
 from .core import PrecisionSet, sample_covariance
-from .diagnostics import diagnostics_report
+from .diagnostics import check_settings, diagnostics_report
 from .errors import (
     ConfigError,
     ConvergenceError,
@@ -515,21 +515,29 @@ def _simulate(args, report: AnalysisReport) -> int:
 
 
 def _diagnose(args, report: AnalysisReport) -> int:
+    """Read the matrices, then check the flags with the library's own check
+    before any factorization: a bad flag is a config error even where a
+    matrix is not positive definite."""
     mats = [read_matrix_csv(p) for p in _existing_paths(args.precision, "precision")]
+    sizes = None
+    if args.sample_sizes is not None:
+        sizes = _int_list(args.sample_sizes)
+        if len(sizes) != len(mats):
+            raise ConfigError(f"{len(sizes)} sample sizes for {len(mats)} populations")
+        if min(sizes) < 1:
+            raise ConfigError(f"--sample-sizes must be positive, got {min(sizes)}")
+    penalty = _penalty_flags((args.lam, args.rho), "--lam/--rho")
+    try:
+        check_settings(penalty, args.psi, sizes, args.gamma)
+    except DataFormatError as exc:
+        raise ConfigError(str(exc)) from None
     try:
         precisions = PrecisionSet([(m + m.T) / 2 for m in mats], positive_definite=True)
     except NotPositiveDefiniteError as exc:
         raise DataFormatError(str(exc))
-    sizes = None
-    if args.sample_sizes is not None:
-        sizes = _int_list(args.sample_sizes)
-        if len(sizes) != precisions.K:
-            raise ConfigError(f"{len(sizes)} sample sizes for {precisions.K} populations")
-        if min(sizes) < 1:
-            raise ConfigError(f"--sample-sizes must be positive, got {min(sizes)}")
     diag = diagnostics_report(
         precisions,
-        _penalty_flags((args.lam, args.rho), "--lam/--rho"),
+        penalty,
         psi=args.psi,
         sample_sizes=sizes,
         gamma=args.gamma,

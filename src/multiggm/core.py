@@ -3,7 +3,9 @@
 Conventions used throughout the package:
 
 * matrices are dense row-major ``float64`` arrays; sparsity is a property of
-  the values, never a storage format;
+  the values, never a storage format: an off-diagonal entry is an edge when
+  its magnitude exceeds ``EDGE_TOL`` (:func:`edge_mask`), the one rule for
+  estimates, true matrices, e-BIC counts and diagnostics;
 * a "set" bundles one matrix per population ``k = 0..K-1`` with a common
   dimension ``p``;
 * random draws come from the counter-based Philox generator keyed directly by
@@ -27,6 +29,10 @@ from .errors import (
 )
 
 _SEED_MASK = (1 << 64) - 1
+
+# Off-diagonal entries at or below this magnitude are not edges, in an
+# estimate and in a true precision matrix alike.
+EDGE_TOL = 1e-8
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:
@@ -99,6 +105,13 @@ def invert_pd(a: np.ndarray) -> np.ndarray:
     a = check_symmetric(a, "matrix to invert")
     inverse_lower = np.linalg.inv(cholesky_pd(a, "matrix to invert"))
     return symmetrize(inverse_lower.T @ inverse_lower)
+
+
+def edge_mask(matrix: np.ndarray) -> np.ndarray:
+    """Which upper-triangle entries, in ``np.triu_indices(p, k=1)`` order,
+    are edges: those of magnitude above ``EDGE_TOL``."""
+    m = np.asarray(matrix)
+    return np.abs(m[np.triu_indices(m.shape[0], k=1)]) > EDGE_TOL
 
 
 def _as_readonly(a: np.ndarray) -> np.ndarray:
@@ -230,20 +243,15 @@ class PrecisionSet(_MatrixStack):
         object.__setattr__(self, "positive_definite", bool(positive_definite))
 
 
-def sample_covariance(data: MultiPopDataset, center: bool = False) -> CovarianceSet:
+def sample_covariance(data: MultiPopDataset) -> CovarianceSet:
     """Per-population sample covariances ``(1/n_k) X_k' X_k``.
 
-    The divisor is ``n_k`` and columns are not centered by default, matching
-    the zero-mean sampling model; pass ``center=True`` for real data whose
-    mean is unknown.  Results are symmetrized exactly and are PSD up to
-    rounding.
+    The divisor is ``n_k`` and columns are not centered, matching the
+    zero-mean sampling model; :func:`multiggm.io.ingest_csv` centers real
+    data whose mean is unknown.  Results are symmetrized exactly and are PSD
+    up to rounding.
     """
-    mats = []
-    for x in data.data:
-        if center:
-            x = x - x.mean(axis=0, keepdims=True)
-        s = (x.T @ x) / x.shape[0]
-        mats.append(symmetrize(s))
+    mats = [symmetrize((x.T @ x) / x.shape[0]) for x in data.data]
     return CovarianceSet(mats, data.sample_sizes)
 
 

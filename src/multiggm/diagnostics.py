@@ -8,60 +8,24 @@ two irrepresentability conditions.
 The Hessian of the Gaussian log-likelihood at the truth is the Kronecker
 product ``Sigma (x) Sigma``.  Its restriction to an index set of vertex
 pairs is built entrywise as ``G[(a, b), (c, d)] = Sigma[a, c] * Sigma[b, d]``
-without materializing the p^2 x p^2 matrix.  Index sets for the support
-blocks are ordered pairs: both orientations of every support edge plus, by
-default, all diagonal pairs, which is the convention that makes the support
-block invertible; pass ``augment_diagonal=False`` for the literal
-off-diagonal-only support set.
+without materializing the p^2 x p^2 matrix.  The support S is a set of
+ordered pairs: every diagonal pair, then both orientations of every edge
+(:func:`~multiggm.core.edge_mask`) in row-major order.  The diagonal is what
+makes ``Gamma[S, S]`` invertible.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PrecisionSet, check_symmetric, invert_pd
+from .core import PrecisionSet, check_symmetric, edge_mask, invert_pd
 from .errors import DataFormatError, DimensionMismatchError
 from .solver import PenaltyPair
 
 RESTRICTED_HESSIAN_GUARD = 20000
-
-
-@dataclass(frozen=True)
-class EdgeSet:
-    """Unordered off-diagonal support pairs (i < j) of a p x p matrix."""
-
-    pairs: frozenset[tuple[int, int]]
-    p: int
-
-    def __init__(self, pairs, p):
-        p = int(p)
-        norm = set()
-        for i, j in pairs:
-            i, j = int(i), int(j)
-            if i == j:
-                raise DataFormatError("edge set holds off-diagonal pairs only")
-            if not (0 <= i < p and 0 <= j < p):
-                raise DimensionMismatchError(f"pair ({i}, {j}) out of range for p={p}")
-            norm.add((min(i, j), max(i, j)))
-        object.__setattr__(self, "pairs", frozenset(norm))
-        object.__setattr__(self, "p", p)
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-def edge_set(precision: np.ndarray, tol: float = 1e-12) -> EdgeSet:
-    """Support pairs with |entry| > tol, i < j."""
-    if tol < 0:
-        raise DataFormatError("tolerance must be nonnegative")
-    m = check_symmetric(precision, "precision")
-    iu, ju = np.triu_indices(m.shape[0], k=1)
-    keep = np.abs(m[iu, ju]) > tol
-    return EdgeSet(zip(iu[keep], ju[keep]), m.shape[0])
 
 
 @dataclass(frozen=True)
@@ -72,21 +36,24 @@ class GraphStats:
     eigen_bounds: tuple[float, float]
 
 
-def graph_stats(precision: np.ndarray, tol: float = 1e-12) -> GraphStats:
-    """Max degree, edge count, smallest nonzero off-diagonal, eigenvalue range."""
+def _edges(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows and columns of the edges i < j of ``m``, in row-major order."""
+    iu, ju = np.triu_indices(m.shape[0], k=1)
+    mask = edge_mask(m)
+    return iu[mask], ju[mask]
+
+
+def graph_stats(precision: np.ndarray) -> GraphStats:
+    """Max degree, edge count, smallest edge magnitude, eigenvalue range."""
     m = check_symmetric(precision, "precision")
-    p = m.shape[0]
-    off = np.abs(m) > tol
-    np.fill_diagonal(off, False)
-    degrees = off.sum(axis=1)
-    iu = np.triu_indices(p, k=1)
-    vals = np.abs(m[iu])
-    nonzero = vals[vals > tol]
+    iu, ju = _edges(m)
+    degrees = np.bincount(np.concatenate([iu, ju]), minlength=m.shape[0])
+    values = np.abs(m[iu, ju])
     eigs = np.linalg.eigvalsh(m)
     return GraphStats(
         max_degree=int(degrees.max()),
-        edge_total=int(nonzero.size),
-        omega_min=float(nonzero.min()) if nonzero.size else None,
+        edge_total=int(values.size),
+        omega_min=float(values.min()) if values.size else None,
         eigen_bounds=(float(eigs[0]), float(eigs[-1])),
     )
 
@@ -114,20 +81,6 @@ def restricted_hessian(sigma: np.ndarray, index_pairs) -> np.ndarray:
     return sigma[np.ix_(rows_a, rows_a)] * sigma[np.ix_(rows_b, rows_b)]
 
 
-def support_indices(
-    edges: EdgeSet, augment_diagonal: bool = True
-) -> list[tuple[int, int]]:
-    """Ordered index pairs of the support block: both orientations of every
-    edge, optionally augmented with all diagonal pairs."""
-    pairs = []
-    if augment_diagonal:
-        pairs.extend((i, i) for i in range(edges.p))
-    for i, j in sorted(edges.pairs):
-        pairs.append((i, j))
-        pairs.append((j, i))
-    return pairs
-
-
 # Entries of Gamma[e, S] formed at a time: the complement pairs e stream
 # through in chunks of this many entries (4 MB), where the whole block of a
 # p=200 star with hub degree 25 is 80 MB.
@@ -137,29 +90,31 @@ COMPLEMENT_CHUNK_ENTRIES = 2**19
 @dataclass(frozen=True)
 class _Population:
     """What the irrepresentability conditions need of one true precision
-    matrix, computed once: Sigma, the edge set, the support pairs, the
-    complement pairs and the inverse of Gamma[S, S]."""
+    matrix, computed once: Sigma, the support pairs, the complement pairs
+    and the inverse of Gamma[S, S]."""
 
     sigma: np.ndarray
-    edges: EdgeSet
     support: np.ndarray
     others: tuple[np.ndarray, np.ndarray]
     gss_inverse: np.ndarray
 
 
-def _population(precision, tol: float, augment_diagonal: bool) -> _Population:
+def _population(precision) -> _Population:
     precision = check_symmetric(precision, "precision")
-    edges = edge_set(precision, tol)
-    support = support_indices(edges, augment_diagonal)
-    if not support:
-        raise DataFormatError("support index set is empty; nothing to invert")
+    p = precision.shape[0]
+    iu, ju = _edges(precision)
+    diagonal = np.arange(p)
+    # Every diagonal pair, then (i, j) and (j, i) for each edge in turn.
+    support = np.concatenate([
+        np.column_stack([diagonal, diagonal]),
+        np.column_stack([iu, ju, ju, iu]).reshape(-1, 2),
+    ])
     sigma = invert_pd(precision)
     gss_inverse = invert_pd(restricted_hessian(sigma, support))
-    support = np.array(support)
     # Ordered off-diagonal pairs outside the support, row-major.
-    outside = ~np.eye(edges.p, dtype=bool)
+    outside = ~np.eye(p, dtype=bool)
     outside[support[:, 0], support[:, 1]] = False
-    return _Population(sigma, edges, support, np.nonzero(outside), gss_inverse)
+    return _Population(sigma, support, np.nonzero(outside), gss_inverse)
 
 
 def _complement_rows(pop: _Population):
@@ -172,18 +127,14 @@ def _complement_rows(pop: _Population):
         yield (pop.sigma[np.ix_(a, sa)] * pop.sigma[np.ix_(b, sb)]) @ pop.gss_inverse
 
 
-def check_irrepresentability(
-    precision: np.ndarray,
-    tol: float = 1e-12,
-    augment_diagonal: bool = True,
-) -> float:
+def check_irrepresentability(precision: np.ndarray) -> float:
     """Slack of the support-recovery condition at a true precision matrix.
 
     Returns ``1 - max_{e not in S} || Gamma[e, S] @ Gamma[S, S]^{-1} ||_1``
     computed from the inverse covariance; the condition holds exactly when
     the returned value is positive.
     """
-    return _irrepresentability(_population(precision, tol, augment_diagonal))
+    return _irrepresentability(_population(precision))
 
 
 def _irrepresentability(pop: _Population) -> float:
@@ -192,55 +143,64 @@ def _irrepresentability(pop: _Population) -> float:
     return float(1.0 - max(np.abs(rows).sum(axis=1).max() for rows in _complement_rows(pop)))
 
 
+def check_settings(
+    penalty: PenaltyPair, psi: float, sample_sizes=None, gamma: float = 2.5
+) -> None:
+    """Raise :class:`DataFormatError` for settings the diagnostics cannot use.
+
+    The between-group bound needs ``psi`` strictly in (0, 1) and
+    ``lam + rho > 0``; with sample sizes, the concentration radius needs each
+    to be positive and ``gamma > 2``.  No matrix is read, so callers can
+    check before any factorization.
+    """
+    if not 0.0 < psi < 1.0:
+        raise DataFormatError("psi must lie strictly in (0, 1)")
+    if penalty.lam + penalty.rho <= 0:
+        raise DataFormatError("penalty parameters cannot both be zero here")
+    for n_k in () if sample_sizes is None else sample_sizes:
+        _check_rate_settings(int(n_k), gamma)
+
+
 def check_between_group(
     precisions: PrecisionSet,
     penalty: PenaltyPair,
     psi: float,
     alpha: float,
-    tol: float = 1e-12,
-    augment_diagonal: bool = True,
 ) -> tuple[float, float, bool]:
     """Aggregate cross-population condition limiting non-edge correlation.
 
-    Requires the support to be shared across populations.  Returns
-    ``(lhs, rhs, holds)`` where
+    Returns ``(lhs, rhs, holds)`` where
 
         lhs = max_e sqrt( sum_k ( Gamma_k[e, S] @ Gamma_k[S, S]^{-1} @ 1 )^2 )
         rhs = [ rho / ((lam + rho) * (1 - psi)) - alpha * sqrt(K) / 4 ]
               / (1 + alpha / 4)
 
-    and ``holds`` is ``lhs < rhs``.
+    and ``holds`` is ``lhs < rhs``.  The condition is stated on a support
+    shared across populations: where the supports differ, ``lhs`` is NaN and
+    ``holds`` is False.
     """
-    rhs = _between_group_rhs(penalty, psi, alpha, precisions.K)
-    lhs = _between_group_lhs([_population(m, tol, augment_diagonal) for m in precisions.matrices])
-    return lhs, rhs, lhs < rhs
-
-
-def _between_group_rhs(penalty: PenaltyPair, psi: float, alpha: float, K: int) -> float:
-    if not 0.0 < psi < 1.0:
-        raise DataFormatError("psi must lie strictly in (0, 1)")
+    check_settings(penalty, psi)
     if not 0.0 < alpha <= 1.0:
         raise DataFormatError("alpha must lie in (0, 1]")
-    if penalty.lam + penalty.rho <= 0:
-        raise DataFormatError("penalty parameters cannot both be zero here")
+    return _between_group([_population(m) for m in precisions.matrices], penalty, psi, alpha)
+
+
+def _between_group(
+    pops: list[_Population], penalty: PenaltyPair, psi: float, alpha: float
+) -> tuple[float, float, bool]:
+    """``(lhs, rhs, holds)`` of :func:`check_between_group` for checked settings."""
     share = penalty.rho / ((penalty.lam + penalty.rho) * (1.0 - psi))
-    return float((share - alpha * math.sqrt(K) / 4.0) / (1.0 + alpha / 4.0))
-
-
-def _between_group_lhs(pops: list[_Population]) -> float:
-    for k, pop in enumerate(pops[1:], start=1):
-        if pop.edges.pairs != pops[0].edges.pairs:
-            raise DataFormatError(
-                f"population {k} has a different sparsity pattern; shared support "
-                "is required"
-            )
-    if not pops[0].others[0].size:
-        return 0.0
-    sq = sum(
-        np.concatenate([rows.sum(axis=1) for rows in _complement_rows(pop)]) ** 2
-        for pop in pops
-    )
-    return float(np.sqrt(sq.max()))
+    rhs = float((share - alpha * math.sqrt(len(pops)) / 4.0) / (1.0 + alpha / 4.0))
+    if any(not np.array_equal(pop.support, pops[0].support) for pop in pops[1:]):
+        return float("nan"), rhs, False
+    lhs = 0.0
+    if pops[0].others[0].size:
+        sq = sum(
+            np.concatenate([rows.sum(axis=1) for rows in _complement_rows(pop)]) ** 2
+            for pop in pops
+        )
+        lhs = float(np.sqrt(sq.max()))
+    return lhs, rhs, lhs < rhs
 
 
 def between_group_sufficient(penalty: PenaltyPair, psi: float, alpha: float, K: int) -> bool:
@@ -260,16 +220,20 @@ def rate_delta(n_k: int, p: int, gamma: float, k1: float, max_diag: float) -> fl
     true covariance diagonal.  The theoretical penalty choice is
     ``lam + rho = (8 / alpha) * max_k delta_k``.
     """
-    if gamma <= 2:
-        raise DataFormatError("gamma must exceed 2")
-    if n_k < 1:
-        raise DataFormatError("sample size must be positive")
+    _check_rate_settings(n_k, gamma)
     return float(
         8.0
         * (1.0 + 12.0 * k1 * k1)
         * max_diag
         * math.sqrt(2.0 * math.log(4.0 * p**gamma) / n_k)
     )
+
+
+def _check_rate_settings(n_k: int, gamma: float) -> None:
+    if gamma <= 2:
+        raise DataFormatError("gamma must exceed 2")
+    if n_k < 1:
+        raise DataFormatError("sample sizes must be positive")
 
 
 def advisory_min_samples(
@@ -319,9 +283,6 @@ class DiagnosticsReport:
         """Fields by name, each population's too; built without a deep copy."""
         return {**vars(self), "populations": [dict(vars(pop)) for pop in self.populations]}
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_jsonable(), indent=indent)
-
 
 def diagnostics_report(
     precisions: PrecisionSet,
@@ -331,17 +292,19 @@ def diagnostics_report(
     gamma: float = 2.5,
     k1: float = 1.0,
     eigen_bound_l: float | None = None,
-    tol: float = 1e-12,
-    augment_diagonal: bool = True,
 ) -> DiagnosticsReport:
-    """Full diagnostic sweep over a set of true precision matrices."""
-    if sample_sizes is not None and min(int(n) for n in sample_sizes) < 1:
-        raise DataFormatError("sample sizes must be positive")
-    factors = [_population(m, tol, augment_diagonal) for m in precisions.matrices]
+    """Full diagnostic sweep over a set of true precision matrices.
+
+    Settings are checked first (:func:`check_settings`).  Supports that
+    differ across populations leave the between-group condition undefined:
+    ``between_group_lhs`` is NaN and the condition is reported as failing.
+    """
+    check_settings(penalty, psi, sample_sizes, gamma)
+    factors = [_population(m) for m in precisions.matrices]
     pops = []
     alpha = None
     for k, (m, f) in enumerate(zip(precisions.matrices, factors)):
-        stats = graph_stats(m, tol)
+        stats = graph_stats(m)
         kappa_gamma = float(np.abs(f.gss_inverse).sum(axis=1).max())
         kappa_sigma = float(np.abs(f.sigma).sum(axis=1).max())
         a_k = _irrepresentability(f)
@@ -371,12 +334,7 @@ def diagnostics_report(
         )
 
     a1_holds = alpha > 0
-    try:
-        rhs = _between_group_rhs(penalty, psi, max(alpha, 1e-12), precisions.K)
-        lhs = _between_group_lhs(factors)
-        a2_holds = lhs < rhs
-    except DataFormatError:
-        lhs, rhs, a2_holds = float("nan"), float("nan"), False
+    lhs, rhs, a2_holds = _between_group(factors, penalty, psi, max(alpha, 1e-12))
 
     eig_min = min(p.eigen_bounds[0] for p in pops)
     eig_max = max(p.eigen_bounds[1] for p in pops)

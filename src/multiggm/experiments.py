@@ -36,13 +36,14 @@ from .core import (
     PrecisionSet,
     derive_seed,
     draw_mvn,
+    edge_mask,
     population_seed,
     sample_covariance,
 )
 from .errors import ConfigError, DataFormatError
 from .graphs import GraphSpec
 from .inference import combine, debias, upper_quantile
-from .selection import EDGE_TOL, TuningGrid, penalty_scale, tune_penalties
+from .selection import TuningGrid, penalty_scale, tune_penalties
 from .solver import PenaltyPair, solve_ggl
 
 # Indirection point so tests can inject oracle estimates in place of solves.
@@ -161,12 +162,10 @@ def _draw_covs(truth: PrecisionSet, n: int, rep_seed: int) -> CovarianceSet:
     return sample_covariance(data)
 
 
-def _signed_pattern(matrix: np.ndarray, tol: float = EDGE_TOL) -> np.ndarray:
-    """Signs of the upper-triangle entries, 0 where ``|entry| <= tol``."""
-    iu = np.triu_indices(matrix.shape[0], k=1)
-    vals = matrix[iu]
-    out = np.sign(vals).astype(np.int8)
-    out[np.abs(vals) <= tol] = 0
+def _signed_pattern(matrix: np.ndarray) -> np.ndarray:
+    """Signs of the upper-triangle entries, 0 where :func:`edge_mask` has no edge."""
+    out = np.sign(matrix[np.triu_indices(matrix.shape[0], k=1)]).astype(np.int8)
+    out[~edge_mask(matrix)] = 0
     return out
 
 
@@ -262,7 +261,7 @@ class _Consistency(_Study):
     header = ("graph", "p", "n", "replications", "success_fraction", "failures")
 
     def prepare(self, config, truth):
-        true_patterns = [_signed_pattern(m, 0.0) for m in truth.matrices]
+        true_patterns = [_signed_pattern(m) for m in truth.matrices]
         return lambda covs, report: all(
             np.array_equal(_signed_pattern(est), true_patterns[k])
             for k, est in enumerate(report.estimate.matrices)
@@ -285,12 +284,12 @@ class _TpFp(_Study):
     header = ("graph", "p", "n", "replications", "mean_tp", "mean_fp", "excluded")
 
     def prepare(self, config, truth):
-        true_edges = [_signed_pattern(m, 0.0) != 0 for m in truth.matrices]
+        true_edges = [edge_mask(m) for m in truth.matrices]
 
         def worker(covs, report):
             tp = fp = 0
             for k, est in enumerate(report.estimate.matrices):
-                found = _signed_pattern(est) != 0
+                found = edge_mask(est)
                 tp += int(np.sum(found & true_edges[k]))
                 fp += int(np.sum(found & ~true_edges[k]))
             return tp / truth.K, fp / truth.K
@@ -395,7 +394,7 @@ class _Coverage(_Study):
     def prepare(self, config, truth):
         tau = upper_quantile(1.0 - config.ci_level)
         iu = np.triu_indices(truth.p, k=1)
-        s_masks = [_signed_pattern(m, 0.0) != 0 for m in truth.matrices]
+        s_masks = [edge_mask(m) for m in truth.matrices]
 
         def worker(covs, report):
             deb = debias(report.estimate, covs)
@@ -414,7 +413,7 @@ class _Coverage(_Study):
     def aggregate(self, config, truth, n, ok):
         cells = {}
         for k, m in enumerate(truth.matrices):
-            mask = _signed_pattern(m, 0.0) != 0
+            mask = edge_mask(m)
             for which, ci, count in (("S", 0, int(mask.sum())), ("Sc", 2, int((~mask).sum()))):
                 cells[(truth.p, n, k, which)] = {
                     "coverage": _mean([r[k][ci] for r in ok]),

@@ -8,7 +8,7 @@ the dimensionless constants (C1, C2).  The score per fitted model is
            + sum_k |E_k| * log n  +  4 * gamma * log p * sum_k |E_k|,
 
 where |E_k| counts unordered off-diagonal pairs with |W_k[i, j]| above
-``EDGE_TOL``.  gamma = 0 recovers ordinary BIC; gamma = 0.5 is the default.
+``core.EDGE_TOL``.  gamma = 0 recovers ordinary BIC; gamma = 0.5 is the default.
 
 :func:`tune_penalties` solves each (C1, C2) cell on its own, from the
 solver's cold start.  The cells share nothing, so they run side by side in
@@ -28,14 +28,11 @@ import numpy as np
 
 from . import _blas
 from ._lanes import lane_count, map_in_lanes
-from .core import CovarianceSet, PrecisionSet
+from .core import CovarianceSet, PrecisionSet, edge_mask
 from .errors import ConvergenceError, DataFormatError, NotPositiveDefiniteError
 from .solver import PenaltyPair, SolverOptions, solve_ggl
 
 DEFAULT_GRID_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
-
-# Entries of an estimate at or below this magnitude count as absent edges.
-EDGE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -91,10 +88,8 @@ class TuningResult:
 
 
 def edge_count(matrix: np.ndarray) -> int:
-    """Unordered off-diagonal pairs with magnitude above ``EDGE_TOL``."""
-    m = np.asarray(matrix)
-    iu = np.triu_indices(m.shape[0], k=1)
-    return int(np.sum(np.abs(m[iu]) > EDGE_TOL))
+    """Unordered off-diagonal pairs that are edges (:func:`~multiggm.core.edge_mask`)."""
+    return int(np.count_nonzero(edge_mask(matrix)))
 
 
 def penalty_scale(p: int, n: int) -> float:

@@ -540,7 +540,7 @@ def _admm(s, lam: float, rho: float, opts: SolverOptions):
     # The start (z0, dual0) need not be of that form, so x begins after the
     # first W-step.
     x = None
-    history = _Anderson(K * p * p) if ANDERSON_MEMORY else None
+    history = _Anderson(K * p * p)
 
     for iterations in range(1, opts.max_iter + 1):
         a = eta * (z - u) - scaled_s
@@ -552,7 +552,7 @@ def _admm(s, lam: float, rho: float, opts: SolverOptions):
 
         z_old = z
         image = RELAXATION * omega + (1.0 - RELAXATION) * z_old + u
-        x = image if x is None or history is None else history.step(x, image)
+        x = image if x is None else history.step(x, image)
         z = _prox_offdiag_stack(x, lam_eff, rho_eff)
         u = x - z
 
@@ -578,9 +578,8 @@ def _admm(s, lam: float, rho: float, opts: SolverOptions):
             mats = _symmetrized(omega) / s_bar
         certificates += 1
         kkt_value = _stationarity_violation(mats, s, lam, rho)
-    restarts = history.restarts if history is not None else 0
     return mats, _BlockResult(
-        iterations, primal, dual, converged, float(kkt_value), certificates, restarts
+        iterations, primal, dual, converged, float(kkt_value), certificates, history.restarts
     )
 
 

@@ -202,6 +202,47 @@ class TestPenaltyPairs:
         assert report_of(out)["payload"]["penalty"] == {"lam": 0.0, "rho": 0.0}
 
 
+class TestDiagnoseSettings:
+    """Settings the diagnostics cannot use exit 1 after the matrices are read
+    and before anything is factorized or written."""
+
+    @pytest.fixture()
+    def precision(self, tmp_path):
+        from multiggm import chain_precision
+        from multiggm.io import write_matrix_csv
+
+        path = tmp_path / "om.csv"
+        write_matrix_csv(chain_precision(4, 0.2), str(path))
+        return f"{path},{path}"
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--psi", "1.5"], "psi must lie strictly in (0, 1)"),
+        (["--psi", "0"], "psi must lie strictly in (0, 1)"),
+        (["--lam", "0", "--rho", "0"], "penalty parameters cannot both be zero"),
+        (["--sample-sizes", "100,120", "--gamma", "1"], "gamma must exceed 2"),
+        (["--sample-sizes", "100,120", "--gamma", "2"], "gamma must exceed 2"),
+    ])
+    def test_exit_1_before_any_factorization(
+        self, tmp_path, capsys, monkeypatch, precision, flags, message
+    ):
+        from multiggm import core, diagnostics
+
+        def no_factorization(*args):
+            pytest.fail("factorized before the flags were checked")
+
+        monkeypatch.setattr(core, "cholesky_pd", no_factorization)
+        monkeypatch.setattr(diagnostics, "_population", no_factorization)
+        out = tmp_path / "out"
+        assert run(["diagnose", "--precision", precision, *flags], out) == EXIT_CONFIG
+        assert f"configuration error: {message}" in capsys.readouterr().err
+        assert not (out / "diagnostics.json").exists()
+
+    def test_gamma_unused_without_sample_sizes(self, tmp_path, precision):
+        out = tmp_path / "out"
+        assert run(["diagnose", "--precision", precision, "--gamma", "1"], out) == EXIT_OK
+        assert (out / "diagnostics.json").exists()
+
+
 class TestRequiredValues:
     def test_test_needs_edges_and_coeffs(self, tmp_path, pair_data):
         base = ["test", "--data", pair_data, "--c1", "0.5", "--c2", "1.0"]

@@ -14,6 +14,7 @@ from multiggm import (
     PrecisionSet,
     draw_mvn,
     draw_mvn_dataset,
+    ingest_csv,
     invert_pd,
     population_seed,
     sample_covariance,
@@ -70,10 +71,13 @@ class TestSampleCovariance:
         covs = sample_covariance(data)
         assert np.array_equal(covs.matrices[0], np.zeros((3, 3)))
 
-    def test_centering_flag(self):
+    def test_centering_flag(self, tmp_path):
+        # Centering is ingest_csv's, the path `--center` runs.
         x = np.array([[1.0, 2.0], [3.0, 2.0], [5.0, 2.0]])
-        raw = sample_covariance(MultiPopDataset([x]))
-        centered = sample_covariance(MultiPopDataset([x]), center=True)
+        path = tmp_path / "x.csv"
+        path.write_text("1,2\n3,2\n5,2\n")
+        raw = sample_covariance(ingest_csv([str(path)]))
+        centered = sample_covariance(ingest_csv([str(path)], center=True))
         assert raw.matrices[0][0, 0] == pytest.approx(np.mean(x[:, 0] ** 2))
         assert centered.matrices[0][0, 0] == pytest.approx(np.var(x[:, 0]))
         assert centered.matrices[0][1, 1] == 0.0

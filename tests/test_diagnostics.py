@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from multiggm import (
     DataFormatError,
@@ -11,14 +14,16 @@ from multiggm import (
     check_irrepresentability,
     chain_precision,
     diagnostics_report,
-    edge_set,
+    edge_mask,
     graph_stats,
     rate_delta,
     restricted_hessian,
     star_precision,
 )
-from multiggm import diagnostics
-from multiggm.diagnostics import between_group_sufficient, support_indices
+from multiggm import diagnostics, experiments
+from multiggm.core import EDGE_TOL
+from multiggm.diagnostics import between_group_sufficient
+from multiggm.selection import edge_count
 
 from oracles import dense_alpha, dense_between_group_lhs, random_covariance_set
 
@@ -27,19 +32,59 @@ CHAIN5_ALPHA = 0.5399305555555556
 CHAIN5_PAIR_LHS = 1.0616732382990832
 
 
+def support_edges(precision):
+    """The unordered edges (i < j) in the diagnostics support of ``precision``."""
+    return {(i, j) for i, j in diagnostics._population(precision).support.tolist() if i < j}
+
+
 class TestEdgeSet:
     def test_diagonal_matrix_empty(self):
-        assert len(edge_set(np.diag([1.0, 2.0, 3.0]))) == 0
+        m = np.diag([1.0, 2.0, 3.0])
+        assert not edge_mask(m).any()
+        assert support_edges(m) == set()
 
     def test_chain_support(self):
-        es = edge_set(chain_precision(4, 0.2))
-        assert es.pairs == {(0, 1), (1, 2), (2, 3)}
+        assert support_edges(chain_precision(4, 0.2)) == {(0, 1), (1, 2), (2, 3)}
 
     def test_star_support_contains_hub(self):
         m, hub, spokes = star_precision(12, 4, 2.0, 0.3, hub_seed=5)
-        es = edge_set(m)
-        assert len(es) == 4
-        assert all(hub in pair for pair in es.pairs)
+        edges = support_edges(m)
+        assert len(edges) == int(edge_mask(m).sum()) == 4
+        assert all(hub in pair for pair in edges)
+
+
+# Entries on both sides of EDGE_TOL: it is not an edge, the next double up is.
+STRADDLING = (0.0, EDGE_TOL, -EDGE_TOL, float(np.nextafter(EDGE_TOL, 1.0)),
+              -float(np.nextafter(EDGE_TOL, 1.0)), 0.3, -0.3)
+
+
+@st.composite
+def straddling_precisions(draw):
+    """Symmetric matrices with off-diagonal entries from ``STRADDLING`` and a
+    diagonal that makes them strictly diagonally dominant, hence PD."""
+    p = draw(st.integers(1, 6))
+    m = np.eye(p) * (0.3 * p + 1.0)
+    for i in range(p):
+        for j in range(i + 1, p):
+            m[i, j] = m[j, i] = draw(st.sampled_from(STRADDLING))
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(straddling_precisions())
+def test_one_edge_rule_across_the_package(m):
+    p = m.shape[0]
+    edges = [(i, j) for i in range(p) for j in range(i + 1, p) if abs(m[i, j]) > EDGE_TOL]
+    assert edge_count(m) == len(edges)
+    assert np.count_nonzero(experiments._signed_pattern(m)) == len(edges)
+    stats = graph_stats(m)
+    assert stats.edge_total == len(edges)
+    assert stats.max_degree == max(sum(k in e for e in edges) for k in range(p))
+    # Diagonal first, then both orientations of each edge, row-major.
+    expected = [[k, k] for k in range(p)] + [
+        pair for i, j in edges for pair in ([i, j], [j, i])
+    ]
+    assert diagnostics._population(m).support.tolist() == expected
 
 
 class TestGraphStats:
@@ -140,11 +185,6 @@ class TestIrrepresentability:
             check_irrepresentability(m), abs=1e-10
         )
 
-    def test_literal_offdiagonal_index_set(self):
-        m = chain_precision(5, 0.2)
-        alpha = check_irrepresentability(m, augment_diagonal=False)
-        assert alpha == pytest.approx(dense_alpha(m, augment=False), abs=1e-10)
-
 
 class TestBetweenGroup:
     def test_identity_single_population(self):
@@ -179,12 +219,23 @@ class TestBetweenGroup:
             )
             assert holds
 
-    def test_differing_supports_rejected(self):
-        m1 = chain_precision(4, 0.2)
-        m2 = np.eye(4)
-        prec = PrecisionSet([m1, m2], positive_definite=True)
+    def test_differing_supports_leave_lhs_undefined(self):
+        prec = PrecisionSet([chain_precision(4, 0.2), np.eye(4)], positive_definite=True)
+        lhs, rhs, holds = check_between_group(prec, PenaltyPair(0.1, 0.1), 0.5, 0.5)
+        assert math.isnan(lhs)
+        assert rhs == pytest.approx((1.0 - 0.5 * math.sqrt(2) / 4) / (1 + 0.5 / 4))
+        assert holds is False
+
+    @pytest.mark.parametrize("penalty, psi, alpha", [
+        (PenaltyPair(0.1, 0.1), 1.5, 0.5),
+        (PenaltyPair(0.1, 0.1), 0.0, 0.5),
+        (PenaltyPair(0.0, 0.0), 0.5, 0.5),
+        (PenaltyPair(0.1, 0.1), 0.5, 0.0),
+    ])
+    def test_bad_settings_raise(self, penalty, psi, alpha):
+        prec = PrecisionSet([chain_precision(4, 0.2)] * 2, positive_definite=True)
         with pytest.raises(DataFormatError):
-            check_between_group(prec, PenaltyPair(0.1, 0.1), 0.5, 0.5)
+            check_between_group(prec, penalty, psi, alpha)
 
 
 @pytest.mark.parametrize("entries", [1, 37, 2**19])
@@ -229,15 +280,13 @@ class TestRateDelta:
 
 class TestReport:
     def test_chain_pair_report_roundtrips_to_json(self):
-        import json
-
         mats = [chain_precision(6, 0.2), chain_precision(6, 0.35)]
         prec = PrecisionSet(mats, positive_definite=True)
         report = diagnostics_report(
             prec, PenaltyPair(0.1, 0.1), psi=0.5, sample_sizes=(600, 700),
             eigen_bound_l=0.1,
         )
-        obj = json.loads(report.to_json())
+        obj = json.loads(json.dumps(report.to_jsonable()))
         assert obj["assumptions_hold"]["irrepresentability"]
         assert obj["assumptions_hold"]["bounded_eigenvalues"]
         assert obj["assumptions_hold"]["sample_size_ratio"]
@@ -251,11 +300,34 @@ class TestReport:
         with pytest.raises(DataFormatError, match="sample sizes must be positive"):
             diagnostics_report(prec, PenaltyPair(0.1, 0.1), sample_sizes=sizes)
 
+    @pytest.mark.parametrize("psi, lam_rho, sizes, gamma", [
+        (1.5, (0.1, 0.1), None, 2.5),
+        (0.0, (0.1, 0.1), None, 2.5),
+        (0.5, (0.0, 0.0), None, 2.5),
+        (0.5, (0.1, 0.1), (600, 600), 2.0),
+    ])
+    def test_bad_settings_raise_before_any_factorization(
+        self, monkeypatch, psi, lam_rho, sizes, gamma
+    ):
+        def no_factorization(precision):
+            raise AssertionError("factorized before the settings were checked")
+
+        monkeypatch.setattr(diagnostics, "_population", no_factorization)
+        prec = PrecisionSet([chain_precision(4, 0.2)] * 2, positive_definite=True)
+        with pytest.raises(DataFormatError):
+            diagnostics_report(prec, PenaltyPair(*lam_rho), psi=psi,
+                               sample_sizes=sizes, gamma=gamma)
+
+    def test_differing_supports_fail_with_lhs_nan_and_rhs_reported(self):
+        prec = PrecisionSet([chain_precision(4, 0.2), np.eye(4)], positive_definite=True)
+        report = diagnostics_report(prec, PenaltyPair(0.1, 0.1), psi=0.5)
+        assert math.isnan(report.between_group_lhs)
+        assert math.isfinite(report.between_group_rhs)
+        assert report.assumptions_hold["between_group"] is False
+
     def test_support_indices_augmentation(self):
-        es = edge_set(chain_precision(3, 0.2))
-        assert support_indices(es, augment_diagonal=True) == [
-            (0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1),
-        ]
-        assert support_indices(es, augment_diagonal=False) == [
-            (0, 1), (1, 0), (1, 2), (2, 1),
+        # The support always holds the diagonal, ahead of the edges.
+        support = diagnostics._population(chain_precision(3, 0.2)).support
+        assert support.tolist() == [
+            [0, 0], [1, 1], [2, 2], [0, 1], [1, 0], [1, 2], [2, 1],
         ]

@@ -505,7 +505,19 @@ class TestAcceleration:
         covs = CovarianceSet(mats, [50, 50])
         pen = PenaltyPair(0.01, 0.02)
         accelerated = solve_ggl(covs, pen)
-        monkeypatch.setattr(solver, "ANDERSON_MEMORY", 0)
+
+        class NoExtrapolation:
+            """An Anderson history that always takes the plain step."""
+
+            restarts = 0
+
+            def __init__(self, size):
+                pass
+
+            def step(self, x, image):
+                return image
+
+        monkeypatch.setattr(solver, "_Anderson", NoExtrapolation)
         plain = solve_ggl(covs, pen)
         reference, iterations = relaxed_admm(mats, pen.lam, pen.rho)
         assert plain.block_sizes == (8,) and plain.converged
