@@ -6,9 +6,9 @@ cores an ADMM iteration at p=50 took 8.2 ms with two threads and 1.6 ms
 with one.  :func:`single_threaded` sets that OpenBLAS to one thread while at
 least one caller is inside it, and restores the count it found when the
 last caller leaves.  Parallelism comes from running solves side by side in
-forked lanes (:mod:`multiggm._lanes`), not from inside BLAS; the grid and
-the replications fork inside :func:`single_threaded`, so each child starts
-at one thread.
+forked lanes (:mod:`multiggm._lanes`), not from inside BLAS; every map of
+lanes runs inside :func:`single_threaded`, so each child starts at one
+thread.
 
 The package runs on numpy alone, so numpy's OpenBLAS is the only one it
 loads.  It is bound once, on first use and never at import (``dlopen`` with

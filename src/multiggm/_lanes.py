@@ -20,9 +20,10 @@ child), so lanes never nest, and the work is above the caller's break-even
 size.  It is ``min(items, usable_cpus())``, so ``taskset -c 0`` gives one
 lane.
 
-Callers whose items make BLAS calls fork inside
-:func:`multiggm._blas.single_threaded`, so every child inherits one
-OpenBLAS thread.  On Python 3.12 and later, ``os.fork`` warns with a
+Every map runs inside :func:`multiggm._blas.single_threaded`, so every lane,
+the caller's and each forked child, runs at one OpenBLAS thread, and no
+caller sets the count around a map; a CSV map makes no BLAS call and does
+not mind.  On Python 3.12 and later, ``os.fork`` warns with a
 ``DeprecationWarning`` when the process has other OS threads, such as
 OpenBLAS's; the warning is not silenced.
 """
@@ -32,6 +33,8 @@ from __future__ import annotations
 import os
 import pickle
 import threading
+
+from . import _blas
 
 # True while a map with more than one lane runs: in its caller, and in the
 # children, which inherit it.
@@ -128,15 +131,16 @@ def map_in_lanes(fn, items, lanes: int = 1):
     children = {}
     outer, _mapping = _mapping, _mapping or lanes > 1
     try:
-        for lane in range(1, lanes):
-            try:
-                children[lane] = _fork_lane(fn, items[lane::lanes])
-            except OSError:  # no process to spare
-                pass
-        by_lane = [_outcomes(fn, items[::lanes])]
-        for lane in range(1, lanes):
-            sent = _collect(*children.pop(lane)) if lane in children else None
-            by_lane.append(_outcomes(fn, items[lane::lanes]) if sent is None else sent)
+        with _blas.single_threaded():
+            for lane in range(1, lanes):
+                try:
+                    children[lane] = _fork_lane(fn, items[lane::lanes])
+                except OSError:  # no process to spare
+                    pass
+            by_lane = [_outcomes(fn, items[::lanes])]
+            for lane in range(1, lanes):
+                sent = _collect(*children.pop(lane)) if lane in children else None
+                by_lane.append(_outcomes(fn, items[lane::lanes]) if sent is None else sent)
     finally:
         _mapping = outer
         for pid, pipe in children.values():

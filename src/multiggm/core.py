@@ -59,9 +59,9 @@ def make_rng(seed: int) -> np.random.Generator:
 
 
 def symmetrize(a: np.ndarray) -> np.ndarray:
-    """Exact symmetrization by averaging with the transpose."""
+    """Exact symmetrization of the last two axes by averaging with the transpose."""
     a = np.asarray(a, dtype=float)
-    return (a + a.T) / 2.0
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
 
 
 def check_symmetric(a: np.ndarray, name: str = "matrix") -> np.ndarray:

@@ -17,8 +17,8 @@ count and their seeds, from averaged metrics (TP/FP, sup-norm, normality,
 coverage).
 
 A cell's replications run in ``min(threads, lane_count(B))`` forked lanes
-(:mod:`multiggm._lanes`), each at one OpenBLAS thread; a replication's
-value does not depend on the lane that ran it.
+(:mod:`multiggm._lanes`), which the map runs at one OpenBLAS thread each; a
+replication's value does not depend on the lane that ran it.
 """
 
 from __future__ import annotations
@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _blas
 from ._lanes import lane_count, map_in_lanes
 from .core import (
     CovarianceSet,
@@ -195,8 +194,7 @@ def _run_cell(config: ExperimentConfig, truth: PrecisionSet, p: int, n: int, wor
         return worker(covs, report) if report.converged else None
 
     lanes = min(config.threads, lane_count(len(seeds)))
-    with _blas.single_threaded():
-        results = list(map_in_lanes(one, seeds, lanes))
+    results = list(map_in_lanes(one, seeds, lanes))
     return results, seeds, lanes
 
 

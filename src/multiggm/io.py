@@ -35,10 +35,11 @@ built once, and a table's is cached by the row's cell types (``%.17g``
 for floats, ``%s`` for anything else).  A data file's header row goes
 through ``csv.writer``, so a name holding a comma or a quote is quoted and
 reads back whole.  JSON uses Python's shortest-repr floats, which also
-round-trip.  All writes go through a temp file plus rename; a file with no
-rows is one newline.  The temp file is created with mode 0666 less the
-umask, as ``open()`` creates a file, so the renamed output has the
-permissions any other new file of the process would have.
+round-trip, and is strict (RFC 8259): a NaN or infinite float, which JSON
+cannot spell, is written as ``null``.  All writes go through a temp file
+plus rename; a file with no rows is one newline.  The temp file is created
+with mode 0666 less the umask, as ``open()`` creates a file, so the renamed
+output has the permissions any other new file of the process would have.
 
 Lanes.  Both directions are CPython number conversion under the
 interpreter lock, so :func:`ingest_csv` parses its files in forked lanes
@@ -57,6 +58,7 @@ import csv
 import io
 import itertools
 import json
+import math
 import os
 
 import numpy as np
@@ -303,7 +305,20 @@ def write_csv_atomic(rows, path: str) -> None:
 
 
 def write_json_atomic(obj, path: str) -> None:
-    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True) + "\n"])
+    """Write ``obj`` as strict JSON, with every NaN or infinite float as ``null``."""
+    text = json.dumps(_finite_or_null(obj), indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write(path, [text + "\n"])
+
+
+def _finite_or_null(obj):
+    """``obj`` with every non-finite float, in any list, tuple or dict value, as None."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {key: _finite_or_null(value) for key, value in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(value) for value in obj]
+    return obj
 
 
 def _atomic_write(path: str, chunks) -> None:

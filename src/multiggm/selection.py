@@ -14,9 +14,9 @@ where |E_k| counts unordered off-diagonal pairs with |W_k[i, j]| above
 solver's cold start.  The cells share nothing, so they run side by side in
 forked lanes (:mod:`multiggm._lanes`), one per usable CPU up to the number
 of cells, or one after another where the lanes give one (off the main
-thread, or inside another map's lane).  The whole grid runs at one OpenBLAS
-thread, so each cell is the standalone solve and score at its penalty, bit
-for bit, at any lane count.
+thread, or inside another map's lane).  The map runs every lane at one
+OpenBLAS thread, so each cell is the standalone solve and score at its
+penalty, bit for bit, at any lane count.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _blas
 from ._lanes import lane_count, map_in_lanes
 from .core import CovarianceSet, PrecisionSet, edge_mask
 from .errors import ConvergenceError, DataFormatError, NotPositiveDefiniteError
@@ -136,7 +135,7 @@ def tune_penalties(
     solver's cold start and is scored on its own.  One map runs the cells
     in C1-major order in ``grid_lanes`` forked lanes (see
     :mod:`multiggm._lanes`), and the table is its output in that order.
-    Every solve and score runs at one OpenBLAS thread, so the table is
+    The map runs every solve and score at one OpenBLAS thread, so the table is
     bit-identical at any lane count, and a failing cell raises here the
     error that the first failing cell in C1-major order raises.
 
@@ -172,8 +171,7 @@ def tune_penalties(
 
     cells = [(c1, c2) for c1 in grid.c1_values for c2 in grid.c2_values]
     lanes = lane_count(len(cells))
-    with _blas.single_threaded():
-        table = tuple(map_in_lanes(solve_cell, cells, lanes))
+    table = tuple(map_in_lanes(solve_cell, cells, lanes))
     valid = [c for c in table if c.converged]
     if not valid:
         raise ConvergenceError("no grid cell converged; cannot select penalties")

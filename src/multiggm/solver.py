@@ -24,19 +24,18 @@ and returns ``W / c``.  Only the certificate, which stays in the units of
 the data, can ask for more iterations when ``c`` is large.
 
 The solver is ADMM with the consensus split ``W'_k = Z_k`` on the
-normalized problem, with the fixed step ``eta = ADMM_STEP = 1.0``:
+normalized problem, at unit step:
 
 * W-step: per population, the closed-form eigendecomposition update.  With
-  ``A = eta * (Z_k - U_k) - S'_k = Q diag(d) Q'``, the minimizer has the
-  same eigenvectors and eigenvalues ``(d + sqrt(d^2 + 4 * eta)) / (2 *
-  eta)``, which are strictly positive, so every W iterate is PD.
+  ``A = Z_k - U_k - S'_k = Q diag(d) Q'``, the minimizer has the same
+  eigenvectors and eigenvalues ``(d + sqrt(d^2 + 4)) / 2``, which are
+  strictly positive, so every W iterate is PD.
 * over-relaxation (Boyd et al. 2011, *Distributed Optimization and
   Statistical Learning via ADMM*, sec. 3.4.3): ``W_hat = alpha * W + (1 -
   alpha) * Z_old`` with the fixed constant ``alpha = 1.8``;
 * Z-step: the closed-form proximal operator of the combined penalty
-  (``lam' / eta``, ``rho' / eta``) applied to ``W_hat + U`` per off-diagonal
-  group (soft-threshold, then group shrinkage); diagonals are copied
-  through.
+  (``lam'``, ``rho'``) applied to ``W_hat + U`` per off-diagonal group
+  (soft-threshold, then group shrinkage); diagonals are copied through.
 * scaled dual update ``U += W_hat - Z``.
 
 Over-relaxation roughly halves the iterations; ``alpha = 1.8`` is the upper
@@ -62,7 +61,7 @@ bytes: 1.6 MB at ``q = 100`` and 26 MB for a single ``p = 400`` block, for
 population and one prox.
 
 The primal residual is ``||W - Z||`` and the dual residual
-``eta * ||Z - Z_old||``, both on the normalized problem.
+``||Z - Z_old||``, both on the normalized problem.
 
 Convergence requires the standard primal/dual residual test *and* a
 stationarity certificate on the original problem: the
@@ -85,9 +84,11 @@ rule of Danaher, Wang & Witten (2014, *The joint graphical lasso*, JRSS-B,
 Thm 2) and Witten, Friedman & Simon (2011, JCGS): the pair ``(i, j)`` is
 zero at the optimum in every population, and the solution is block-diagonal
 across it, whenever ``||soft(S_k[i, j], lam)||_2 <= rho``.  The blocks are
-the connected components of the pairs that fail this test.  A single vertex
-has the closed form ``W_k[i, i] = 1 / S_k[i, i]``, since diagonals are not
-penalized; ADMM runs on each larger block alone.
+the connected components of the pairs that fail this test.  The same group
+test zeroes the Z-step's groups and the cold-start dual's projection and
+picks the certificate's zero groups; ``_soft_threshold`` computes it.  A
+single vertex has the closed form ``W_k[i, i] = 1 / S_k[i, i]``, since
+diagonals are not penalized; ADMM runs on each larger block alone.
 The certificate stays exact when taken block by block: the inverse of a
 block-diagonal estimate is block-diagonal, so an off-block gradient is
 ``S_k[i, j]``, which the screening rule already keeps within the
@@ -98,7 +99,7 @@ Start.  Every block starts cold, from ``diag(1 / S_k[i, i])`` and the dual
 ``Lambda_k = W_k^{-1} - S_k`` there, in the units of the data: ``-S_k`` off
 the diagonal and 0 on it, projected onto the penalty's subdifferential at
 zero (``x - prox(x)``, by Moreau's decomposition).  ADMM's scaled dual is
-``U = Lambda / (eta * s_bar)``.
+``U = Lambda / s_bar``.
 """
 
 from __future__ import annotations
@@ -110,12 +111,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import _blas
-from .core import CovarianceSet, PrecisionSet, is_positive_definite
+from .core import CovarianceSet, PrecisionSet, is_positive_definite, symmetrize
 from .errors import DataFormatError, NotPositiveDefiniteError
 
-# Step of the normalized problem, the over-relaxation constant of the
-# Z-step and the dual update, and the relative tolerance of the residual test.
-ADMM_STEP = 1.0
+# The over-relaxation constant of the Z-step and the dual update, and the
+# relative tolerance of the residual test.
 RELAXATION = 1.8
 TOL_REL = 1e-4
 # Anderson acceleration: the number of past fixed-point residuals each
@@ -195,19 +195,26 @@ def prox_sparse_group(values: np.ndarray, lam_eff: float, rho_eff: float) -> np.
     Total function: no error cases for ``lam_eff, rho_eff >= 0``.
     """
     v = np.asarray(values, dtype=float)
-    return _group_shrink(v.reshape(-1, 1, 1), lam_eff, rho_eff).reshape(v.shape)
+    return _group_shrink(v.ravel(), lam_eff, rho_eff).reshape(v.shape)
+
+
+def _soft_threshold(x: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """``soft = sign(x) * max(|x| - lam, 0)`` of a (K, ...) stack, and the
+    l2 norms of its groups over the population axis; ``soft`` is ``x`` at
+    ``lam = 0``.  A group is zero when its norm is at most ``rho``."""
+    soft = np.sign(x) * np.maximum(np.abs(x) - lam, 0.0)
+    return soft, np.linalg.norm(soft, axis=0)
 
 
 def _group_shrink(v: np.ndarray, lam_eff: float, rho_eff: float) -> np.ndarray:
-    """Group prox applied to every entry of a (K, p, p) stack.
+    """Group prox applied to every entry of a (K, ...) stack.
 
     Groups run across the population axis.
     """
-    soft = np.sign(v) * np.maximum(np.abs(v) - lam_eff, 0.0)
-    norms = np.sqrt(np.einsum("kij,kij->ij", soft, soft))
+    soft, norms = _soft_threshold(v, lam_eff)
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > rho_eff, 1.0 - rho_eff / norms, 0.0)
-    return soft * scale[None, :, :]
+    return soft * scale[None]
 
 
 def _prox_offdiag_stack(v: np.ndarray, lam_eff: float, rho_eff: float) -> np.ndarray:
@@ -237,7 +244,7 @@ def _objective(mats, s, lam: float, rho: float) -> float:
         total += np.sum(s[k] * mats[k]) - logdet[k]
     off = ~np.eye(mats.shape[1], dtype=bool)
     total += lam * np.abs(mats[:, off]).sum()
-    total += rho * np.sqrt((mats**2).sum(axis=0)[off]).sum()
+    total += rho * _soft_threshold(mats, 0.0)[1][off].sum()
     return float(total)
 
 
@@ -308,16 +315,14 @@ def _stationarity_violation(omegas, s, lam, rho) -> float:
 
         # Groups at exactly zero: excess of the soft-thresholded gradient norm.
         if np.any(~group_nonzero):
-            gz = g[:, ~group_nonzero]
-            soft = np.sign(gz) * np.maximum(np.abs(gz) - lam, 0.0)
-            excess.append(np.max(np.maximum(np.linalg.norm(soft, axis=0) - rho, 0.0)))
+            _, norms = _soft_threshold(g[:, ~group_nonzero], lam)
+            excess.append(np.max(np.maximum(norms - rho, 0.0)))
 
         # Active groups: direct residual with the subgradients evaluated there.
         if np.any(group_nonzero):
             ga = g[:, group_nonzero]
             oa = om[:, group_nonzero]
-            norms = np.linalg.norm(oa, axis=0)
-            m = oa / norms[None, :]
+            m = oa / _soft_threshold(oa, 0.0)[1][None, :]
             if lam > 0:
                 z = np.where(oa != 0.0, np.sign(oa), np.clip(-ga / lam, -1.0, 1.0))
             else:
@@ -339,8 +344,7 @@ def _screened_blocks(s, lam: float, rho: float) -> list[np.ndarray]:
     vertex.
     """
     p = s.shape[1]
-    soft = np.maximum(np.abs(s) - lam, 0.0)
-    adjacent = np.sqrt(np.einsum("kij,kij->ij", soft, soft)) > rho
+    adjacent = _soft_threshold(s, lam)[1] > rho
     np.fill_diagonal(adjacent, False)
     isolated = ~adjacent.any(axis=1)
     labelled = np.zeros(p, dtype=bool)
@@ -522,16 +526,14 @@ def _admm(s, lam: float, rho: float, opts: SolverOptions):
     outside = -s
     outside[:, idx, idx] = 0.0
     dual0 = outside - _group_shrink(outside, lam, rho)
-    eta = ADMM_STEP
     s_bar = float(np.mean(np.diagonal(s, axis1=1, axis2=2)))
-    # The scaled dual of the normalized problem is U = dual / unit, and its
-    # prox thresholds are lam / unit and rho / unit.
-    unit = eta * s_bar
+    # The scaled dual of the normalized problem is U = dual / s_bar, and its
+    # prox thresholds are lam / s_bar and rho / s_bar.
     z = z0 * s_bar
-    u = dual0 / unit
+    u = dual0 / s_bar
 
-    lam_eff = lam / unit
-    rho_eff = rho / unit
+    lam_eff = lam / s_bar
+    rho_eff = rho / s_bar
     sqrt_dim = np.sqrt(K * p * p)
     converged = False
     iterations = certificates = 0
@@ -543,12 +545,9 @@ def _admm(s, lam: float, rho: float, opts: SolverOptions):
     history = _Anderson(K * p * p)
 
     for iterations in range(1, opts.max_iter + 1):
-        a = eta * (z - u) - scaled_s
-        a = (a + a.transpose(0, 2, 1)) / 2.0
-        d, q = np.linalg.eigh(a)
-        eig = (d + np.sqrt(d * d + 4.0 * eta)) / (2.0 * eta)
-        omega = q @ (eig[:, :, None] * q.transpose(0, 2, 1))
-        omega = (omega + omega.transpose(0, 2, 1)) / 2.0
+        d, q = np.linalg.eigh(symmetrize((z - u) - scaled_s))
+        eig = (d + np.sqrt(d * d + 4.0)) / 2.0
+        omega = symmetrize(q @ (eig[:, :, None] * q.transpose(0, 2, 1)))
 
         z_old = z
         image = RELAXATION * omega + (1.0 - RELAXATION) * z_old + u
@@ -557,13 +556,13 @@ def _admm(s, lam: float, rho: float, opts: SolverOptions):
         u = x - z
 
         primal = float(np.linalg.norm(omega - z))
-        dual = float(eta * np.linalg.norm(z - z_old))
+        dual = float(np.linalg.norm(z - z_old))
         eps_pri = sqrt_dim * opts.tol_abs + TOL_REL * max(
             float(np.linalg.norm(omega)), float(np.linalg.norm(z))
         )
-        eps_dual = sqrt_dim * opts.tol_abs + TOL_REL * float(eta * np.linalg.norm(u))
+        eps_dual = sqrt_dim * opts.tol_abs + TOL_REL * float(np.linalg.norm(u))
         if primal <= eps_pri and dual <= eps_dual:
-            mats = _symmetrized(z) / s_bar
+            mats = symmetrize(z) / s_bar
             certificates += 1
             kkt_value = _stationarity_violation(mats, s, lam, rho)
             if kkt_value <= 10.0 * opts.tol_abs:
@@ -571,17 +570,13 @@ def _admm(s, lam: float, rho: float, opts: SolverOptions):
                 break
 
     if not converged:
-        mats = _symmetrized(z) / s_bar
+        mats = symmetrize(z) / s_bar
         # An unconverged prox iterate can lose definiteness, while the
         # eigenvalue-map iterate is PD by construction.
         if not all(is_positive_definite(m) for m in mats):
-            mats = _symmetrized(omega) / s_bar
+            mats = symmetrize(omega) / s_bar
         certificates += 1
         kkt_value = _stationarity_violation(mats, s, lam, rho)
     return mats, _BlockResult(
         iterations, primal, dual, converged, float(kkt_value), certificates, history.restarts
     )
-
-
-def _symmetrized(stack: np.ndarray) -> np.ndarray:
-    return (stack + stack.transpose(0, 2, 1)) / 2.0

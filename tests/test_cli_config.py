@@ -432,3 +432,68 @@ class TestSimulateChecks:
         assert report_of(tmp_path / "out")["payload"] == {
             "experiment": kind, "cells": 6, "lanes": 1, "failed_seeds": {},
         }
+
+
+def strict_json(path):
+    """``json.loads`` that refuses NaN and Infinity, as RFC 8259 does."""
+
+    def refuse(constant):
+        raise ValueError(f"{path.name} holds {constant}")
+
+    return json.loads(path.read_text(), parse_constant=refuse)
+
+
+SIMULATE_SMALL = ["--p", "6", "--n", "100", "--B", "2", "--penalty-rule", "fixed"]
+
+
+class TestStrictJson:
+    """Every JSON file a command writes parses as strict JSON; a value that
+    is not a finite number is written as null."""
+
+    @pytest.fixture()
+    def precision(self, tmp_path):
+        from multiggm import chain_precision
+        from multiggm.io import write_matrix_csv
+
+        paths = [tmp_path / "om1.csv", tmp_path / "om2.csv"]
+        for path, rho in zip(paths, (0.2, 0.35)):
+            write_matrix_csv(chain_precision(6, rho), str(path))
+        return ",".join(map(str, paths))
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--debias", "--c1", "1", "--c2", "1"],
+        ["test", "--edges", "1,2;1,4", "--coeffs", "1,-1", "--c1", "1", "--c2", "1"],
+        ["tune", "--c1-grid", "0.5,1", "--c2-grid", "0.5,1"],
+    ])
+    def test_data_commands(self, tmp_path, pair_data, argv):
+        out = tmp_path / "out"
+        assert run([*argv, "--data", pair_data], out) == EXIT_OK
+        assert [strict_json(path) for path in out.glob("*.json")]
+
+    @pytest.mark.parametrize("argv", [
+        [study, *SIMULATE_SMALL]
+        for study in ("consistency", "tpfp", "supnorm", "normality", "coverage")
+    ])
+    def test_simulate(self, tmp_path, argv):
+        out = tmp_path / "out"
+        assert run(["simulate", *argv], out) == EXIT_OK
+        assert len([strict_json(path) for path in out.glob("*.json")]) == 2
+
+    def test_coverage_of_an_empty_set_is_null(self, tmp_path):
+        # Population 2's entries of 1e-9 are not edges, so its S set is empty.
+        out = tmp_path / "out"
+        argv = ["simulate", "coverage", "--chain-rho", "0.2,1e-9", *SIMULATE_SMALL]
+        assert run(argv, out) == EXIT_OK
+        coverage = strict_json(out / "coverage.json")
+        strict_json(out / "report.json")
+        empty = coverage["cells"]["6/100/1/S"]
+        assert empty["edges"] == 0 and empty["coverage"] is None
+
+    @pytest.mark.parametrize("flags", [[], ["--sample-sizes", "600,700"]])
+    def test_diagnose(self, tmp_path, precision, flags):
+        out = tmp_path / "out"
+        assert run(["diagnose", "--precision", precision, *flags], out) == EXIT_OK
+        diagnostics = strict_json(out / "diagnostics.json")
+        strict_json(out / "report.json")
+        deltas = [pop["delta"] for pop in diagnostics["populations"]]
+        assert (deltas == [None, None]) == (not flags)

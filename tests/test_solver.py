@@ -6,7 +6,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiggm import (
@@ -364,6 +364,26 @@ def screened_singles(covs, pen):
 instances = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([1, 2, 3]))
 
 
+def two_variable_pair(c, lam, rho):
+    """One population with unit variances and covariance ``c``, at ``(lam, rho)``."""
+    return CovarianceSet([np.array([[1.0, c], [c, 1.0]])], [50]), PenaltyPair(lam, rho)
+
+
+@st.composite
+def two_variable_instances(draw):
+    """K = 1-3 two-variable covariances with powers of two on the diagonal,
+    and a penalty at their scale that may have ``lam = 0`` or ``rho = 0``."""
+    scale = 2.0 ** draw(st.integers(-10, 10))
+    K = draw(st.integers(1, 3))
+    mats = []
+    for _ in range(K):
+        a, b = (scale * 2.0 ** draw(st.integers(-3, 3)) for _ in range(2))
+        c = draw(st.floats(-0.99, 0.99)) * np.sqrt(a * b)
+        mats.append(np.array([[a, c], [c, b]]))
+    lam, rho = (scale * draw(st.just(0.0) | st.floats(0.0, 2.0)) for _ in range(2))
+    return CovarianceSet(mats, [50] * K), PenaltyPair(lam, rho)
+
+
 class TestScreening:
     @settings(max_examples=25, deadline=None)
     @given(instances)
@@ -452,6 +472,25 @@ class TestScreening:
         for est, s in zip(report.estimate.matrices, covs.matrices):
             assert np.array_equal(est, np.diag(1.0 / np.diag(s)))
         assert kkt_residual(report.estimate, covs, pen) <= 1e-12
+
+    @settings(max_examples=300, deadline=None)
+    @given(two_variable_instances())
+    @example(two_variable_pair(0.5, 0.0, 0.5))  # a tie splits
+    @example(two_variable_pair(0.5, 0.0, np.nextafter(0.5, 0.0)))  # one ulp over does not
+    def test_one_group_test_for_screening_prox_and_certificate(self, instance):
+        # With two variables the blocks are the adjacency.  The pair splits
+        # exactly when the prox zeroes the group at the cold-start input -S,
+        # and exactly when the certificate passes at the diagonal start
+        # diag(1 / S_ii).  The diagonals are powers of two, so the start
+        # inverts exactly and its certificate is the zero group's excess
+        # alone; elsewhere an excess of 1e-68 hides below the diagonal's
+        # rounding of 1e-13.
+        covs, pen = instance
+        s = np.stack(covs.matrices)
+        split = len(solver._screened_blocks(s, pen.lam, pen.rho)) == 2
+        assert split == np.all(solver._group_shrink(-s, pen.lam, pen.rho)[:, 0, 1] == 0.0)
+        start = PrecisionSet([np.diag(1.0 / np.diag(m)) for m in covs.matrices])
+        assert split == (kkt_residual(start, covs, pen) == 0.0)
 
     def test_one_block_when_nothing_splits(self):
         rng = np.random.default_rng(4)
