@@ -146,7 +146,6 @@ def build_parser() -> _Parser:
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
         p.add_argument("--out-dir", default="multiggm-out", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="base RNG seed")
         p.add_argument("-q", "--quiet", action="store_true", help="do not print output paths")
 
     def data_opts(p):
@@ -182,6 +181,7 @@ def build_parser() -> _Parser:
     p_sim = sub.add_parser("simulate", help="Monte Carlo experiments")
     common(p_sim)
     p_sim.add_argument("experiment", choices=sorted(RUNNERS))
+    p_sim.add_argument("--seed", type=int, default=0, help="base RNG seed")
     p_sim.add_argument("--threads", type=int, default=1,
                        help="most lanes (processes) replications run in")
     p_sim.add_argument("--graph", choices=["chain", "star"], default="chain")
@@ -222,9 +222,9 @@ def _file_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
     conversion as flag values.
     """
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             values = json.load(fh)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}")

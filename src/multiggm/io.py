@@ -40,6 +40,8 @@ cannot spell, is written as ``null``.  All writes go through a temp file
 plus rename; a file with no rows is one newline.  The temp file is created
 with mode 0666 less the umask, as ``open()`` creates a file, so the renamed
 output has the permissions any other new file of the process would have.
+Every file is written as UTF-8, the encoding files are read in, whatever
+the locale's default.
 
 Lanes.  Both directions are CPython number conversion under the
 interpreter lock, so :func:`ingest_csv` parses its files in forked lanes
@@ -84,7 +86,7 @@ _LANE_MIN_CELLS = 20_000
 
 def _parse_csv_file(path: str):
     """Rows of floats plus optional header names from one numeric CSV."""
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         parsed = _parse_lines(fh)
     return _scan_rows(path) if parsed is None else parsed
 
@@ -163,7 +165,7 @@ def _scan_rows(path: str):
     Raises the positioned ``DataFormatError`` for a bad file; returns the
     rows and header for a good one that numpy's reader did not take.
     """
-    with open(path, newline="") as fh:
+    with open(path, encoding="utf-8", newline="") as fh:
         raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if not raw:
         raise DataFormatError(f"{path}: empty file")
@@ -332,7 +334,7 @@ def _atomic_write(path: str, chunks) -> None:
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
+        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
             fh.writelines(chunks)
             if not fh.tell():
                 fh.write("\n")

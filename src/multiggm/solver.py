@@ -60,21 +60,21 @@ bytes: 1.6 MB at ``q = 100`` and 26 MB for a single ``p = 400`` block, for
 ``K = 2``.  Each counted iteration still runs one eigendecomposition per
 population and one prox.
 
-The primal residual is ``||W - Z||`` and the dual residual
-``||Z - Z_old||``, both on the normalized problem.
-
-Convergence requires the standard primal/dual residual test *and* a
-stationarity certificate on the original problem: the
-subgradient-inclusion residual of the sparse iterate ``Z / s_bar`` against
-``S``, ``lam`` and ``rho`` must fall below ``10 * tol_abs``.  The
-returned estimate is that iterate, which carries exact zeros produced by
-the group prox.  A block that reaches ``max_iter`` returns its last sparse
-iterate, or the eigenvalue-map iterate when that one is not PD, with the
-certificate taken at the estimate it returns.  Unpenalized (``lam = rho =
-0``), a block with a rank-deficient covariance has no minimizer, though
-the absolute certificate can pass far out along the divergence: it is
-never certified, and ADMM returns its start unconverged, with 0
-iterations, infinite residuals and the certificate taken at the start.
+Convergence.  The one gate is a stationarity certificate on the original
+problem: the subgradient-inclusion residual of the sparse iterate ``Z /
+s_bar`` against ``S``, ``lam`` and ``rho`` must fall below ``10 *
+tol_abs``.  It runs at each iteration whose dual residual ``||Z - Z_old||``
+(normalized problem) is at most ``sqrt(K q^2) * tol_abs + TOL_REL *
+||U||``; plain ADMM's primal test ``||W - Z||`` is not taken, since it
+decided no stop.  The returned estimate is the certified iterate, which
+carries exact zeros produced by the group prox.  A block that reaches
+``max_iter`` returns its last sparse iterate, or the eigenvalue-map
+iterate when that one is not PD, with the certificate taken at the
+estimate it returns.  Unpenalized (``lam = rho = 0``), a block with a
+rank-deficient covariance has no minimizer, though the absolute
+certificate can pass far out along the divergence: it is never certified,
+and ADMM returns its start unconverged, with 0 iterations, an infinite
+dual residual and the certificate at the start.
 The certificate factorizes and inverts one population at a time and
 checks the groups in chunks (``_stationarity_violation``), so beyond the
 gradients of the groups it holds one population's inverse at a time.
@@ -115,7 +115,7 @@ from .core import CovarianceSet, PrecisionSet, is_positive_definite, symmetrize
 from .errors import DataFormatError, NotPositiveDefiniteError
 
 # The over-relaxation constant of the Z-step and the dual update, and the
-# relative tolerance of the residual test.
+# relative tolerance of the dual-residual test.
 RELAXATION = 1.8
 TOL_REL = 1e-4
 # Anderson acceleration: the number of past fixed-point residuals each
@@ -143,10 +143,10 @@ class PenaltyPair:
 class SolverOptions:
     """ADMM settings.
 
-    ``tol_abs``, with the constant ``TOL_REL``, sets the residual test on
-    the normalized problem (see the module docstring); ``10 * tol_abs``
-    also bounds the certificate on the original one.  ``max_iter`` applies
-    to each screening block.
+    ``10 * tol_abs`` bounds the certificate, the one convergence gate;
+    ``tol_abs`` and the constant ``TOL_REL`` also set the dual-residual
+    test that schedules it (see the module docstring).  ``max_iter``
+    applies to each screening block.
     """
 
     max_iter: int = 10000
@@ -163,12 +163,12 @@ class SolverOptions:
 class SolveReport:
     """Outcome of :func:`solve_ggl`.
 
-    ``estimate`` is in the units of the data.  ``iterations`` and the two
-    residuals describe ADMM on the normalized problem, summed (iterations)
-    or root-sum-squared (residuals) over the screening blocks;
-    ``kkt_violation`` is the stationarity certificate of the original
-    problem, the largest over the blocks, and ``converged`` says that every
-    block passed both the residual test and the certificate.
+    ``estimate`` is in the units of the data.  ``iterations`` and
+    ``dual_residual`` describe ADMM on the normalized problem, summed
+    (iterations) or root-sum-squared (the residual) over the screening
+    blocks; ``kkt_violation`` is the stationarity certificate of the
+    original problem, the largest over the blocks, and ``converged`` says
+    that every block passed it.
     ``certificate_calls`` counts the certificate's evaluations and
     ``acceleration_restarts`` the times the Anderson memory was cleared,
     both summed over the blocks.
@@ -176,7 +176,6 @@ class SolveReport:
 
     estimate: PrecisionSet
     iterations: int
-    primal_residual: float
     dual_residual: float
     converged: bool
     kkt_violation: float
@@ -372,7 +371,7 @@ def solve_ggl(
 ) -> SolveReport:
     """Solve the group graphical lasso for all populations jointly.
 
-    Returns the sparse consensus iterate together with residuals, the
+    Returns the sparse consensus iterate with the dual residual, the
     stationarity violation, and the objective value.  Non-convergence within
     ``max_iter`` returns the best iterate with ``converged=False``; a
     covariance with non-positive diagonal is a hard error.
@@ -380,12 +379,12 @@ def solve_ggl(
     The problem is split into the blocks of the screening rule (see the
     module docstring) and ADMM runs on each block of two or more vertices,
     from the cold start, with ``max_iter`` per block.  ``iterations`` is the
-    sum over blocks, the residuals are the root-sum-square over blocks,
+    sum over blocks, the dual residual the root-sum-square over blocks,
     ``kkt_violation`` is the largest block certificate, ``objective`` is the
     sum of the blocks' objectives (:func:`ggl_objective` of the whole
     estimate, to rounding), and ``block_sizes`` lists every block's size.
     ``certificate_calls`` and ``acceleration_restarts`` are summed over the
-    blocks.  The residuals are those of the normalized problem (see the
+    blocks.  The residual is that of the normalized problem (see the
     module docstring); the certificate is that of the original one.
 
     The solve runs numpy's OpenBLAS at one thread and restores the caller's
@@ -416,7 +415,6 @@ def solve_ggl(
     return SolveReport(
         estimate=estimate,
         iterations=sum(r.iterations for r in solved),
-        primal_residual=math.hypot(*(r.primal for r in solved)),
         dual_residual=math.hypot(*(r.dual for r in solved)),
         converged=all(r.converged for r in solved),
         kkt_violation=max((r.kkt for r in solved), default=0.0),
@@ -429,7 +427,6 @@ def solve_ggl(
 
 class _BlockResult(NamedTuple):
     iterations: int
-    primal: float
     dual: float
     converged: bool
     kkt: float
@@ -520,7 +517,7 @@ def _admm(s, lam: float, rho: float, opts: SolverOptions):
         # Unpenalized with a rank-deficient covariance: no minimizer, and
         # never certified (see the module docstring), so do not iterate.
         kkt_value = float(_stationarity_violation(z0, s, lam, rho))
-        return z0, _BlockResult(0, np.inf, np.inf, False, kkt_value, 1, 0)
+        return z0, _BlockResult(0, np.inf, False, kkt_value, 1, 0)
     # The dual at the diagonal start, -S_k off the diagonal, projected onto
     # the penalty's subdifferential at zero: x - prox(x).
     outside = -s
@@ -555,13 +552,8 @@ def _admm(s, lam: float, rho: float, opts: SolverOptions):
         z = _prox_offdiag_stack(x, lam_eff, rho_eff)
         u = x - z
 
-        primal = float(np.linalg.norm(omega - z))
         dual = float(np.linalg.norm(z - z_old))
-        eps_pri = sqrt_dim * opts.tol_abs + TOL_REL * max(
-            float(np.linalg.norm(omega)), float(np.linalg.norm(z))
-        )
-        eps_dual = sqrt_dim * opts.tol_abs + TOL_REL * float(np.linalg.norm(u))
-        if primal <= eps_pri and dual <= eps_dual:
+        if dual <= sqrt_dim * opts.tol_abs + TOL_REL * float(np.linalg.norm(u)):
             mats = symmetrize(z) / s_bar
             certificates += 1
             kkt_value = _stationarity_violation(mats, s, lam, rho)
@@ -578,5 +570,5 @@ def _admm(s, lam: float, rho: float, opts: SolverOptions):
         certificates += 1
         kkt_value = _stationarity_violation(mats, s, lam, rho)
     return mats, _BlockResult(
-        iterations, primal, dual, converged, float(kkt_value), certificates, history.restarts
+        iterations, dual, converged, float(kkt_value), certificates, history.restarts
     )

@@ -345,6 +345,43 @@ class TestThreadsOnlyForSimulate:
         assert run(TPFP_ARGV + ["--threads", "0"], tmp_path / "zero") == EXIT_CONFIG
 
 
+class TestSeedOnlyForSimulate:
+    """Only ``simulate`` draws anything, so only it takes ``--seed``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["estimate", "--c1", "0.5", "--c2", "1.0"],
+        ["test", "--c1", "0.5", "--c2", "1.0", "--edges", "1,2", "--coeffs", "1,-1"],
+        ["tune", "--c1-grid", "1.0", "--c2-grid", "1.0"],
+    ])
+    def test_flag_and_key_exit_1(self, tmp_path, pair_data, capsys, argv):
+        argv = argv + ["--data", pair_data]
+        assert run(argv + ["--seed", "1"], tmp_path / "a") == EXIT_CONFIG
+        config = write_config(tmp_path / "c.json", {"seed": 1})
+        assert run(argv + ["--config", config], tmp_path / "b") == EXIT_CONFIG
+        assert "unknown key(s) in config" in capsys.readouterr().err
+        assert not (tmp_path / "a").exists() and not (tmp_path / "b").exists()
+        assert run(argv, tmp_path / "c") == EXIT_OK
+        assert "seed" not in report_of(tmp_path / "c")["config"]["params"]
+
+    def test_diagnose_rejects_seed(self, tmp_path):
+        from multiggm import chain_precision
+        from multiggm.io import write_matrix_csv
+
+        path = tmp_path / "om.csv"
+        write_matrix_csv(chain_precision(4, 0.2), str(path))
+        argv = ["diagnose", "--precision", str(path), "--seed", "2"]
+        assert run(argv, tmp_path / "out") == EXIT_CONFIG
+
+    def test_simulate_repeats_under_its_seed(self, tmp_path):
+        outputs = []
+        for name, seed in (("a", "5"), ("b", "5"), ("c", "6")):
+            out = tmp_path / name
+            assert run(TPFP_ARGV + ["--B", "2", "--seed", seed], out) == EXIT_OK
+            assert report_of(out)["config"]["params"]["seed"] == int(seed)
+            outputs.append((out / "tpfp.csv").read_bytes() + (out / "tpfp.json").read_bytes())
+        assert outputs[0] == outputs[1] != outputs[2]
+
+
 def test_negative_seed_runs(tmp_path):
     argv = ["simulate", "consistency", "--p", "6", "--n", "100", "--B", "1",
             "--penalty-rule", "fixed", "--seed", "-1"]

@@ -7,9 +7,12 @@ bytes.  Both stream: their memory is bounded by a row, not by the file.
 """
 
 import csv
+import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tracemalloc
 import warnings
 
@@ -20,7 +23,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
 import multiggm.io
-from multiggm.cli import EXIT_DATA, main
+from multiggm.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from multiggm.errors import DataFormatError
 from multiggm.io import (
     _parse_csv_file,
@@ -396,3 +399,63 @@ class TestQuotedNames:
         assert rows == data_csv_oracle(matrix).encode()
         if names == ["a", "b"]:
             assert header == b"a,b"
+
+
+class TestUtf8WhateverTheLocale:
+    """Every file is read and written as UTF-8, also where the locale's
+    encoding is ASCII.  Each case runs in a fresh interpreter under a C
+    locale without UTF-8 mode, and under UTF-8 mode, with every ``open()``
+    that would fall back on the locale's encoding made an error."""
+
+    SCRIPT = (
+        "import json, locale, sys\n"
+        "import numpy as np\n"
+        "from multiggm.cli import main\n"
+        "from multiggm.io import write_data_csv\n"
+        "d = sys.argv[1]\n"
+        "x = np.random.default_rng(3).standard_normal((40, 2))\n"
+        "write_data_csv(x, f'{d}/utf8.csv', ['caf\\u00e9', 'b'])\n"
+        "with open(f'{d}/latin1.csv', 'wb') as fh:\n"
+        "    fh.write(b'caf\\xe9,b\\n1,2\\n3,5\\n4,4\\n')\n"
+        "for name, text in (('utf8', 'utf-8'), ('latin1', 'latin-1')):\n"
+        "    with open(f'{d}/{name}.json', 'wb') as fh:\n"
+        "        fh.write('{\"caf\\u00e9\": 1}'.encode(text))\n"
+        "def estimate(path, *extra):\n"
+        "    return main(['estimate', '--data', path, '--lam', '0.1', '--rho', '0.1',\n"
+        "                 '--out-dir', f'{d}/out', '-q', *extra])\n"
+        "with open(f'{d}/utf8.csv', 'rb') as fh:\n"
+        "    header = fh.readline()\n"
+        "print(json.dumps({\n"
+        "    'encoding': 'utf-8' if sys.flags.utf8_mode else locale.nl_langinfo(locale.CODESET),\n"
+        "    'header': header.hex(),\n"
+        "    'utf8': estimate(f'{d}/utf8.csv'),\n"
+        "    'latin1': estimate(f'{d}/latin1.csv'),\n"
+        "    'configs': [estimate(f'{d}/utf8.csv', '--config', f'{d}/{name}.json')\n"
+        "                for name in ('utf8', 'latin1')],\n"
+        "}))\n"
+    )
+
+    @pytest.mark.parametrize("locale_env", [
+        {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"},
+        {"PYTHONUTF8": "1"},
+    ], ids=["C", "utf8-mode"])
+    def test_utf8_header_reads_and_writes(self, tmp_path, locale_env):
+        package_root = os.path.dirname(os.path.dirname(multiggm.io.__file__))
+        env = {k: v for k, v in os.environ.items() if not k.startswith(("LC_", "LANG"))}
+        env.update(locale_env, PYTHONPATH=package_root)
+        result = subprocess.run(
+            [sys.executable, "-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+             "-c", self.SCRIPT, str(tmp_path)],
+            capture_output=True, text=True, timeout=120, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        seen = json.loads(result.stdout)
+        if locale_env.get("LC_ALL") == "C":
+            assert seen["encoding"].lower().replace("-", "") != "utf8"
+        assert bytes.fromhex(seen["header"]) == "café,b\n".encode("utf-8")
+        assert (seen["utf8"], seen["latin1"]) == (EXIT_OK, EXIT_DATA)
+        # A non-ASCII key is read and named as unknown; bytes that are not
+        # UTF-8 cannot be read: both are configuration errors.
+        assert seen["configs"] == [EXIT_CONFIG, EXIT_CONFIG]
+        assert "unknown key(s)" in result.stderr and "cannot read config" in result.stderr
+        assert "Traceback" not in result.stderr

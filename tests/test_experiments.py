@@ -43,7 +43,6 @@ def truth_injecting_solve(truth: PrecisionSet):
         return SolveReport(
             estimate=truth,
             iterations=0,
-            primal_residual=0.0,
             dual_residual=0.0,
             converged=True,
             kkt_violation=0.0,
