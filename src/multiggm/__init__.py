@@ -51,7 +51,6 @@ from .inference import (
     confidence_interval,
     debias,
     entry_variances,
-    normal_cdf,
     normal_quantile,
     test_linear_combo,
     upper_quantile,
@@ -62,9 +61,7 @@ from .solver import (
     PenaltyPair,
     SolveReport,
     SolverOptions,
-    ggl_objective,
     kkt_residual,
-    prox_sparse_group,
     solve_ggl,
 )
 

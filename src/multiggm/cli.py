@@ -528,7 +528,7 @@ def _diagnose(args, report: AnalysisReport) -> int:
             raise ConfigError(f"--sample-sizes must be positive, got {min(sizes)}")
     penalty = _penalty_flags((args.lam, args.rho), "--lam/--rho")
     try:
-        check_settings(penalty, args.psi, sizes, args.gamma)
+        check_settings(penalty, args.psi, sizes, args.gamma, args.k1, args.eigen_bound)
     except DataFormatError as exc:
         raise ConfigError(str(exc)) from None
     try:

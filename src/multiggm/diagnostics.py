@@ -144,19 +144,26 @@ def _irrepresentability(pop: _Population) -> float:
 
 
 def check_settings(
-    penalty: PenaltyPair, psi: float, sample_sizes=None, gamma: float = 2.5
+    penalty: PenaltyPair, psi: float, sample_sizes=None, gamma: float = 2.5,
+    k1: float = 1.0, eigen_bound_l: float | None = None,
 ) -> None:
     """Raise :class:`DataFormatError` for settings the diagnostics cannot use.
 
     The between-group bound needs ``psi`` strictly in (0, 1) and
-    ``lam + rho > 0``; with sample sizes, the concentration radius needs each
-    to be positive and ``gamma > 2``.  No matrix is read, so callers can
-    check before any factorization.
+    ``lam + rho > 0``; the rate constants need a finite ``k1``; an eigenvalue
+    bound, when given, must be finite and positive; with sample sizes, the
+    concentration radius needs each to be positive and a finite
+    ``gamma > 2``.  No matrix is read, so callers can check before any
+    factorization.
     """
     if not 0.0 < psi < 1.0:
         raise DataFormatError("psi must lie strictly in (0, 1)")
     if penalty.lam + penalty.rho <= 0:
         raise DataFormatError("penalty parameters cannot both be zero here")
+    if not math.isfinite(k1):
+        raise DataFormatError("k1 must be finite")
+    if eigen_bound_l is not None and not 0.0 < eigen_bound_l < math.inf:
+        raise DataFormatError("eigen bound must be finite and positive")
     for n_k in () if sample_sizes is None else sample_sizes:
         _check_rate_settings(int(n_k), gamma)
 
@@ -203,15 +210,6 @@ def _between_group(
     return lhs, rhs, lhs < rhs
 
 
-def between_group_sufficient(penalty: PenaltyPair, psi: float, alpha: float, K: int) -> bool:
-    """Shortcut: when ``1 - alpha/2 - alpha^2/4 <= rho / (sqrt(K) (lam+rho) (1-psi))``
-    the single-population condition with slack ``alpha`` already implies the
-    aggregate one."""
-    lhs = 1.0 - alpha / 2.0 - alpha * alpha / 4.0
-    rhs = penalty.rho / (math.sqrt(K) * (penalty.lam + penalty.rho) * (1.0 - psi))
-    return lhs <= rhs
-
-
 def rate_delta(n_k: int, p: int, gamma: float, k1: float, max_diag: float) -> float:
     """Concentration radius of one sample covariance in sup-norm.
 
@@ -230,8 +228,8 @@ def rate_delta(n_k: int, p: int, gamma: float, k1: float, max_diag: float) -> fl
 
 
 def _check_rate_settings(n_k: int, gamma: float) -> None:
-    if gamma <= 2:
-        raise DataFormatError("gamma must exceed 2")
+    if not 2 < gamma < math.inf:
+        raise DataFormatError("gamma must exceed 2 and be finite")
     if n_k < 1:
         raise DataFormatError("sample sizes must be positive")
 
@@ -295,11 +293,16 @@ def diagnostics_report(
 ) -> DiagnosticsReport:
     """Full diagnostic sweep over a set of true precision matrices.
 
-    Settings are checked first (:func:`check_settings`).  Supports that
-    differ across populations leave the between-group condition undefined:
-    ``between_group_lhs`` is NaN and the condition is reported as failing.
+    Settings are checked first (:func:`check_settings`), and one sample size
+    is needed per population.  Supports that differ across populations
+    leave the between-group condition undefined: ``between_group_lhs`` is
+    NaN and the condition is reported as failing.
     """
-    check_settings(penalty, psi, sample_sizes, gamma)
+    check_settings(penalty, psi, sample_sizes, gamma, k1, eigen_bound_l)
+    if sample_sizes is not None and len(sample_sizes) != precisions.K:
+        raise DimensionMismatchError(
+            f"{len(sample_sizes)} sample sizes for {precisions.K} populations"
+        )
     factors = [_population(m) for m in precisions.matrices]
     pops = []
     alpha = None

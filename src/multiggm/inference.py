@@ -56,7 +56,7 @@ class ConfidenceIntervalResult:
     level: float
 
 
-# --- standard normal CDF / quantile ---------------------------------------
+# --- standard normal tail / quantile --------------------------------------
 #
 # The standard library's erfc and NormalDist keep the package on numpy
 # alone: scipy.special would cost about 0.17 s, 24 MB and a second OpenBLAS
@@ -68,14 +68,8 @@ _SQRT_HALF = math.sqrt(0.5)
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
-def normal_cdf(x):
-    """Standard normal distribution function ``Phi(x) = erfc(-x / sqrt(2)) / 2``,
-    elementwise."""
-    return 0.5 * _erfc(-np.asarray(x, dtype=float) * _SQRT_HALF)
-
-
 def normal_quantile(q: float) -> float:
-    """Inverse of :func:`normal_cdf` on (0, 1)."""
+    """Standard normal quantile: the inverse of ``Phi`` on (0, 1)."""
     q = float(q)
     if not 0.0 < q < 1.0:
         raise DataFormatError("quantile argument must lie strictly in (0, 1)")

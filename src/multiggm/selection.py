@@ -53,13 +53,13 @@ class TuningGrid:
             vals = tuple(float(v) for v in vals)
             if not vals:
                 raise DataFormatError(f"{name} must be nonempty")
-            if any(v <= 0 for v in vals):
-                raise DataFormatError(f"{name} must be positive")
+            if not all(0 < v < math.inf for v in vals):
+                raise DataFormatError(f"{name} must be finite and positive")
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise DataFormatError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, vals)
-        if self.gamma < 0:
-            raise DataFormatError("gamma must be nonnegative")
+        if not 0 <= self.gamma < math.inf:
+            raise DataFormatError("gamma must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,8 @@ def penalty_scale(p: int, n: int) -> float:
 
 def ebic(estimate: PrecisionSet, covs: CovarianceSet, gamma: float = 0.5) -> EbicScore:
     """Extended-BIC score of a fitted precision set against its covariances."""
-    if gamma < 0:
-        raise DataFormatError("gamma must be nonnegative")
+    if not 0 <= gamma < math.inf:
+        raise DataFormatError("gamma must be finite and nonnegative")
     if estimate.K != covs.K or estimate.p != covs.p:
         raise DataFormatError("estimate and covariance set do not match")
     n = min(covs.sample_sizes)

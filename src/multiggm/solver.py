@@ -153,8 +153,8 @@ class SolverOptions:
     tol_abs: float = 1e-6
 
     def __post_init__(self):
-        if self.tol_abs <= 0:
-            raise DataFormatError("tol_abs must be positive")
+        if not 0 < self.tol_abs < math.inf:
+            raise DataFormatError("tol_abs must be finite and positive")
         if self.max_iter < 1:
             raise DataFormatError("max_iter must be at least 1")
 
@@ -183,18 +183,6 @@ class SolveReport:
     block_sizes: tuple[int, ...]
     certificate_calls: int = 0
     acceleration_restarts: int = 0
-
-
-def prox_sparse_group(values: np.ndarray, lam_eff: float, rho_eff: float) -> np.ndarray:
-    """Minimizer of ``0.5 * ||x - v||^2 + lam_eff * ||x||_1 + rho_eff * ||x||_2``.
-
-    The solver's group prox on one group: componentwise soft-threshold at
-    ``lam_eff``, then shrink the whole group by ``max(0, 1 - rho_eff /
-    ||soft||_2)``.  Returns the zero vector when ``||soft||_2 <= rho_eff``.
-    Total function: no error cases for ``lam_eff, rho_eff >= 0``.
-    """
-    v = np.asarray(values, dtype=float)
-    return _group_shrink(v.ravel(), lam_eff, rho_eff).reshape(v.shape)
 
 
 def _soft_threshold(x: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
@@ -227,14 +215,9 @@ def _prox_offdiag_stack(v: np.ndarray, lam_eff: float, rho_eff: float) -> np.nda
     return out
 
 
-def ggl_objective(matrices, covs: CovarianceSet, penalty: PenaltyPair) -> float:
-    """Objective value at the given matrices; ``inf`` if any matrix is not PD."""
-    mats = np.stack([np.asarray(m, dtype=float) for m in matrices])
-    return _objective(mats, np.stack(covs.matrices), penalty.lam, penalty.rho)
-
-
 def _objective(mats, s, lam: float, rho: float) -> float:
-    """Array-level core of :func:`ggl_objective` on (K, q, q) stacks."""
+    """Objective value at a (K, q, q) stack of matrices against the
+    covariance stack ``s``; ``inf`` if any matrix is not PD."""
     sign, logdet = np.linalg.slogdet(mats)
     if np.any(sign <= 0):
         return np.inf
@@ -381,8 +364,8 @@ def solve_ggl(
     from the cold start, with ``max_iter`` per block.  ``iterations`` is the
     sum over blocks, the dual residual the root-sum-square over blocks,
     ``kkt_violation`` is the largest block certificate, ``objective`` is the
-    sum of the blocks' objectives (:func:`ggl_objective` of the whole
-    estimate, to rounding), and ``block_sizes`` lists every block's size.
+    sum of the blocks' objectives (the objective of the whole estimate, to
+    rounding), and ``block_sizes`` lists every block's size.
     ``certificate_calls`` and ``acceleration_restarts`` are summed over the
     blocks.  The residual is that of the normalized problem (see the
     module docstring); the certificate is that of the original one.

@@ -221,6 +221,14 @@ class TestDiagnoseSettings:
         (["--lam", "0", "--rho", "0"], "penalty parameters cannot both be zero"),
         (["--sample-sizes", "100,120", "--gamma", "1"], "gamma must exceed 2"),
         (["--sample-sizes", "100,120", "--gamma", "2"], "gamma must exceed 2"),
+        (["--sample-sizes", "100,120", "--gamma", "nan"], "gamma must exceed 2"),
+        (["--sample-sizes", "100,120", "--gamma", "inf"], "gamma must exceed 2"),
+        (["--eigen-bound", "0"], "eigen bound must be finite and positive"),
+        (["--eigen-bound", "-1"], "eigen bound must be finite and positive"),
+        (["--eigen-bound", "nan"], "eigen bound must be finite and positive"),
+        (["--eigen-bound", "inf"], "eigen bound must be finite and positive"),
+        (["--k1", "nan"], "k1 must be finite"),
+        (["--k1", "inf"], "k1 must be finite"),
     ])
     def test_exit_1_before_any_factorization(
         self, tmp_path, capsys, monkeypatch, precision, flags, message

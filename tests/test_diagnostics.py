@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from multiggm import (
     DataFormatError,
+    DimensionMismatchError,
     PenaltyPair,
     PrecisionSet,
     check_between_group,
@@ -22,7 +23,6 @@ from multiggm import (
 )
 from multiggm import diagnostics, experiments
 from multiggm.core import EDGE_TOL
-from multiggm.diagnostics import between_group_sufficient
 from multiggm.selection import edge_count
 
 from oracles import dense_alpha, dense_between_group_lhs, random_covariance_set
@@ -212,7 +212,11 @@ class TestBetweenGroup:
             psi = float(rng.uniform(0.05, 0.3))
             mats = [chain_precision(4, 0.2), chain_precision(4, 0.2)]
             alpha = min(check_irrepresentability(m) for m in mats)
-            if not between_group_sufficient(pen, psi, alpha, K=2):
+            # The lemma's shortcut at K = 2.
+            shortcut = 1.0 - alpha / 2.0 - alpha * alpha / 4.0 <= pen.rho / (
+                math.sqrt(2) * (pen.lam + pen.rho) * (1.0 - psi)
+            )
+            if not shortcut:
                 continue
             lhs, rhs, holds = check_between_group(
                 PrecisionSet(mats, positive_definite=True), pen, psi, alpha
@@ -317,6 +321,16 @@ class TestReport:
         with pytest.raises(DataFormatError):
             diagnostics_report(prec, PenaltyPair(*lam_rho), psi=psi,
                                sample_sizes=sizes, gamma=gamma)
+
+    @pytest.mark.parametrize("sizes", [(600,), (600, 600, 600)])
+    def test_one_sample_size_per_population(self, monkeypatch, sizes):
+        def no_factorization(precision):
+            raise AssertionError("factorized before the sample sizes were checked")
+
+        monkeypatch.setattr(diagnostics, "_population", no_factorization)
+        prec = PrecisionSet([chain_precision(4, 0.2)] * 2, positive_definite=True)
+        with pytest.raises(DimensionMismatchError, match="sample sizes for 2 populations"):
+            diagnostics_report(prec, PenaltyPair(0.1, 0.1), sample_sizes=sizes)
 
     def test_differing_supports_fail_with_lhs_nan_and_rhs_reported(self):
         prec = PrecisionSet([chain_precision(4, 0.2), np.eye(4)], positive_definite=True)

@@ -285,6 +285,8 @@ class TestCli:
 
     @pytest.mark.parametrize("flags", [
         ["--gamma", "-1"], ["--c1-grid", "0"], ["--c2-grid", "1,0.5"], ["--c1-grid", ","],
+        ["--c1-grid", "0.5,nan"], ["--c1-grid", "0.5,inf"], ["--c2-grid", "nan"],
+        ["--gamma", "nan"], ["--gamma", "inf"],
     ])
     def test_tune_bad_grid_is_a_config_error(self, tmp_path, diag_data, capsys, flags):
         out = tmp_path / "out"
@@ -550,6 +552,48 @@ def test_benchmark_workloads_build(tmp_path):
     assert sorted(workloads) == sorted(declared)
     for name, workload in workloads.items():
         assert workload(1, True, str(tmp_path / name)).name == name
+
+
+def test_every_public_name_has_a_caller():
+    # A public name that only tests call is surface nobody runs: each
+    # exported name and each public top-level function or class must be
+    # used by the package outside its own definition and __init__.py, or
+    # by the benchmark or a demo.  A use is a name, an attribute or a
+    # `from ... import`; a docstring mention is not.
+    import ast
+    import glob
+    import inspect
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    package = os.path.join(root, "src", "multiggm")
+    callers = [p for p in glob.glob(os.path.join(package, "*.py"))
+               if os.path.basename(p) != "__init__.py"]
+    callers += glob.glob(os.path.join(root, "bench", "*.py"))
+    callers += glob.glob(os.path.join(root, "demos", "*.py"))
+    public, used = set(), set()
+    for path in callers:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for stmt in tree.body:
+            defines = getattr(stmt, "name", None)
+            if path.startswith(package) and isinstance(
+                stmt, (ast.FunctionDef, ast.ClassDef)
+            ) and not defines.startswith("_"):
+                public.add(defines)
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names = [node.id]
+                elif isinstance(node, ast.Attribute):
+                    names = [node.attr]
+                elif isinstance(node, ast.ImportFrom):
+                    names = [alias.name for alias in node.names]
+                else:
+                    continue
+                used.update(name for name in names if name != defines)
+    public.update(name for name in multiggm.__all__
+                  if not inspect.ismodule(getattr(multiggm, name)))
+    unused = sorted(public - used)
+    assert not unused, f"public names with no caller: {unused}"
 
 
 def test_cli_runs_every_command_without_scipy(tmp_path):

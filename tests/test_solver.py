@@ -18,11 +18,9 @@ from multiggm import (
     SolverOptions,
     derive_seed,
     draw_mvn_dataset,
-    ggl_objective,
     invert_pd,
     kkt_residual,
     penalty_scale,
-    prox_sparse_group,
     sample_covariance,
     solve_ggl,
     two_population_chain_spec,
@@ -44,21 +42,21 @@ from oracles import (
 
 class TestProx:
     def test_zero_vector_stays_zero(self):
-        assert np.array_equal(prox_sparse_group(np.zeros(2), 0.5, 0.5), np.zeros(2))
+        assert np.array_equal(solver._group_shrink(np.zeros(2), 0.5, 0.5), np.zeros(2))
 
     def test_zero_thresholds_identity(self):
         v = np.array([0.3, -1.2, 0.0])
-        assert np.array_equal(prox_sparse_group(v, 0.0, 0.0), v)
+        assert np.array_equal(solver._group_shrink(v, 0.0, 0.0), v)
 
     def test_pinned_example_against_grid_oracle(self):
         # soft((1, -0.5), 0.2) = (0.8, -0.3); group scale 1 - 0.3/||.||.
-        out = prox_sparse_group(np.array([1.0, -0.5]), 0.2, 0.3)
+        out = solver._group_shrink(np.array([1.0, -0.5]), 0.2, 0.3)
         assert out == pytest.approx([0.51911, -0.19466], abs=1e-4)
         oracle = prox_grid_search([1.0, -0.5], 0.2, 0.3)
         assert np.max(np.abs(out - oracle)) <= 1e-4
 
     def test_group_kill_when_norm_below_rho(self):
-        out = prox_sparse_group(np.array([0.3, -0.2]), 0.1, 1.0)
+        out = solver._group_shrink(np.array([0.3, -0.2]), 0.1, 1.0)
         assert np.array_equal(out, np.zeros(2))
 
     def test_subgradient_inclusion_and_perturbation_optimality(self):
@@ -68,7 +66,7 @@ class TestProx:
             v = rng.standard_normal(k) * rng.uniform(0.1, 3.0)
             lam = float(rng.uniform(0, 1.5))
             rho = float(rng.uniform(0, 1.5))
-            x = prox_sparse_group(v, lam, rho)
+            x = solver._group_shrink(v, lam, rho)
             assert prox_inclusion_violation(x, v, lam, rho) <= 1e-8
             # group-null consistency, both directions
             soft_norm = np.linalg.norm(np.sign(v) * np.maximum(np.abs(v) - lam, 0.0))
@@ -78,7 +76,7 @@ class TestProx:
                 assert soft_norm > rho - 1e-12
         # beats random perturbations on the prox objective
         v = rng.standard_normal(3)
-        x = prox_sparse_group(v, 0.4, 0.3)
+        x = solver._group_shrink(v, 0.4, 0.3)
         fx = prox_objective(x, v, 0.4, 0.3)
         for _ in range(1000):
             pert = x + rng.standard_normal(3) * rng.uniform(1e-6, 0.3)
@@ -111,6 +109,11 @@ class TestSolveTrivial:
     def test_penalty_must_be_finite_and_nonnegative(self, lam, rho):
         with pytest.raises(DataFormatError, match="finite and nonnegative"):
             PenaltyPair(lam, rho)
+
+    @pytest.mark.parametrize("tol_abs", [np.nan, np.inf, 0.0, -1e-6])
+    def test_tolerance_must_be_finite_and_positive(self, tol_abs):
+        with pytest.raises(DataFormatError, match="finite and positive"):
+            SolverOptions(tol_abs=tol_abs)
 
     def test_nonconvergence_returns_best_iterate(self):
         rng = np.random.default_rng(5)
@@ -147,9 +150,8 @@ class TestSolveAgainstOracle:
         oracle, _ = pg_solve(mats, lam, rho, adaptive=True, stall=1e-13)
         for est, ref in zip(report.estimate.matrices, oracle):
             assert np.max(np.abs(est - ref)) <= 1e-4
-        assert abs(
-            ggl_objective(oracle, covs, PenaltyPair(lam, rho)) - report.objective
-        ) <= 1e-8
+        objective = solver._objective(np.stack(oracle), np.stack(covs.matrices), lam, rho)
+        assert abs(objective - report.objective) <= 1e-8
 
 
 class TestKktResidual:
@@ -271,7 +273,8 @@ class TestSolverProperties:
             pen = PenaltyPair(float(rng.uniform(0, 0.4)), float(rng.uniform(0, 0.4)))
             init = [np.diag(1.0 / np.diag(s)) for s in mats]
             report = solve_ggl(covs, pen)
-            assert report.objective <= ggl_objective(init, covs, pen) + 1e-9
+            start = solver._objective(np.stack(init), np.stack(covs.matrices), pen.lam, pen.rho)
+            assert report.objective <= start + 1e-9
 
     def test_estimates_exactly_symmetric_and_pd(self):
         rng = np.random.default_rng(13)
@@ -397,16 +400,19 @@ class TestScreening:
         oracle = oracle_solve(covs, pen)
         for est, ref in zip(report.estimate.matrices, oracle):
             assert np.max(np.abs(est - ref)) <= 1e-4
-        assert abs(ggl_objective(oracle, covs, pen) - report.objective) <= 1e-8
+        objective = solver._objective(np.stack(oracle), np.stack(covs.matrices), pen.lam, pen.rho)
+        assert abs(objective - report.objective) <= 1e-8
 
     @settings(max_examples=50, deadline=None)
     @given(instances)
     def test_objective_sums_over_blocks(self, instance):
         # solve_ggl adds the blocks' objectives and the single vertices'
-        # closed forms; ggl_objective evaluates the full stack.
+        # closed forms; _objective evaluates the full stack.
         covs, pen, opts = split_instance(*instance)
         report = solve_ggl(covs, pen, opts)
-        full = ggl_objective(report.estimate.matrices, covs, pen)
+        full = solver._objective(
+            np.stack(report.estimate.matrices), np.stack(covs.matrices), pen.lam, pen.rho
+        )
         assert abs(report.objective - full) <= 1e-10 * abs(full)
 
     @settings(max_examples=50, deadline=None)
