@@ -531,10 +531,7 @@ def _diagnose(args, report: AnalysisReport) -> int:
         check_settings(penalty, args.psi, sizes, args.gamma, args.k1, args.eigen_bound)
     except DataFormatError as exc:
         raise ConfigError(str(exc)) from None
-    try:
-        precisions = PrecisionSet([(m + m.T) / 2 for m in mats], positive_definite=True)
-    except NotPositiveDefiniteError as exc:
-        raise DataFormatError(str(exc))
+    precisions = PrecisionSet([(m + m.T) / 2 for m in mats], positive_definite=True)
     diag = diagnostics_report(
         precisions,
         penalty,
@@ -568,13 +565,28 @@ def environment() -> dict:
     }
 
 
+def _check_out_dir(out_dir: str) -> None:
+    """Raise :class:`ConfigError` unless ``out_dir`` is a directory or can
+    be made one: it is not empty, and the nearest of it and its ancestors
+    that exists is a directory.  Creates nothing."""
+    if not out_dir:
+        raise ConfigError("--out-dir must not be empty")
+    path = os.path.abspath(out_dir)
+    while not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if not os.path.isdir(path):
+        raise ConfigError(f"--out-dir {out_dir}: {path} is not a directory")
+
+
 def run_command(args: argparse.Namespace) -> tuple[AnalysisReport, int]:
     """Run one resolved command; returns the report and an exit code.
 
-    The report's ``config.params`` holds every resolved argument; saved as a
+    ``--out-dir`` is checked before the command reads any input.  The
+    report's ``config.params`` holds every resolved argument; saved as a
     JSON file and passed to ``--config``, it reruns the command.
     """
     t_start = time.perf_counter()
+    _check_out_dir(args.out_dir)
     params = {k: v for k, v in vars(args).items() if k not in ("command", "config")}
     report = AnalysisReport(
         tool_version=__version__,

@@ -122,12 +122,13 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MultiPopDataset:
-    """Observations for K populations: one ``n_k x p`` matrix per population."""
+    """Observations for K populations: one ``n_k x p`` matrix per population,
+    read-only.  Column names stay with the CSV reader, which checks that
+    the files agree on them."""
 
     data: tuple[np.ndarray, ...]
-    variable_names: tuple[str, ...] | None = None
 
-    def __init__(self, data, variable_names=None):
+    def __init__(self, data):
         mats = tuple(np.asarray(x, dtype=float) for x in data)
         if not mats:
             raise DataFormatError("dataset needs at least one population")
@@ -143,22 +144,7 @@ class MultiPopDataset:
                 raise DataFormatError(f"population {k} has n={x.shape[0]} < 2 rows")
             if not np.all(np.isfinite(x)):
                 raise DataFormatError(f"population {k} contains non-finite values")
-        if variable_names is not None:
-            variable_names = tuple(str(v) for v in variable_names)
-            if len(variable_names) != p:
-                raise DimensionMismatchError(
-                    f"{len(variable_names)} variable names for {p} columns"
-                )
         object.__setattr__(self, "data", tuple(_as_readonly(x) for x in mats))
-        object.__setattr__(self, "variable_names", variable_names)
-
-    @property
-    def K(self) -> int:
-        return len(self.data)
-
-    @property
-    def p(self) -> int:
-        return self.data[0].shape[1]
 
     @property
     def sample_sizes(self) -> tuple[int, ...]:
@@ -227,20 +213,20 @@ class CovarianceSet(_MatrixStack):
 class PrecisionSet(_MatrixStack):
     """K precision matrices of common dimension.
 
-    When ``positive_definite`` is set the constructor verifies every matrix
-    by Cholesky; leave it unset for matrices that are merely symmetric, such
-    as the debiased matrices of :func:`multiggm.inference.debias`.
+    ``positive_definite=True`` makes the constructor verify every matrix
+    by Cholesky and raise :class:`NotPositiveDefiniteError` on the first that
+    fails; the flag is a check, not stored.  Leave it unset for matrices
+    that are merely symmetric, such as the debiased matrices of
+    :func:`multiggm.inference.debias`.
     """
 
     matrices: tuple[np.ndarray, ...]
-    positive_definite: bool = False
 
     def __init__(self, matrices, positive_definite: bool = False):
         self._store(matrices, "precision")
         if positive_definite:
             for k, m in enumerate(self.matrices):
                 cholesky_pd(m, f"precision {k}")
-        object.__setattr__(self, "positive_definite", bool(positive_definite))
 
 
 def sample_covariance(data: MultiPopDataset) -> CovarianceSet:

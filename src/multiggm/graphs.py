@@ -102,10 +102,6 @@ class GraphSpec:
                 self, "star_offdiag", tuple(float(v) for v in self.star_offdiag)
             )
 
-    @property
-    def K(self) -> int:
-        return len(self.chain_rho) if self.kind == "chain" else len(self.star_diag)
-
     def build(self, p: int) -> PrecisionSet:
         """Materialize the true precision matrices at dimension ``p``."""
         if self.kind == "chain":

@@ -44,7 +44,6 @@ class EdgeTestResult:
     z_stat: np.ndarray
     p_value: np.ndarray
     reject: np.ndarray
-    alpha_level: float
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,6 @@ class ConfidenceIntervalResult:
 
     lower: np.ndarray
     upper: np.ndarray
-    level: float
 
 
 # --- standard normal tail / quantile --------------------------------------
@@ -176,9 +174,7 @@ def test_linear_combo(
     # erfc(|z| / sqrt 2) = 2 Phi(-|z|) stays positive up to |z| = 38.5.
     p_value = _erfc(np.abs(z) * _SQRT_HALF)
     reject = np.abs(z) > upper_quantile(alpha_level)
-    return EdgeTestResult(
-        point[()], std_error[()], z[()], p_value[()], reject[()], float(alpha_level)
-    )
+    return EdgeTestResult(point[()], std_error[()], z[()], p_value[()], reject[()])
 
 
 def confidence_interval(
@@ -199,4 +195,4 @@ def confidence_interval(
         raise DataFormatError("level must lie strictly in (0, 1)")
     center, std_error = combine(debiased, estimate, covs, np.eye(debiased.K)[k], rows, cols)
     half = upper_quantile(1.0 - level) * std_error
-    return ConfidenceIntervalResult((center - half)[()], (center + half)[()], float(level))
+    return ConfidenceIntervalResult((center - half)[()], (center + half)[()])

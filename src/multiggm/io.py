@@ -241,7 +241,8 @@ def ingest_csv(
 ) -> MultiPopDataset:
     """Load one numeric CSV per population into a dataset.
 
-    An initial non-numeric row is consumed as variable names.  Optional
+    An initial non-numeric row is consumed as variable names; files that
+    both have names must name the same columns.  Optional
     transforms, applied in order: consecutive-row differencing (n rows
     become n-1), column mean-centering, division by the column sample
     standard deviation (n-1 degrees of freedom).  Files
@@ -274,7 +275,7 @@ def ingest_csv(
                 raise DataFormatError(f"{path}: column {col} is constant")
             x = x / sd
         mats.append(x)
-    return MultiPopDataset(mats, variable_names=names)
+    return MultiPopDataset(mats)
 
 
 def _cell_format(cell_type) -> str:

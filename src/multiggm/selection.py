@@ -37,9 +37,7 @@ DEFAULT_GRID_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
 @dataclass(frozen=True)
 class EbicScore:
     value: float
-    loglik_term: float
     edge_counts: tuple[int, ...]
-    gamma: float
 
 
 @dataclass(frozen=True)
@@ -116,12 +114,7 @@ def ebic(estimate: PrecisionSet, covs: CovarianceSet, gamma: float = 0.5) -> Ebi
         counts.append(edge_count(w))
     total_edges = sum(counts)
     value = loglik + total_edges * math.log(n) + 4.0 * gamma * math.log(p) * total_edges
-    return EbicScore(
-        value=float(value),
-        loglik_term=float(loglik),
-        edge_counts=tuple(counts),
-        gamma=float(gamma),
-    )
+    return EbicScore(value=float(value), edge_counts=tuple(counts))
 
 
 def tune_penalties(

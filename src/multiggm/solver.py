@@ -73,8 +73,8 @@ iterate when that one is not PD, with the certificate taken at the
 estimate it returns.  Unpenalized (``lam = rho = 0``), a block with a
 rank-deficient covariance has no minimizer, though the absolute
 certificate can pass far out along the divergence: it is never certified,
-and ADMM returns its start unconverged, with 0 iterations, an infinite
-dual residual and the certificate at the start.
+and ADMM returns its start unconverged, with 0 iterations and the
+certificate at the start.
 The certificate factorizes and inverts one population at a time and
 checks the groups in chunks (``_stationarity_violation``), so beyond the
 gradients of the groups it holds one population's inverse at a time.
@@ -163,12 +163,10 @@ class SolverOptions:
 class SolveReport:
     """Outcome of :func:`solve_ggl`.
 
-    ``estimate`` is in the units of the data.  ``iterations`` and
-    ``dual_residual`` describe ADMM on the normalized problem, summed
-    (iterations) or root-sum-squared (the residual) over the screening
-    blocks; ``kkt_violation`` is the stationarity certificate of the
-    original problem, the largest over the blocks, and ``converged`` says
-    that every block passed it.
+    ``estimate`` is in the units of the data.  ``iterations`` counts ADMM
+    iterations, summed over the screening blocks; ``kkt_violation`` is the
+    stationarity certificate of the original problem, the largest over the
+    blocks, and ``converged`` says that every block passed it.
     ``certificate_calls`` counts the certificate's evaluations and
     ``acceleration_restarts`` the times the Anderson memory was cleared,
     both summed over the blocks.
@@ -176,7 +174,6 @@ class SolveReport:
 
     estimate: PrecisionSet
     iterations: int
-    dual_residual: float
     converged: bool
     kkt_violation: float
     objective: float
@@ -354,21 +351,21 @@ def solve_ggl(
 ) -> SolveReport:
     """Solve the group graphical lasso for all populations jointly.
 
-    Returns the sparse consensus iterate with the dual residual, the
-    stationarity violation, and the objective value.  Non-convergence within
+    Returns the sparse consensus iterate with its stationarity
+    certificate and the objective value.  Non-convergence within
     ``max_iter`` returns the best iterate with ``converged=False``; a
     covariance with non-positive diagonal is a hard error.
 
     The problem is split into the blocks of the screening rule (see the
     module docstring) and ADMM runs on each block of two or more vertices,
     from the cold start, with ``max_iter`` per block.  ``iterations`` is the
-    sum over blocks, the dual residual the root-sum-square over blocks,
-    ``kkt_violation`` is the largest block certificate, ``objective`` is the
-    sum of the blocks' objectives (the objective of the whole estimate, to
-    rounding), and ``block_sizes`` lists every block's size.
+    sum over blocks, ``kkt_violation`` is the largest block certificate,
+    ``objective`` is the sum of the blocks' objectives (the objective of the
+    whole estimate, to rounding), and ``block_sizes`` lists every block's
+    size.
     ``certificate_calls`` and ``acceleration_restarts`` are summed over the
-    blocks.  The residual is that of the normalized problem (see the
-    module docstring); the certificate is that of the original one.
+    blocks.  The certificate is that of the original problem, in the units
+    of the data.
 
     The solve runs numpy's OpenBLAS at one thread and restores the caller's
     thread count when the last concurrent solve returns (see
@@ -398,7 +395,6 @@ def solve_ggl(
     return SolveReport(
         estimate=estimate,
         iterations=sum(r.iterations for r in solved),
-        dual_residual=math.hypot(*(r.dual for r in solved)),
         converged=all(r.converged for r in solved),
         kkt_violation=max((r.kkt for r in solved), default=0.0),
         objective=objective,
@@ -410,7 +406,6 @@ def solve_ggl(
 
 class _BlockResult(NamedTuple):
     iterations: int
-    dual: float
     converged: bool
     kkt: float
     certificate_calls: int
@@ -489,8 +484,9 @@ def _admm(s, lam: float, rho: float, opts: SolverOptions):
     :class:`_BlockResult`, in the units of ``s``.  The estimate is the
     symmetrized sparse iterate, or the eigenvalue-map iterate when an
     unconverged sparse iterate is not PD; the certificate is taken at the
-    estimate returned.  An unpenalized rank-deficient block returns its
-    start without iterating.
+    estimate returned.  The dual residual ``||Z - Z_old||`` only schedules
+    the certificate and is not returned.  An unpenalized rank-deficient
+    block returns its start without iterating.
     """
     K, p = s.shape[0], s.shape[1]
     idx = np.arange(p)
@@ -500,7 +496,7 @@ def _admm(s, lam: float, rho: float, opts: SolverOptions):
         # Unpenalized with a rank-deficient covariance: no minimizer, and
         # never certified (see the module docstring), so do not iterate.
         kkt_value = float(_stationarity_violation(z0, s, lam, rho))
-        return z0, _BlockResult(0, np.inf, False, kkt_value, 1, 0)
+        return z0, _BlockResult(0, False, kkt_value, 1, 0)
     # The dual at the diagonal start, -S_k off the diagonal, projected onto
     # the penalty's subdifferential at zero: x - prox(x).
     outside = -s
@@ -553,5 +549,5 @@ def _admm(s, lam: float, rho: float, opts: SolverOptions):
         certificates += 1
         kkt_value = _stationarity_violation(mats, s, lam, rho)
     return mats, _BlockResult(
-        iterations, dual, converged, float(kkt_value), certificates, history.restarts
+        iterations, converged, float(kkt_value), certificates, history.restarts
     )

@@ -250,6 +250,54 @@ class TestDiagnoseSettings:
         assert run(["diagnose", "--precision", precision, "--gamma", "1"], out) == EXIT_OK
         assert (out / "diagnostics.json").exists()
 
+    def test_indefinite_precision_is_a_data_error(self, tmp_path, capsys):
+        from multiggm.io import write_matrix_csv
+
+        path = tmp_path / "indefinite.csv"
+        write_matrix_csv(np.array([[1.0, 2.0], [2.0, 1.0]]), str(path))
+        out = tmp_path / "out"
+        assert run(["diagnose", "--precision", f"{path},{path}"], out) == EXIT_DATA
+        assert "data error: precision 0 is not positive definite" in capsys.readouterr().err
+        assert not (out / "diagnostics.json").exists()
+        assert not (out / "report.json").exists()
+
+
+class TestOutDir:
+    """An ``--out-dir`` that is a file, lies under one, or is empty exits 1
+    before the command reads its input, and nothing is created."""
+
+    @pytest.fixture(params=["file", "under_file", "empty"])
+    def out_dir(self, request, tmp_path):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("keep\n")
+        return {"file": str(blocker), "under_file": str(blocker / "out"),
+                "empty": ""}[request.param]
+
+    def check(self, tmp_path, capsys, argv, out_dir):
+        before = sorted(tmp_path.rglob("*"))
+        assert main([*argv, "--out-dir", out_dir, "-q"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: --out-dir {out_dir}")
+        assert sorted(tmp_path.rglob("*")) == before
+        assert (tmp_path / "blocker").read_text() == "keep\n"
+
+    def test_estimate(self, tmp_path, pair_data, capsys, monkeypatch, out_dir):
+        from multiggm import cli
+
+        reads = []
+        monkeypatch.setattr(cli, "ingest_csv", lambda *a, **kw: reads.append(a))
+        self.check(tmp_path, capsys, ["estimate", "--data", pair_data], out_dir)
+        assert reads == []
+
+    def test_simulate(self, tmp_path, capsys, monkeypatch, out_dir):
+        from multiggm import experiments
+
+        calls = []
+        monkeypatch.setattr(experiments, "_solve", lambda *a: calls.append(a))
+        argv = ["simulate", "tpfp", "--p", "6", "--n", "50", "--B", "2"]
+        self.check(tmp_path, capsys, argv, out_dir)
+        assert calls == []
+
 
 class TestRequiredValues:
     def test_test_needs_edges_and_coeffs(self, tmp_path, pair_data):

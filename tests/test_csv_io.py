@@ -393,12 +393,17 @@ class TestQuotedNames:
         matrix = np.arange(6.0).reshape(3, 2) / 7
         write_data_csv(matrix, str(path), names)
         dataset = ingest_csv([str(path)])
-        assert list(dataset.variable_names) == names
+        assert multiggm.io._read_csv(str(path))[1] == names
         assert np.array_equal(dataset.data[0], matrix)
         header, rows = read_bytes(str(path)).split(b"\n", 1)
         assert rows == data_csv_oracle(matrix).encode()
         if names == ["a", "b"]:
             assert header == b"a,b"
+        # A second file whose first name differs only inside its quotes.
+        other = tmp_path / "u.csv"
+        write_data_csv(matrix, str(other), [names[0].upper(), *names[1:]])
+        with pytest.raises(DataFormatError, match="variable names differ"):
+            ingest_csv([str(path), str(other)])
 
 
 class TestUtf8WhateverTheLocale:

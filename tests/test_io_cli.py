@@ -17,7 +17,7 @@ from multiggm.cli import (
     EXIT_OK,
     main,
 )
-from multiggm.io import read_matrix_csv, write_csv_atomic, write_data_csv
+from multiggm.io import _read_csv, read_matrix_csv, write_csv_atomic, write_data_csv
 
 
 def write_lines(path, lines):
@@ -31,8 +31,8 @@ class TestIngest:
         write_lines(a, ["x,y,z", "1,2,3", "4,5,6", "7,8,9"])
         write_lines(b, ["x,y,z", "0,1,0", "1,0,1", "2,2,2"])
         data = ingest_csv([a, b])
-        assert data.K == 2 and data.p == 3
-        assert data.variable_names == ("x", "y", "z")
+        assert [x.shape for x in data.data] == [(3, 3), (3, 3)]
+        assert _read_csv(a)[1] == ["x", "y", "z"]
         assert data.data[0][1, 2] == 6.0
 
     def test_standardize_unit_variance(self, tmp_path):
@@ -378,7 +378,7 @@ class TestCli:
 
         def bowl(estimate, covs, gamma):
             value = sum((c - b) ** 2 for c, b in zip(last["constants"], best))
-            return selection.EbicScore(value, value, (0,) * covs.K, gamma)
+            return selection.EbicScore(value, (0,) * covs.K)
 
         monkeypatch.setattr(selection, "solve_ggl", recording)
         monkeypatch.setattr(selection, "ebic", bowl)
@@ -446,6 +446,24 @@ def chain_pair(tmp_path):
 
 
 class TestTestCommand:
+    def test_rows_across_table_blocks(self, tmp_path, chain_pair):
+        # cli._table converts 4,096 rows at a time; 400 copies of the 21
+        # pairs (8,400 rows) cross two block boundaries.  Each row must be,
+        # byte for byte, the row of its pair in the one-copy run.
+        pairs = [(i, j) for i in range(6) for j in range(i, 6)][::-1]
+        edges = ";".join(f"{i + 1},{j + 1}" for i, j in pairs)
+        lines = {}
+        for copies in (1, 400):
+            out = tmp_path / f"out{copies}"
+            assert main(["test", "--data", chain_pair, "--lam", "0.05", "--rho", "0.1",
+                         "--edges", ";".join([edges] * copies), "--coeffs", "2,0.5",
+                         "--out-dir", str(out), "-q"]) == EXIT_OK
+            lines[copies] = (out / "tests.csv").read_bytes().splitlines()
+        assert len(lines[400]) == 1 + 400 * len(pairs) > 1 + 2 * 4096
+        assert lines[400][0] == lines[1][0]
+        for m, line in enumerate(lines[400][1:]):
+            assert line == lines[1][1 + m % len(pairs)]
+
     def test_many_edges_match_a_per_edge_oracle(self, tmp_path, chain_pair):
         from oracles import scalar_combination
 
@@ -554,6 +572,24 @@ def test_benchmark_workloads_build(tmp_path):
         assert workload(1, True, str(tmp_path / name)).name == name
 
 
+def _surface_trees():
+    """``(path, tree, in_package)`` for ``src/multiggm/*.py`` without
+    ``__init__.py``, then ``bench/*.py`` and ``demos/*.py``: the code whose
+    uses count as callers."""
+    import ast
+    import glob
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    package = os.path.join(root, "src", "multiggm")
+    paths = [p for p in sorted(glob.glob(os.path.join(package, "*.py")))
+             if os.path.basename(p) != "__init__.py"]
+    paths += sorted(glob.glob(os.path.join(root, "bench", "*.py")))
+    paths += sorted(glob.glob(os.path.join(root, "demos", "*.py")))
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            yield path, ast.parse(fh.read()), path.startswith(package)
+
+
 def test_every_public_name_has_a_caller():
     # A public name that only tests call is surface nobody runs: each
     # exported name and each public top-level function or class must be
@@ -561,22 +597,13 @@ def test_every_public_name_has_a_caller():
     # by the benchmark or a demo.  A use is a name, an attribute or a
     # `from ... import`; a docstring mention is not.
     import ast
-    import glob
     import inspect
 
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    package = os.path.join(root, "src", "multiggm")
-    callers = [p for p in glob.glob(os.path.join(package, "*.py"))
-               if os.path.basename(p) != "__init__.py"]
-    callers += glob.glob(os.path.join(root, "bench", "*.py"))
-    callers += glob.glob(os.path.join(root, "demos", "*.py"))
     public, used = set(), set()
-    for path in callers:
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read())
+    for _, tree, in_package in _surface_trees():
         for stmt in tree.body:
             defines = getattr(stmt, "name", None)
-            if path.startswith(package) and isinstance(
+            if in_package and isinstance(
                 stmt, (ast.FunctionDef, ast.ClassDef)
             ) and not defines.startswith("_"):
                 public.add(defines)
@@ -594,6 +621,63 @@ def test_every_public_name_has_a_caller():
                   if not inspect.ismodule(getattr(multiggm, name)))
     unused = sorted(public - used)
     assert not unused, f"public names with no caller: {unused}"
+
+
+# Classes whose fields are read through vars(): to_jsonable() writes them
+# whole into report.json and diagnostics.json.
+_READ_BY_VARS = {"AnalysisReport", "DiagnosticsReport", "PopulationDiagnostics"}
+# Members that the standard library calls: argparse calls error().
+_CALLED_BY_LIBRARY = {"_Parser.error"}
+
+
+def test_every_member_is_read():
+    # A field, property or method that nothing reads is an echo or a value
+    # only tests look at.  Each member of each package class must be read
+    # as an attribute (`x.name`, not assigned) in the package, the
+    # benchmark or a demo.  The match is by name, so a member shares the
+    # reads of any other of that name.
+    import ast
+
+    members, read = set(), set()
+    for _, tree, in_package in _surface_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if in_package and isinstance(node, ast.ClassDef) and node.name not in _READ_BY_VARS:
+                for stmt in node.body:
+                    if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                        name = stmt.target.id
+                    elif isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__"):
+                        name = stmt.name
+                    else:
+                        continue
+                    members.add(f"{node.name}.{name}")
+    unread = sorted(m for m in members - _CALLED_BY_LIBRARY if m.split(".")[1] not in read)
+    assert not unread, f"members nothing reads: {unread}"
+
+
+def test_no_unused_imports_in_the_package():
+    # No linter is a dependency, so a deletion can leave an import behind.  Every
+    # name a module of the package (other than __init__.py, which
+    # re-exports) imports must be used in it as a name.
+    import ast
+
+    unused = []
+    for path, tree, in_package in _surface_trees():
+        if not in_package:
+            continue
+        imported = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                for alias in node.names:
+                    imported[alias.asname or alias.name] = node.lineno
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{os.path.basename(path)}:{line} {name}"
+                   for name, line in imported.items() if name not in used]
+    assert not unused, f"unused imports: {sorted(unused)}"
 
 
 def test_cli_runs_every_command_without_scipy(tmp_path):

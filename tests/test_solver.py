@@ -121,7 +121,8 @@ class TestSolveTrivial:
         report = solve_ggl(covs, PenaltyPair(0.1, 0.1), SolverOptions(max_iter=2))
         assert not report.converged
         assert report.iterations == 2
-        assert report.estimate.positive_definite
+        for m in report.estimate.matrices:
+            np.linalg.cholesky(m)
 
 
 class TestSolveAgainstOracle:
@@ -282,7 +283,7 @@ class TestSolverProperties:
         report = solve_ggl(covs, PenaltyPair(0.15, 0.1))
         for m in report.estimate.matrices:
             assert np.array_equal(m, m.T)
-        assert report.estimate.positive_definite
+            np.linalg.cholesky(m)
 
     def test_permutation_equivariance(self):
         rng = np.random.default_rng(55)
@@ -589,15 +590,15 @@ class TestAcceleration:
             mats.append(x.T @ x / n)
         covs, pen, opts = CovarianceSet(mats, [n] * K), PenaltyPair(0.0, 0.0), SolverOptions()
         report = solve_ggl(covs, pen, opts)
-        assert report.estimate.positive_definite
+        for m in report.estimate.matrices:
+            np.linalg.cholesky(m)
         assert all(np.all(np.isfinite(m)) for m in report.estimate.matrices)
         assert not report.converged
         assert report.iterations == 0
-        # The diagonal start, certified once, with no residual to report.
+        # The diagonal start, certified once.
         for m, cov in zip(report.estimate.matrices, mats):
             assert np.array_equal(m, np.diag(1.0 / np.diag(cov)))
         assert report.certificate_calls == 1 and report.acceleration_restarts == 0
-        assert report.dual_residual == np.inf
 
     @settings(max_examples=25, deadline=None)
     @given(instances, st.sampled_from([2, 10000]))
