@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy
 
 from . import __version__, _blas
-from ._lanes import map_in_lanes, usable_cpus
+from ._lanes import usable_cpus
 from .core import PrecisionSet, sample_covariance
 from .diagnostics import check_settings, diagnostics_report
 from .errors import (
@@ -44,12 +44,13 @@ from .experiments import RUNNERS, ExperimentConfig
 from .graphs import GraphSpec
 from .inference import confidence_interval, debias, test_linear_combo
 from .io import (
+    ColumnTable,
     ingest_csv,
     read_lanes,
     read_matrix_csv,
     write_csv_atomic,
+    write_files,
     write_json_atomic,
-    write_lanes,
     write_matrix_csv,
 )
 from .selection import (
@@ -305,11 +306,12 @@ def _phase(report: AnalysisReport, name: str):
         report.timings[name] = report.timings.get(name, 0.0) + time.perf_counter() - start
 
 
-def _emit(report: AnalysisReport, writer, jobs, lanes: int = 1) -> None:
-    """``writer(obj, path)`` for each ``(obj, path)`` job, in ``lanes`` lanes."""
+def _emit(report: AnalysisReport, writer, jobs) -> None:
+    """``writer(obj, path)`` for each ``(obj, path)`` job, through
+    :func:`multiggm.io.write_files`, which picks the lanes; the paths join
+    ``report.outputs`` in job order."""
     with _phase(report, "write_s"):
-        for _ in map_in_lanes(lambda job: writer(*job), jobs, lanes):
-            pass
+        lanes = write_files(writer, jobs)
     report.timings["write_lanes"] = max(lanes, report.timings.get("write_lanes", 1))
     report.outputs.extend(path for _, path in jobs)
 
@@ -364,13 +366,17 @@ def _estimate(args, report: AnalysisReport) -> int:
     with _phase(report, "inference_s"):
         if args.debias:
             matrices.append(("debiased", debias(solve.estimate, covs)))
-    # Population-minor, so that with two lanes each writes one population.
     jobs = [
         (m, f"{args.out_dir}/{name}_k{k + 1}.csv")
         for name, stack in matrices
         for k, m in enumerate(stack.matrices)
     ]
-    _emit(report, write_matrix_csv, jobs, write_lanes([m for m, _ in jobs]))
+    # Written population by population: then, at two lanes, the cut between
+    # runs of equal cells falls between populations, and each lane formats
+    # one mostly-zero estimate and one dense debiased matrix.  Listed name by
+    # name.
+    _emit(report, write_matrix_csv, [job for k in range(covs.K) for job in jobs[k :: covs.K]])
+    report.outputs = [path for _, path in jobs]
     report.payload = {
         "penalty": {"lam": penalty.lam, "rho": penalty.rho},
         "converged": solve.converged,
@@ -380,14 +386,6 @@ def _estimate(args, report: AnalysisReport) -> int:
         "sample_sizes": list(covs.sample_sizes),
     }
     return code
-
-
-def _table(header, columns, block: int = 4096):
-    """The header, then one row of plain Python numbers per pair, made as it
-    is written: ``block`` rows of the columns are converted at a time."""
-    yield header
-    for start in range(0, len(columns[0]), block):
-        yield from zip(*(c[start : start + block].tolist() for c in columns))
 
 
 def _test(args, report: AnalysisReport) -> int:
@@ -419,7 +417,7 @@ def _test(args, report: AnalysisReport) -> int:
             ci = confidence_interval(deb, solve.estimate, covs, k, rows, cols, args.ci_level)
             header += [f"lower_k{k + 1}", f"upper_k{k + 1}"]
             columns += [ci.lower, ci.upper]
-        table = _table(header, columns)
+        table = ColumnTable(header, columns)
     _emit(report, write_csv_atomic, [(table, f"{args.out_dir}/tests.csv")])
     report.payload = {
         "penalty": {"lam": penalty.lam, "rho": penalty.rho},

@@ -7,7 +7,8 @@ Conventions used throughout the package:
   its magnitude exceeds ``EDGE_TOL`` (:func:`edge_mask`), the one rule for
   estimates, true matrices, e-BIC counts and diagnostics;
 * a "set" bundles one matrix per population ``k = 0..K-1`` with a common
-  dimension ``p``;
+  dimension ``p``; error messages number populations from 1, as the
+  command line numbers its files;
 * random draws come from the counter-based Philox generator keyed directly by
   a 64-bit seed, so every stream is reproducible across runs and platforms.
   The stream for population ``k`` is ``seed ^ k``; nested derivations (e.g.
@@ -135,15 +136,15 @@ class MultiPopDataset:
         p = mats[0].shape[1] if mats[0].ndim == 2 else -1
         for k, x in enumerate(mats):
             if x.ndim != 2:
-                raise DimensionMismatchError(f"population {k} data is not a matrix")
+                raise DimensionMismatchError(f"population {k + 1} data is not a matrix")
             if x.shape[1] != p:
                 raise DimensionMismatchError(
-                    f"population {k} has {x.shape[1]} columns, expected {p}"
+                    f"population {k + 1} has {x.shape[1]} columns, expected {p}"
                 )
             if x.shape[0] < 2:
-                raise DataFormatError(f"population {k} has n={x.shape[0]} < 2 rows")
+                raise DataFormatError(f"population {k + 1} has n={x.shape[0]} < 2 rows")
             if not np.all(np.isfinite(x)):
-                raise DataFormatError(f"population {k} contains non-finite values")
+                raise DataFormatError(f"population {k + 1} contains non-finite values")
         object.__setattr__(self, "data", tuple(_as_readonly(x) for x in mats))
 
     @property
@@ -157,15 +158,16 @@ class _MatrixStack:
     def _store(self, matrices, name: str) -> None:
         """Check that ``matrices`` is a non-empty stack of exactly symmetric
         matrices of common dimension, and store read-only copies.  Errors
-        name matrix ``k`` as ``"{name} {k}"``."""
-        mats = tuple(check_symmetric(m, f"{name} {k}") for k, m in enumerate(matrices))
+        name matrix ``k`` as ``"{name} {k + 1}"``, numbered from 1 as the
+        command line numbers files."""
+        mats = tuple(check_symmetric(m, f"{name} {k + 1}") for k, m in enumerate(matrices))
         if not mats:
             raise DataFormatError(f"{name} set needs at least one population")
         p = mats[0].shape[0]
         for k, m in enumerate(mats):
             if m.shape[0] != p:
                 raise DimensionMismatchError(
-                    f"{name} {k} has dimension {m.shape[0]}, expected {p}"
+                    f"{name} {k + 1} has dimension {m.shape[0]}, expected {p}"
                 )
         object.__setattr__(self, "matrices", tuple(_as_readonly(m) for m in mats))
 
@@ -205,7 +207,7 @@ class CovarianceSet(_MatrixStack):
         for k, m in enumerate(self.matrices):
             if np.min(np.diag(m)) <= 0.0:
                 raise DataFormatError(
-                    f"covariance {k} has a non-positive diagonal entry"
+                    f"covariance {k + 1} has a non-positive diagonal entry"
                 )
 
 
@@ -226,7 +228,7 @@ class PrecisionSet(_MatrixStack):
         self._store(matrices, "precision")
         if positive_definite:
             for k, m in enumerate(self.matrices):
-                cholesky_pd(m, f"precision {k}")
+                cholesky_pd(m, f"precision {k + 1}")
 
 
 def sample_covariance(data: MultiPopDataset) -> CovarianceSet:

@@ -46,12 +46,18 @@ the locale's default.
 Lanes.  Both directions are CPython number conversion under the
 interpreter lock, so :func:`ingest_csv` parses its files in forked lanes
 (:mod:`multiggm._lanes`) once they hold at least ``_LANE_MIN_BYTES`` in
-all, and :func:`write_lanes` gives the lanes in which to write matrices of
-at least ``_LANE_MIN_CELLS`` cells in all.  Each file is parsed or written
-by the same code in whichever lane takes it, so the arrays and files are
-those of one lane.  The checks between files (names, widths, transforms)
-run in the caller in file order, so the error raised is the one the
-one-lane loop raises first.
+all, each file whole in one lane.  A write is planned as one sequence of
+rows over the files it writes, in order; from ``_LANE_MIN_CELLS`` cells in
+all, it is cut into one contiguous run of about equal cells per lane, so a
+cut falls between two files or inside one.  The rows are those of float
+matrices and :class:`ColumnTable` s; any other table, and JSON, is
+written whole by the caller.  Each lane formats its run with the same row
+templates, into one part file per file it touches (the caller's lane
+writes its whole files directly); the caller appends each file's parts in
+order and renames the result into place, so every file is the one-lane
+file, byte for byte.  The checks between read files (names, widths,
+transforms) run in the caller in file order, so the error raised is the
+one the one-lane loop raises first.
 """
 
 from __future__ import annotations
@@ -62,6 +68,8 @@ import itertools
 import json
 import math
 import os
+import shutil
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -73,15 +81,19 @@ from .errors import DataFormatError, DimensionMismatchError
 _SEPARATOR_CONTROLS = "\x1c\x1d\x1e\x1f"
 
 # Break-even sizes for lanes (see _lanes), below which one lane is used:
-# CSV bytes to parse and matrix cells to format.  A second lane costs 5-10 ms
-# (fork, the caller's copy-on-write faults, reaping).  Timed on 2 cores,
+# CSV bytes to parse and cells to format.  A second lane costs 5-10 ms
+# (fork, the caller's copy-on-write faults, reaping), and a file cut inside
+# one more copy of its later parts.  Timed on 2 cores (Python 3.11.7),
 # medians of 60 alternating calls, two lanes / one: parsing two files of
 # 0.40 / 0.61 / 0.81 / 1.01 / 1.21 MB in all took 1.59 / 1.47 / 0.96 / 0.75 /
-# 0.72 times as long; writing four matrices of 10,000 / 14,400 / 19,600 /
-# 25,600 / 32,400 cells in all, 1.05 / 0.89 / 0.90 / 0.80 / 0.73.  The
-# estimates of a solve are mostly zeros, which format faster.
+# 0.72 times as long.  Writing one dense matrix of 14,884 / 19,881 / 24,964 /
+# 29,929 / 40,000 cells, cut inside, took 1.04 / 1.07 / 0.87 / 0.80 / 0.84
+# times as long; four matrices (two dense, two 5% nonzero, as estimates of
+# a solve are mostly zeros, which format faster) of 14,884 / 20,164 /
+# 24,964 / 30,276 / 40,000 cells in all, cut between files, 1.10 / 1.27 /
+# 0.92 / 0.83 / 0.84.
 _LANE_MIN_BYTES = 1_000_000
-_LANE_MIN_CELLS = 20_000
+_LANE_MIN_CELLS = 25_000
 
 
 def _parse_csv_file(path: str):
@@ -228,11 +240,6 @@ def read_lanes(paths) -> int:
     return lane_count(len(paths), sum(map(_size, paths)), _LANE_MIN_BYTES)
 
 
-def write_lanes(matrices) -> int:
-    """The lanes in which to write ``matrices`` with :func:`write_matrix_csv`."""
-    return lane_count(len(matrices), sum(np.size(m) for m in matrices), _LANE_MIN_CELLS)
-
-
 def ingest_csv(
     paths,
     center: bool = False,
@@ -298,13 +305,43 @@ def _row_lines(rows):
         yield template % tuple(row)
 
 
+class ColumnTable:
+    """A header row over equal-length columns, written as CSV rows.
+
+    Rows are made as they are written: ``BLOCK`` rows of the columns are
+    converted to Python numbers at a time.
+    """
+
+    BLOCK = 4096
+
+    def __init__(self, header, columns):
+        self.header = list(header)
+        self.columns = list(columns)
+
+    def __len__(self) -> int:
+        """The rows below the header."""
+        return len(self.columns[0])
+
+    def __iter__(self):
+        return self.rows(0, len(self))
+
+    def rows(self, start: int, stop: int):
+        """The header when ``start`` is 0, then rows ``start:stop`` below it."""
+        if start == 0:
+            yield self.header
+        for first in range(start, stop, self.BLOCK):
+            last = min(first + self.BLOCK, stop)
+            yield from zip(*(c[first:last].tolist() for c in self.columns))
+
+
 def write_csv_atomic(rows, path: str) -> None:
     """Write rows to CSV with 17-significant-digit floats, atomically.
 
     ``rows`` may be any iterable, a generator included; each row is
-    formatted and written before the next is taken.
+    formatted and written before the next is taken.  A large
+    :class:`ColumnTable` is written in lanes (see :func:`write_files`).
     """
-    _atomic_write(path, _row_lines(rows))
+    _write([_job_file(rows, path)], lambda _: _atomic_write(path, _row_lines(rows)))
 
 
 def write_json_atomic(obj, path: str) -> None:
@@ -324,26 +361,46 @@ def _finite_or_null(obj):
     return obj
 
 
-def _atomic_write(path: str, chunks) -> None:
-    """Write the text ``chunks`` one by one to a temp file, then rename it to ``path``.
+def _new_temp(path: str) -> str:
+    """Create an empty file with a random name next to ``path``; its name.
 
-    A file that would be empty gets one newline.  The temp file has a
-    random name next to ``path``, and ``O_EXCL`` makes sure it is new.
+    ``O_EXCL`` makes sure it is new, and its mode is 0666 less the umask.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     tmp = os.path.join(directory, f"tmp{os.urandom(8).hex()}.tmp")
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    os.close(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+    return tmp
+
+
+def _fill(tmp: str, chunks) -> None:
+    """Write the text ``chunks`` one by one over the file ``tmp``, which exists."""
+    with os.fdopen(os.open(tmp, os.O_WRONLY | os.O_TRUNC), "w",
+                   encoding="utf-8", newline="") as fh:
+        fh.writelines(chunks)
+        if not fh.tell():
+            fh.write("\n")
+
+
+def _atomic_write(path: str, chunks) -> None:
+    """Write the text ``chunks`` one by one to a temp file, then rename it to ``path``.
+
+    A file that would be empty gets one newline.
+    """
+    tmp = _new_temp(path)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8", newline="") as fh:
-            fh.writelines(chunks)
-            if not fh.tell():
-                fh.write("\n")
+        _fill(tmp, chunks)
         os.replace(tmp, path)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        _remove(tmp)
         raise
+
+
+def _remove(path: str) -> None:
+    try:
+        os.unlink(path)
+    except FileNotFoundError:
+        pass
 
 
 def _matrix_lines(matrix):
@@ -353,8 +410,134 @@ def _matrix_lines(matrix):
     return (template % tuple(row.tolist()) for row in matrix)
 
 
+class _File(NamedTuple):
+    """One CSV to write as rows that lanes may cut; ``lines(start, stop)``
+    gives the text of rows ``start:stop``, with the header above row 0."""
+
+    path: str
+    rows: int
+    width: int
+    lines: Callable
+
+
+def _matrix_file(matrix, path: str, header=None) -> _File:
+    matrix = np.asarray(matrix, dtype=float)
+
+    def lines(start, stop):
+        head = [header] if header is not None and start == 0 else []
+        return itertools.chain(head, _matrix_lines(matrix[start:stop]))
+
+    rows, width = matrix.shape if matrix.ndim == 2 else (0, 0)
+    return _File(path, rows, width, lines)
+
+
+def _job_file(obj, path: str) -> _File:
+    """The rows of a float matrix or a :class:`ColumnTable`; anything else
+    has none, and is written whole.  A float cell prints the same through
+    either writer's template, so a matrix's rows may go through
+    :func:`_matrix_lines` whichever writer the job names."""
+    if isinstance(obj, ColumnTable):
+        return _File(path, len(obj), len(obj.header),
+                     lambda start, stop: _row_lines(obj.rows(start, stop)))
+    if isinstance(obj, np.ndarray) and obj.ndim == 2 and obj.dtype.kind == "f":
+        return _matrix_file(obj, path)
+    return _File(path, 0, 0, None)
+
+
+def _runs(files, lanes: int) -> list:
+    """Each lane's run of ``(file, start, stop)`` row pieces, in file order.
+
+    The files' rows, one sequence in file order, are cut at the rows
+    nearest to each ``1/lanes`` of their cells, so that equal files fall
+    whole to the lanes when they divide evenly.  Files without cells
+    go whole to the first lane.  Lanes that get no rows are dropped.
+    """
+    total = sum(f.rows * f.width for f in files)
+    runs = [[] for _ in range(lanes)]
+    before = 0
+    for i, f in enumerate(files):
+        if not f.rows * f.width:
+            runs[0].append((i, 0, f.rows))
+            continue
+        # Where each cut falls in this file's rows, rounded half up, inside [0, rows].
+        den = 2 * lanes * f.width
+        cuts = [min(max((2 * (lane * total - lanes * before) + lanes * f.width) // den, 0),
+                    f.rows) for lane in range(lanes + 1)]
+        for lane in range(lanes):
+            if cuts[lane] < cuts[lane + 1]:
+                runs[lane].append((i, cuts[lane], cuts[lane + 1]))
+        before += f.rows * f.width
+    return [run for run in runs if run] or [[]]
+
+
+def _write(files, whole=None) -> int:
+    """Write ``files`` in lanes; the number of lanes.
+
+    Each lane writes its run's pieces, each into a part file of its own,
+    except that the caller's lane writes its whole files with
+    ``whole(i)`` (by default a plain :func:`_atomic_write`).  The caller
+    creates every part before any lane starts, then appends each file's
+    parts in order and renames the result into place.  After an error no
+    part is put in place, and none is left behind.
+    """
+    if whole is None:
+        def whole(i):
+            _atomic_write(files[i].path, files[i].lines(0, files[i].rows))
+    lanes = lane_count(sum(f.rows for f in files if f.width),
+                       sum(f.rows * f.width for f in files), _LANE_MIN_CELLS)
+    runs = _runs(files, lanes)
+    parts = {}
+    try:
+        for lane, run in enumerate(runs):
+            for i, start, stop in run:
+                if lane or (start, stop) != (0, files[i].rows):
+                    parts[lane, i] = _new_temp(files[i].path)
+
+        def write_run(lane):
+            for i, start, stop in runs[lane]:
+                if (lane, i) in parts:
+                    _fill(parts[lane, i], files[i].lines(start, stop))
+                else:
+                    whole(i)
+
+        for _ in map_in_lanes(write_run, range(len(runs)), len(runs)):
+            pass
+        for i, f in enumerate(files):
+            pieces = [parts[lane, i] for lane in range(len(runs)) if (lane, i) in parts]
+            if pieces:
+                _join(pieces, f.path)
+    finally:
+        for part in parts.values():
+            _remove(part)
+    return len(runs)
+
+
+def _join(parts, path: str) -> None:
+    """Append ``parts[1:]`` to ``parts[0]`` and rename it to ``path``."""
+    with open(parts[0], "ab") as out:
+        for part in parts[1:]:
+            with open(part, "rb") as fh:
+                shutil.copyfileobj(fh, out)
+    os.replace(parts[0], path)
+
+
+def write_files(writer, jobs) -> int:
+    """Write each ``(obj, path)`` job as ``writer(obj, path)`` does; the number of lanes.
+
+    The rows of the float matrices and :class:`ColumnTable` s among the
+    objects are one sequence in job order.  From ``_LANE_MIN_CELLS`` cells
+    in all it is cut into contiguous runs of about equal cells, one per
+    lane; a run may end inside a file or between two.  ``writer`` writes
+    the caller's whole files and every object without rows; the rest are
+    written from their rows, as the matching writer of this module
+    writes them.
+    """
+    jobs = list(jobs)
+    return _write([_job_file(obj, path) for obj, path in jobs], lambda i: writer(*jobs[i]))
+
+
 def write_matrix_csv(matrix: np.ndarray, path: str) -> None:
-    _atomic_write(path, _matrix_lines(matrix))
+    _write([_matrix_file(matrix, path)])
 
 
 def read_matrix_csv(path: str) -> np.ndarray:
@@ -366,10 +549,10 @@ def read_matrix_csv(path: str) -> np.ndarray:
 
 def write_data_csv(matrix: np.ndarray, path: str, names=None) -> None:
     """A data matrix, with ``names`` as a header row quoted the ``csv`` way."""
-    lines = _matrix_lines(matrix)
+    header = None
     if names is not None:
-        header = io.StringIO()
+        text = io.StringIO()
         cells = (_cell_format(type(name)) % (name,) for name in names)
-        csv.writer(header, lineterminator="\n").writerow(cells)
-        lines = itertools.chain([header.getvalue()], lines)
-    _atomic_write(path, lines)
+        csv.writer(text, lineterminator="\n").writerow(cells)
+        header = text.getvalue()
+    _write([_matrix_file(matrix, path, header)])

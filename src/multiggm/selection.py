@@ -109,7 +109,7 @@ def ebic(estimate: PrecisionSet, covs: CovarianceSet, gamma: float = 0.5) -> Ebi
     for k, (w, s) in enumerate(zip(estimate.matrices, covs.matrices)):
         sign, logdet = np.linalg.slogdet(w)
         if sign <= 0:
-            raise NotPositiveDefiniteError(f"estimate {k} has nonpositive determinant")
+            raise NotPositiveDefiniteError(f"estimate {k + 1} has nonpositive determinant")
         loglik += -2.0 * covs.sample_sizes[k] * (logdet - float(np.sum(s * w)))
         counts.append(edge_count(w))
     total_edges = sum(counts)

@@ -257,7 +257,7 @@ class TestDiagnoseSettings:
         write_matrix_csv(np.array([[1.0, 2.0], [2.0, 1.0]]), str(path))
         out = tmp_path / "out"
         assert run(["diagnose", "--precision", f"{path},{path}"], out) == EXIT_DATA
-        assert "data error: precision 0 is not positive definite" in capsys.readouterr().err
+        assert "data error: precision 1 is not positive definite" in capsys.readouterr().err
         assert not (out / "diagnostics.json").exists()
         assert not (out / "report.json").exists()
 

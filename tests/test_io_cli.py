@@ -447,7 +447,7 @@ def chain_pair(tmp_path):
 
 class TestTestCommand:
     def test_rows_across_table_blocks(self, tmp_path, chain_pair):
-        # cli._table converts 4,096 rows at a time; 400 copies of the 21
+        # io.ColumnTable converts 4,096 rows at a time; 400 copies of the 21
         # pairs (8,400 rows) cross two block boundaries.  Each row must be,
         # byte for byte, the row of its pair in the one-copy run.
         pairs = [(i, j) for i in range(6) for j in range(i, 6)][::-1]

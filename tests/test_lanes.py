@@ -2,19 +2,28 @@
 
 import errno
 import json
+import math
 import os
 import threading
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from multiggm import _lanes, experiments, io, two_population_chain_spec
 from multiggm._lanes import lane_count, map_in_lanes, usable_cpus
 from multiggm.cli import EXIT_DATA, EXIT_OK, main
 from multiggm.core import draw_mvn_dataset
 from multiggm.errors import DataFormatError
-from multiggm.io import write_data_csv, write_matrix_csv
+from multiggm.io import (
+    ColumnTable,
+    write_csv_atomic,
+    write_data_csv,
+    write_files,
+    write_matrix_csv,
+)
 
 # At most two lanes, so a case starts at most one child, and never more
 # processes than the CPUs this one may run on.
@@ -140,6 +149,151 @@ class TestLaneCount:
         assert no_child_left()
 
 
+FLOATS = st.one_of(st.sampled_from([0.0, -0.0, math.nan, math.inf, 5e-324]), st.floats())
+# Names that csv quotes: commas, quotes, spaces.
+NAMES = st.text(alphabet='ab ,"x1', min_size=1, max_size=4)
+MATRICES = arrays(np.float64, st.tuples(st.integers(0, 6), st.integers(1, 4)), elements=FLOATS)
+
+
+@st.composite
+def tables(draw):
+    """A :class:`ColumnTable` of int64 and float columns, as ``tests.csv`` mixes them."""
+    n = draw(st.integers(0, 6))
+    ints = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    columns = [
+        np.array(draw(st.lists(st.integers(-2**63, 2**63 - 1), min_size=n, max_size=n)),
+                 dtype=np.int64)
+        if is_int else np.array(draw(st.lists(FLOATS, min_size=n, max_size=n)), dtype=float)
+        for is_int in ints
+    ]
+    return ColumnTable(draw(st.lists(NAMES, min_size=len(ints), max_size=len(ints))), columns)
+
+
+def write_any(obj, path):
+    (write_csv_atomic if isinstance(obj, ColumnTable) else write_matrix_csv)(obj, path)
+
+
+def files_written(write, directory, lanes=None):
+    """The files ``write(directory)`` leaves, by name: with the rows cut at
+    ``lanes`` CPUs and no size gate, or at one lane when ``lanes`` is None."""
+    directory.mkdir()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(io, "_LANE_MIN_CELLS", float("inf") if lanes is None else 0)
+        patch.setattr(_lanes, "usable_cpus", lambda: lanes or 1)
+        write(str(directory))
+    return {path.name: path.read_bytes() for path in directory.iterdir()}
+
+
+class TestCutWriter:
+    """Rows cut into lanes, between files or inside one, give the one-lane
+    files, byte for byte, and leave no part file and no child.  At most
+    three lanes, so a case forks at most two children."""
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(objs=st.lists(st.one_of(MATRICES, tables()), min_size=1, max_size=4))
+    def test_matrices_and_tables(self, tmp_path_factory, lanes, objs):
+        def write(d):
+            write_files(write_any, [(obj, f"{d}/f{i}.csv") for i, obj in enumerate(objs)])
+
+        root = tmp_path_factory.mktemp("cut")
+        assert files_written(write, root / "cut", lanes) == files_written(write, root / "one")
+        assert no_child_left()
+
+    @pytest.mark.parametrize("lanes", [1, 2, 3])
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), matrix=MATRICES, named=st.booleans())
+    def test_data_file(self, tmp_path_factory, lanes, data, matrix, named):
+        names = None
+        if named:
+            names = data.draw(st.lists(NAMES, min_size=matrix.shape[1], max_size=matrix.shape[1]))
+
+        def write(d):
+            write_data_csv(matrix, f"{d}/data.csv", names)
+
+        root = tmp_path_factory.mktemp("data")
+        assert files_written(write, root / "cut", lanes) == files_written(write, root / "one")
+        assert no_child_left()
+
+    @pytest.mark.parametrize("shapes, lanes, runs, caller", [
+        # Four equal files at two lanes: the cut falls between files 2 and 3,
+        # and the caller writes files 1 and 2 whole through the writer.
+        ([(4, 3)] * 4, 2, [[(0, 0, 4), (1, 0, 4)], [(2, 0, 4), (3, 0, 4)]], ["f0", "f1"]),
+        # One file: cut inside, at the row nearest half its cells.
+        ([(5, 3)], 2, [[(0, 0, 3)], [(0, 3, 5)]], []),
+        ([(4, 3)] * 3, 2, [[(0, 0, 4), (1, 0, 2)], [(1, 2, 4), (2, 0, 4)]], ["f0"]),
+        # Files without cells go whole to the caller.
+        ([(6, 2), (2, 6), (0, 5), (3, 0)], 3,
+         [[(0, 0, 4), (2, 0, 0), (3, 0, 3)], [(0, 4, 6), (1, 0, 1)], [(1, 1, 2)]],
+         ["f2", "f3"]),
+        # Fewer rows than lanes: lanes without rows are dropped.
+        ([(1, 3)], 3, [[(0, 0, 1)]], ["f0"]),
+        ([(2, 3)], 3, [[(0, 0, 1)], [(0, 1, 2)]], []),
+    ])
+    def test_cuts_between_and_inside_files(self, tmp_path, shapes, lanes, runs, caller):
+        rng = np.random.default_rng(2)
+        objs = [rng.standard_normal(shape) for shape in shapes]
+        files = [io._job_file(obj, f"f{i}") for i, obj in enumerate(objs)]
+        assert io._runs(files, lanes) == runs
+        written, used = [], []
+
+        def write(d):
+            def recorded(obj, path):
+                written.append(os.path.basename(path)[:-4])
+                write_matrix_csv(obj, path)
+
+            used.append(write_files(recorded, [(o, f"{d}/f{i}.csv") for i, o in enumerate(objs)]))
+
+        one = files_written(write, tmp_path / "one")
+        written.clear()
+        assert files_written(write, tmp_path / "cut", lanes) == one
+        assert written == caller and used == [1, len(runs)]
+        assert no_child_left()
+
+
+class Unprintable:
+    def __str__(self):
+        raise ValueError("unprintable cell")
+
+
+class TestCutWriterFailures:
+    """A failing or vanishing lane: the one-lane outcome, nothing left behind."""
+
+    @pytest.mark.parametrize("bad_row", [0, 5], ids=["in-caller", "in-child"])
+    @pytest.mark.parametrize("lanes", [1, 2])
+    def test_lane_whose_writer_raises(self, tmp_path, monkeypatch, lanes, bad_row):
+        cells = np.array([0.5] * 6, dtype=object)
+        cells[bad_row] = Unprintable()
+        table = ColumnTable(["i", "x"], [np.arange(6), cells])
+        monkeypatch.setattr(io, "_LANE_MIN_CELLS", 0 if lanes > 1 else float("inf"))
+        monkeypatch.setattr(_lanes, "usable_cpus", lambda: lanes)
+        with pytest.raises(ValueError, match="unprintable cell"):
+            write_files(write_csv_atomic, [(table, str(tmp_path / "t.csv"))])
+        assert os.listdir(tmp_path) == []
+        assert no_child_left()
+
+    @pytest.mark.parametrize("files", [1, 2], ids=["cut-inside", "cut-between"])
+    def test_child_that_exits_mid_run_is_redone(self, tmp_path, monkeypatch, files):
+        caller = os.getpid()
+        lines = io._matrix_lines
+
+        def exits_in_child(matrix):
+            for k, line in enumerate(lines(matrix)):
+                if k == 2 and os.getpid() != caller:
+                    os._exit(0)
+                yield line
+
+        objs = [np.random.default_rng(k).standard_normal((8, 3)) for k in range(files)]
+
+        def write(d):
+            write_files(write_matrix_csv, [(o, f"{d}/f{i}.csv") for i, o in enumerate(objs)])
+
+        one = files_written(write, tmp_path / "one")
+        monkeypatch.setattr(io, "_matrix_lines", exits_in_child)
+        assert files_written(write, tmp_path / "cut", 2) == one
+        assert no_child_left()
+
+
 @pytest.fixture(params=[1, 2])
 def lanes(request, monkeypatch):
     """Lanes the I/O of a command may use: gates at 0, or above any file."""
@@ -180,21 +334,30 @@ class TestCommands:
         assert main([*commands(data, tmp_path)[name], "--out-dir", str(out), "-q"]) == EXIT_OK
         assert no_child_left()
         timings = json.loads((out / "report.json").read_text())["timings"]
-        assert timings["write_lanes"] == (lanes if name == "estimate" else 1)
+        assert timings["write_lanes"] == (lanes if name in ("estimate", "test") else 1)
         reads = name in ("estimate", "test", "tune")
         assert timings.get("read_lanes") == (lanes if reads else None)
 
     def test_csvs_identical_at_one_and_two_lanes(self, tmp_path, data, monkeypatch):
+        # The 4,200-row tests.csv crosses ColumnTable's 4,096-row blocks.
+        pairs = ";".join(f"{i},{j}" for i in range(1, 7) for j in range(i, 7))
+        argv = commands(data, tmp_path)
+        argv["many"] = [*argv["test"][:4], ";".join([pairs] * 200), *argv["test"][5:]]
+        x = np.random.default_rng(5).standard_normal((300, 7))
         outputs = {}
         for gate in (float("inf"), 0):
             monkeypatch.setattr(io, "_LANE_MIN_BYTES", gate)
             monkeypatch.setattr(io, "_LANE_MIN_CELLS", gate)
-            for name in ("estimate", "test"):
+            for name in ("estimate", "test", "many"):
                 out = tmp_path / f"{name}-{gate}"
-                assert main([*commands(data, tmp_path)[name], "--out-dir", str(out), "-q"]) == 0
+                assert main([*argv[name], "--out-dir", str(out), "-q"]) == 0
                 for path in sorted(out.glob("*.csv")):
                     outputs.setdefault(f"{name}/{path.name}", []).append(path.read_bytes())
-        assert len(outputs) == 5
+            path = tmp_path / f"data-{gate}.csv"
+            write_data_csv(x, str(path), ["a", "b,c", 'd"e', "f", "g", "h", "i"])
+            outputs.setdefault("data.csv", []).append(path.read_bytes())
+        assert outputs["many/tests.csv"][0].count(b"\n") == 1 + 200 * 21
+        assert len(outputs) == 7
         assert all(one == two for one, two in outputs.values())
 
 
