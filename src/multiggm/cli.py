@@ -56,7 +56,7 @@ from .io import (
 from .selection import (
     DEFAULT_GRID_VALUES,
     TuningGrid,
-    penalty_scale,
+    rate_penalty,
     score_table_rows,
     tune_penalties,
 )
@@ -223,7 +223,7 @@ def _file_defaults(sub: argparse.ArgumentParser, path: str) -> dict:
     conversion as flag values.
     """
     try:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             values = json.load(fh)
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}")
@@ -280,11 +280,11 @@ def _penalty_flags(values, flags: str) -> PenaltyPair:
     """``PenaltyPair(*values)``, with a bad value reported as the flags' error."""
     try:
         return PenaltyPair(*values)
-    except DataFormatError as exc:
+    except ConfigError as exc:
         raise ConfigError(f"{flags}: {exc}") from None
 
 
-def _resolve_penalty(args, p: int, n: int) -> PenaltyPair:
+def _resolve_penalty(args, p: int, sample_sizes) -> PenaltyPair:
     absolute, scaled = (args.lam, args.rho), (args.c1, args.c2)
     given = [pair for pair in (absolute, scaled) if pair != (None, None)]
     if len(given) != 1 or None in given[0]:
@@ -292,8 +292,7 @@ def _resolve_penalty(args, p: int, n: int) -> PenaltyPair:
     if given[0] is absolute:
         return _penalty_flags(absolute, "--lam/--rho")
     constants = _penalty_flags(scaled, "--c1/--c2")
-    scale = penalty_scale(p, n)
-    return PenaltyPair(constants.lam * scale, constants.rho * scale)
+    return rate_penalty(constants.lam, constants.rho, p, sample_sizes)
 
 
 @contextmanager
@@ -335,7 +334,7 @@ def _fit(args, report: AnalysisReport, covs):
     The callers read the data first, so a malformed file is reported as a
     data error whatever the flags.
     """
-    penalty = _resolve_penalty(args, covs.p, min(covs.sample_sizes))
+    penalty = _resolve_penalty(args, covs.p, covs.sample_sizes)
     with _phase(report, "solve_s"):
         solve = solve_ggl(covs, penalty)
     if not solve.converged:
@@ -430,14 +429,11 @@ def _test(args, report: AnalysisReport) -> int:
 
 
 def _tune(args, report: AnalysisReport) -> int:
-    try:
-        grid = TuningGrid(
-            c1_values=tuple(_float_list(args.c1_grid)),
-            c2_values=tuple(_float_list(args.c2_grid)),
-            gamma=args.gamma,
-        )
-    except DataFormatError as exc:  # TuningGrid's error for library callers
-        raise ConfigError(str(exc)) from None
+    grid = TuningGrid(
+        c1_values=tuple(_float_list(args.c1_grid)),
+        c2_values=tuple(_float_list(args.c2_grid)),
+        gamma=args.gamma,
+    )
     covs = _covariances(args, report)
     with _phase(report, "tune_s"):
         result = tune_penalties(covs, grid)
@@ -467,38 +463,31 @@ def _tune(args, report: AnalysisReport) -> int:
 
 
 def _simulate(args, report: AnalysisReport) -> int:
-    try:
-        if args.graph == "star":
-            graph = GraphSpec(
-                kind="star",
-                star_d=args.star_d,
-                star_diag=tuple(_float_list(args.star_diag)),
-                star_offdiag=tuple(_float_list(args.star_offdiag)),
-                hub_seed=args.hub_seed,
-            )
-        else:
-            graph = GraphSpec(kind="chain", chain_rho=tuple(_float_list(args.chain_rho)))
-        exp_config = ExperimentConfig(
-            graph=graph,
-            dims=tuple(_int_list(args.p)),
-            sample_sizes=tuple(_int_list(args.n)),
-            replications=args.B,
-            base_seed=args.seed,
-            penalty_rule=args.penalty_rule,
-            fixed_constants=(args.c1, args.c2),
-            ci_level=args.ci_level,
-            edges_of_interest=(
-                tuple(_edge_list(args.edges)) if args.experiment == "normality" else ()
-            ),
-            retune_per_replication=args.retune_per_replication,
-            threads=args.threads,
+    if args.graph == "star":
+        graph = GraphSpec(
+            kind="star",
+            star_d=args.star_d,
+            star_diag=tuple(_float_list(args.star_diag)),
+            star_offdiag=tuple(_float_list(args.star_offdiag)),
+            hub_seed=args.hub_seed,
         )
-        for p in exp_config.dims:
-            graph.build(p)
-    except (DataFormatError, NotPositiveDefiniteError) as exc:
-        # GraphSpec's and the graphs' errors for library callers; here the
-        # flags alone decide them, before any replication runs.
-        raise ConfigError(str(exc)) from None
+    else:
+        graph = GraphSpec(kind="chain", chain_rho=tuple(_float_list(args.chain_rho)))
+    exp_config = ExperimentConfig(
+        graph=graph,
+        dims=tuple(_int_list(args.p)),
+        sample_sizes=tuple(_int_list(args.n)),
+        replications=args.B,
+        base_seed=args.seed,
+        penalty_rule=args.penalty_rule,
+        fixed_constants=(args.c1, args.c2),
+        ci_level=args.ci_level,
+        edges_of_interest=(
+            tuple(_edge_list(args.edges)) if args.experiment == "normality" else ()
+        ),
+        retune_per_replication=args.retune_per_replication,
+        threads=args.threads,
+    )
     result = RUNNERS[args.experiment](exp_config)
     out = f"{args.out_dir}/{args.experiment}"
     _emit(report, write_csv_atomic, [(result.csv_rows(), f"{out}.csv")])
@@ -525,10 +514,7 @@ def _diagnose(args, report: AnalysisReport) -> int:
         if min(sizes) < 1:
             raise ConfigError(f"--sample-sizes must be positive, got {min(sizes)}")
     penalty = _penalty_flags((args.lam, args.rho), "--lam/--rho")
-    try:
-        check_settings(penalty, args.psi, sizes, args.gamma, args.k1, args.eigen_bound)
-    except DataFormatError as exc:
-        raise ConfigError(str(exc)) from None
+    check_settings(penalty, args.psi, sizes, args.gamma, args.k1, args.eigen_bound)
     precisions = PrecisionSet([(m + m.T) / 2 for m in mats], positive_definite=True)
     diag = diagnostics_report(
         precisions,

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DataFormatError,
     DimensionMismatchError,
     NotPositiveDefiniteError,
@@ -257,7 +258,7 @@ def draw_mvn(precision: np.ndarray, n: int, seed: int) -> np.ndarray:
     """
     precision = check_symmetric(precision, "precision")
     if n < 1:
-        raise DataFormatError("need at least one draw")
+        raise ConfigError("need at least one draw")
     lower = cholesky_pd(precision, "precision")
     z = make_rng(seed).standard_normal((int(n), precision.shape[0]))
     x = np.linalg.solve(lower.T, z.T).T
@@ -270,9 +271,7 @@ def draw_mvn_dataset(
     """Draw one dataset per population, population ``k`` on stream ``seed ^ k``."""
     sizes = tuple(int(n) for n in sample_sizes)
     if len(sizes) != precisions.K:
-        raise DimensionMismatchError(
-            f"{len(sizes)} sample sizes for {precisions.K} populations"
-        )
+        raise ConfigError(f"{len(sizes)} sample sizes for {precisions.K} populations")
     return MultiPopDataset(
         [
             draw_mvn(m, n, population_seed(seed, k))

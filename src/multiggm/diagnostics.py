@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PrecisionSet, check_symmetric, edge_mask, invert_pd
-from .errors import DataFormatError, DimensionMismatchError
+from .errors import ConfigError, DataFormatError, DimensionMismatchError
 from .solver import PenaltyPair
 
 RESTRICTED_HESSIAN_GUARD = 20000
@@ -147,7 +147,7 @@ def check_settings(
     penalty: PenaltyPair, psi: float, sample_sizes=None, gamma: float = 2.5,
     k1: float = 1.0, eigen_bound_l: float | None = None,
 ) -> None:
-    """Raise :class:`DataFormatError` for settings the diagnostics cannot use.
+    """Raise :class:`ConfigError` for settings the diagnostics cannot use.
 
     The between-group bound needs ``psi`` strictly in (0, 1) and
     ``lam + rho > 0``; the rate constants need a finite ``k1``; an eigenvalue
@@ -157,13 +157,13 @@ def check_settings(
     factorization.
     """
     if not 0.0 < psi < 1.0:
-        raise DataFormatError("psi must lie strictly in (0, 1)")
+        raise ConfigError("psi must lie strictly in (0, 1)")
     if penalty.lam + penalty.rho <= 0:
-        raise DataFormatError("penalty parameters cannot both be zero here")
+        raise ConfigError("penalty parameters cannot both be zero here")
     if not math.isfinite(k1):
-        raise DataFormatError("k1 must be finite")
+        raise ConfigError("k1 must be finite")
     if eigen_bound_l is not None and not 0.0 < eigen_bound_l < math.inf:
-        raise DataFormatError("eigen bound must be finite and positive")
+        raise ConfigError("eigen bound must be finite and positive")
     for n_k in () if sample_sizes is None else sample_sizes:
         _check_rate_settings(int(n_k), gamma)
 
@@ -188,7 +188,7 @@ def check_between_group(
     """
     check_settings(penalty, psi)
     if not 0.0 < alpha <= 1.0:
-        raise DataFormatError("alpha must lie in (0, 1]")
+        raise ConfigError("alpha must lie in (0, 1]")
     return _between_group([_population(m) for m in precisions.matrices], penalty, psi, alpha)
 
 
@@ -229,9 +229,9 @@ def rate_delta(n_k: int, p: int, gamma: float, k1: float, max_diag: float) -> fl
 
 def _check_rate_settings(n_k: int, gamma: float) -> None:
     if not 2 < gamma < math.inf:
-        raise DataFormatError("gamma must exceed 2 and be finite")
+        raise ConfigError("gamma must exceed 2 and be finite")
     if n_k < 1:
-        raise DataFormatError("sample sizes must be positive")
+        raise ConfigError("sample sizes must be positive")
 
 
 def advisory_min_samples(
@@ -294,15 +294,14 @@ def diagnostics_report(
     """Full diagnostic sweep over a set of true precision matrices.
 
     Settings are checked first (:func:`check_settings`), and one sample size
-    is needed per population.  Supports that differ across populations
-    leave the between-group condition undefined: ``between_group_lhs`` is
-    NaN and the condition is reported as failing.
+    is needed per population; either failing raises :class:`ConfigError`.
+    Supports that differ across populations leave the between-group
+    condition undefined: ``between_group_lhs`` is NaN and the condition is
+    reported as failing.
     """
     check_settings(penalty, psi, sample_sizes, gamma, k1, eigen_bound_l)
     if sample_sizes is not None and len(sample_sizes) != precisions.K:
-        raise DimensionMismatchError(
-            f"{len(sample_sizes)} sample sizes for {precisions.K} populations"
-        )
+        raise ConfigError(f"{len(sample_sizes)} sample sizes for {precisions.K} populations")
     factors = [_population(m) for m in precisions.matrices]
     pops = []
     alpha = None

@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto process exit codes, so keep the split between
-configuration, data, and numerical failures intact.
+configuration, data, and numerical failures intact.  Who chose the value
+a check rejects decides its class.
 """
 
 
@@ -10,11 +11,11 @@ class MultiGGMError(Exception):
 
 
 class ConfigError(MultiGGMError):
-    """Invalid or inconsistent user configuration (CLI exit code 1)."""
+    """An argument, flag or config field the caller chose is invalid (CLI exit code 1)."""
 
 
 class DataFormatError(MultiGGMError):
-    """Malformed or inconsistent input data (CLI exit code 2)."""
+    """Malformed input data, or a supplied matrix a computation cannot use (CLI exit code 2)."""
 
 
 class DimensionMismatchError(DataFormatError):

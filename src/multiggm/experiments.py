@@ -42,8 +42,8 @@ from .core import (
 from .errors import ConfigError, DataFormatError
 from .graphs import GraphSpec
 from .inference import combine, debias, upper_quantile
-from .selection import TuningGrid, penalty_scale, tune_penalties
-from .solver import PenaltyPair, solve_ggl
+from .selection import TuningGrid, rate_penalty, tune_penalties
+from .solver import solve_ggl
 
 # Indirection point so tests can inject oracle estimates in place of solves.
 _solve = solve_ggl
@@ -178,9 +178,7 @@ def _run_cell(config: ExperimentConfig, truth: PrecisionSet, p: int, n: int, wor
     """
     seeds = [derive_seed(config.base_seed, p, n, b) for b in range(config.replications)]
     if config.penalty_rule == "fixed":
-        c1, c2 = config.fixed_constants
-        scale = penalty_scale(p, n)
-        penalty = PenaltyPair(c1 * scale, c2 * scale)
+        penalty = rate_penalty(*config.fixed_constants, p, [n] * truth.K)
     elif config.retune_per_replication:
         penalty = None
     else:

@@ -14,25 +14,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import PrecisionSet, is_positive_definite, make_rng
-from .errors import DataFormatError, NotPositiveDefiniteError
+from .errors import ConfigError
 
 
 def chain_precision(p: int, rho: float) -> np.ndarray:
     """Tridiagonal precision: 1 on the diagonal, ``rho`` on the first off-diagonals.
 
     Positive definite iff ``1 - 2 |rho| cos(pi / (p + 1)) > 0``; checked
-    numerically and rejected otherwise.
+    numerically, raising :class:`ConfigError` otherwise.
     """
     if p < 1:
-        raise DataFormatError("dimension must be at least 1")
+        raise ConfigError("dimension must be at least 1")
     m = np.eye(int(p))
     idx = np.arange(p - 1)
     m[idx, idx + 1] = rho
     m[idx + 1, idx] = rho
     if p > 1 and 1.0 - 2.0 * abs(rho) * math.cos(math.pi / (p + 1)) <= 0.0:
-        raise NotPositiveDefiniteError(
-            f"chain parameter rho={rho} is not positive definite at p={p}"
-        )
+        raise ConfigError(f"chain parameter rho={rho} is not positive definite at p={p}")
     return m
 
 
@@ -43,13 +41,14 @@ def star_precision(
 
     Returns ``(matrix, hub, spokes)``.  The hub and its ``d`` spokes are a
     uniform seeded choice without replacement, so the same ``hub_seed``
-    reproduces the same support at any parameter values.
+    reproduces the same support at any parameter values.  Parameters out
+    of range or not positive definite raise :class:`ConfigError`.
     """
     p, d = int(p), int(d)
     if d < 0 or d >= p:
-        raise DataFormatError(f"degree d={d} must satisfy 0 <= d < p={p}")
+        raise ConfigError(f"degree d={d} must satisfy 0 <= d < p={p}")
     if diag <= 0:
-        raise DataFormatError("diagonal value must be positive")
+        raise ConfigError("diagonal value must be positive")
     rng = make_rng(hub_seed)
     perm = rng.permutation(p)
     hub = int(perm[0])
@@ -59,7 +58,7 @@ def star_precision(
         m[hub, b] = m[b, hub] = offdiag
     if not is_positive_definite(m):
         ratio = math.sqrt(d) * abs(offdiag) / diag
-        raise NotPositiveDefiniteError(
+        raise ConfigError(
             f"star parameters are not positive definite: sqrt(d)*|offdiag|/diag"
             f" = {ratio:.4f} >= 1"
         )
@@ -73,7 +72,8 @@ class GraphSpec:
     ``chain_rho`` (one value per population) selects the chain family;
     ``star_diag``/``star_offdiag`` (one value per population) with ``star_d``
     and ``hub_seed`` select the star family.  The dimension is supplied at
-    build time so one spec can sweep several p.
+    build time so one spec can sweep several p.  An invalid spec, and at
+    build a ``p`` it does not fit, raise :class:`ConfigError`.
     """
 
     kind: str
@@ -85,18 +85,16 @@ class GraphSpec:
 
     def __post_init__(self):
         if self.kind not in ("chain", "star"):
-            raise DataFormatError(f"unknown graph kind {self.kind!r}")
+            raise ConfigError(f"unknown graph kind {self.kind!r}")
         if self.kind == "chain":
             if not self.chain_rho:
-                raise DataFormatError("chain spec needs at least one rho")
+                raise ConfigError("chain spec needs at least one rho")
             object.__setattr__(
                 self, "chain_rho", tuple(float(r) for r in self.chain_rho)
             )
         else:
             if not self.star_diag or len(self.star_diag) != len(self.star_offdiag):
-                raise DataFormatError(
-                    "star spec needs matching diag and offdiag value lists"
-                )
+                raise ConfigError("star spec needs matching diag and offdiag value lists")
             object.__setattr__(self, "star_diag", tuple(float(v) for v in self.star_diag))
             object.__setattr__(
                 self, "star_offdiag", tuple(float(v) for v in self.star_offdiag)

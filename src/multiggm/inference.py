@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import CovarianceSet, PrecisionSet, symmetrize
-from .errors import DataFormatError, DimensionMismatchError
+from .errors import ConfigError, DataFormatError, DimensionMismatchError
 
 
 @dataclass(frozen=True)
@@ -70,7 +70,7 @@ def normal_quantile(q: float) -> float:
     """Standard normal quantile: the inverse of ``Phi`` on (0, 1)."""
     q = float(q)
     if not 0.0 < q < 1.0:
-        raise DataFormatError("quantile argument must lie strictly in (0, 1)")
+        raise ConfigError("quantile argument must lie strictly in (0, 1)")
     from statistics import NormalDist
 
     return NormalDist().inv_cdf(q)
@@ -79,7 +79,7 @@ def normal_quantile(q: float) -> float:
 def upper_quantile(alpha: float) -> float:
     """tau_{alpha/2}: the (1 - alpha/2) quantile of the standard normal."""
     if not 0.0 < alpha < 1.0:
-        raise DataFormatError("alpha must lie strictly in (0, 1)")
+        raise ConfigError("alpha must lie strictly in (0, 1)")
     return normal_quantile(1.0 - alpha / 2.0)
 
 
@@ -119,23 +119,21 @@ def combine(
     entries; the variance ``sum_k a_k^2 * sigma_k[i, j]^2 / n_k`` combines
     the plug-in variances of the *penalized* estimates, skipping ``a_k = 0``.
     """
-    if len(coefficients) != debiased.K or debiased.K != estimate.K:
-        raise DimensionMismatchError("combination length must equal K")
-    if debiased.K != covs.K:
-        raise DimensionMismatchError("debiased set and covariances do not match")
+    if len(coefficients) != debiased.K:
+        raise ConfigError("combination length must equal K")
+    if not debiased.K == estimate.K == covs.K:
+        raise DimensionMismatchError("debiased set, estimate and covariances do not match")
     values = np.asarray(coefficients, dtype=float)
     if not np.isfinite(values).all():
-        raise DataFormatError(f"combination coefficients must be finite, got {values.tolist()}")
+        raise ConfigError(f"combination coefficients must be finite, got {values.tolist()}")
     if not values.any():
-        raise DataFormatError("at least one combination coefficient must be nonzero")
+        raise ConfigError("at least one combination coefficient must be nonzero")
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
     outside = (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= debiased.p)
     if outside.any():
         m = np.flatnonzero(outside)[0]
-        raise DimensionMismatchError(
-            f"edge ({rows.flat[m]}, {cols.flat[m]}) out of range for p={debiased.p}"
-        )
+        raise ConfigError(f"edge ({rows.flat[m]}, {cols.flat[m]}) out of range for p={debiased.p}")
     point = np.zeros(rows.shape)
     var = np.zeros(rows.shape)
     for k, a in enumerate(coefficients):
@@ -168,7 +166,7 @@ def test_linear_combo(
     """Two-sided z-tests of ``H0: sum_k a_k * true_k[i, j] = 0``: the
     :func:`combine` statistic at the index pairs ``(rows[m], cols[m])``."""
     if not 0.0 < alpha_level < 1.0:
-        raise DataFormatError("alpha_level must lie strictly in (0, 1)")
+        raise ConfigError("alpha_level must lie strictly in (0, 1)")
     point, std_error = combine(debiased, estimate, covs, coefficients, rows, cols)
     z = point / std_error
     # erfc(|z| / sqrt 2) = 2 Phi(-|z|) stays positive up to |z| = 38.5.
@@ -190,9 +188,9 @@ def confidence_interval(
     debiased point +- tau * sigma_hat / sqrt(n_k), the :func:`combine`
     statistic of population k's unit vector."""
     if not 0 <= k < debiased.K:
-        raise DimensionMismatchError(f"population {k} out of range for K={debiased.K}")
+        raise ConfigError(f"population {k} out of range for K={debiased.K}")
     if not 0.0 < level < 1.0:
-        raise DataFormatError("level must lie strictly in (0, 1)")
+        raise ConfigError("level must lie strictly in (0, 1)")
     center, std_error = combine(debiased, estimate, covs, np.eye(debiased.K)[k], rows, cols)
     half = upper_quantile(1.0 - level) * std_error
     return ConfidenceIntervalResult((center - half)[()], (center + half)[()])

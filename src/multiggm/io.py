@@ -11,17 +11,18 @@ bad cell).  numpy's reader and ``float()`` both hand the digits to
 CPython's correctly rounded string-to-double routine, so every cell parses
 to the same bits either way.
 
-Errors.  A file that cannot be opened or decoded as UTF-8, or that holds a
-cell longer than the ``csv`` module's field size limit, is a
-``DataFormatError``.  When ``loadtxt`` raises, the file has no data row, or
-the header's width differs from the data's, ``_scan_rows`` reads the file
-again and parses it cell by cell with ``csv`` and ``float()``.  It raises
-the positioned ``DataFormatError`` (ragged row, non-numeric cell at row and
-column, header width, empty file, header with no data) or, where the file
-is good, returns its own parse: ``float()`` accepts cells numpy does not,
-such as ``1_000`` or non-ASCII digits.  The scan also takes, as each data
-line goes by and before numpy parses it, the files numpy's reader could
-accept where the scan does not: numbers padded with the separator controls
+Errors.  A file that cannot be opened or decoded as UTF-8 (a leading
+byte-order mark is skipped), or that holds a cell longer than the ``csv``
+module's field size limit, is a ``DataFormatError``.  When ``loadtxt``
+raises, the file has no data row, or the header's width differs from the
+data's, ``_scan_rows`` reads the file again and parses it cell by cell
+with ``csv`` and ``float()``.  It raises the positioned
+``DataFormatError`` (ragged row, non-numeric cell at row and column,
+header width, empty file, header with no data) or, where the file is good,
+returns its own parse: ``float()`` accepts cells numpy does not, such as
+``1_000`` or non-ASCII digits.  The scan also takes, as each data line
+goes by and before numpy parses it, the files numpy's reader could accept
+where the scan does not: numbers padded with the separator controls
 U+001C..U+001F, a quoted cell that spans lines, and a cell longer than the
 ``csv`` module's field size limit.  numpy never sees a file without data
 rows, so it never warns.
@@ -40,8 +41,8 @@ cannot spell, is written as ``null``.  All writes go through a temp file
 plus rename; a file with no rows is one newline.  The temp file is created
 with mode 0666 less the umask, as ``open()`` creates a file, so the renamed
 output has the permissions any other new file of the process would have.
-Every file is written as UTF-8, the encoding files are read in, whatever
-the locale's default.
+Every file is written as UTF-8 without a byte-order mark, the encoding
+files are read in, whatever the locale's default.
 
 Lanes.  Both directions are CPython number conversion under the
 interpreter lock, so :func:`ingest_csv` parses its files in forked lanes
@@ -98,7 +99,7 @@ _LANE_MIN_CELLS = 25_000
 
 def _parse_csv_file(path: str):
     """Rows of floats plus optional header names from one numeric CSV."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         parsed = _parse_lines(fh)
     return _scan_rows(path) if parsed is None else parsed
 
@@ -177,7 +178,7 @@ def _scan_rows(path: str):
     Raises the positioned ``DataFormatError`` for a bad file; returns the
     rows and header for a good one that numpy's reader did not take.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         raw = [row for row in csv.reader(fh) if row and any(c.strip() for c in row)]
     if not raw:
         raise DataFormatError(f"{path}: empty file")

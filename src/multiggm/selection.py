@@ -1,8 +1,10 @@
 """Extended-BIC scoring and penalty-constant grid search.
 
 Penalties follow the rate scaling lam = C1 * sqrt(log p / n) and
-rho = C2 * sqrt(log p / n) with n = min_k n_k, so the grid search runs over
-the dimensionless constants (C1, C2).  The score per fitted model is
+rho = C2 * sqrt(log p / n) with n = min_k n_k (:func:`rate_penalty`, the
+one rule the CLI, the grid search and the studies apply), so the grid
+search runs over the dimensionless constants (C1, C2).  The score per
+fitted model is
 
     ebic = -2 * sum_k n_k * [logdet W_k - trace(S_k W_k)]
            + sum_k |E_k| * log n  +  4 * gamma * log p * sum_k |E_k|,
@@ -28,7 +30,7 @@ import numpy as np
 
 from ._lanes import lane_count, map_in_lanes
 from .core import CovarianceSet, PrecisionSet, edge_mask
-from .errors import ConvergenceError, DataFormatError, NotPositiveDefiniteError
+from .errors import ConfigError, ConvergenceError, DataFormatError, NotPositiveDefiniteError
 from .solver import PenaltyPair, SolverOptions, solve_ggl
 
 DEFAULT_GRID_VALUES = (0.25, 0.5, 1.0, 2.0, 4.0)
@@ -50,14 +52,14 @@ class TuningGrid:
         for name, vals in (("c1_values", self.c1_values), ("c2_values", self.c2_values)):
             vals = tuple(float(v) for v in vals)
             if not vals:
-                raise DataFormatError(f"{name} must be nonempty")
+                raise ConfigError(f"{name} must be nonempty")
             if not all(0 < v < math.inf for v in vals):
-                raise DataFormatError(f"{name} must be finite and positive")
+                raise ConfigError(f"{name} must be finite and positive")
             if any(b <= a for a, b in zip(vals, vals[1:])):
-                raise DataFormatError(f"{name} must be strictly increasing")
+                raise ConfigError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, vals)
         if not 0 <= self.gamma < math.inf:
-            raise DataFormatError("gamma must be finite and nonnegative")
+            raise ConfigError("gamma must be finite and nonnegative")
 
 
 @dataclass(frozen=True)
@@ -96,10 +98,17 @@ def penalty_scale(p: int, n: int) -> float:
     return math.sqrt(math.log(p) / n)
 
 
+def rate_penalty(c1: float, c2: float, p: int, sample_sizes) -> PenaltyPair:
+    """The penalty at constants ``(c1, c2)``: ``lam = c1 * scale`` and
+    ``rho = c2 * scale``, with ``scale = penalty_scale(p, min(sample_sizes))``."""
+    scale = penalty_scale(p, min(sample_sizes))
+    return PenaltyPair(c1 * scale, c2 * scale)
+
+
 def ebic(estimate: PrecisionSet, covs: CovarianceSet, gamma: float = 0.5) -> EbicScore:
     """Extended-BIC score of a fitted precision set against its covariances."""
     if not 0 <= gamma < math.inf:
-        raise DataFormatError("gamma must be finite and nonnegative")
+        raise ConfigError("gamma must be finite and nonnegative")
     if estimate.K != covs.K or estimate.p != covs.p:
         raise DataFormatError("estimate and covariance set do not match")
     n = min(covs.sample_sizes)
@@ -124,7 +133,7 @@ def tune_penalties(
 ) -> TuningResult:
     """Grid search over (C1, C2) minimizing the e-BIC.
 
-    Each cell solves at lam = C1 * scale, rho = C2 * scale from the
+    Each cell solves at :func:`rate_penalty` of its (C1, C2) from the
     solver's cold start and is scored on its own.  One map runs the cells
     in C1-major order in ``grid_lanes`` forked lanes (see
     :mod:`multiggm._lanes`), and the table is its output in that order.
@@ -138,11 +147,10 @@ def tune_penalties(
     is valid.
     """
     covs.require_positive_diagonal()
-    scale = penalty_scale(covs.p, min(covs.sample_sizes))
 
     def solve_cell(constants):
         c1, c2 = constants
-        penalty = PenaltyPair(c1 * scale, c2 * scale)
+        penalty = rate_penalty(c1, c2, covs.p, covs.sample_sizes)
         report = solve_ggl(covs, penalty, opts)
         if report.converged:
             score = ebic(report.estimate, covs, grid.gamma)

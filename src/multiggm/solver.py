@@ -112,7 +112,7 @@ import numpy as np
 
 from . import _blas
 from .core import CovarianceSet, PrecisionSet, is_positive_definite, symmetrize
-from .errors import DataFormatError, NotPositiveDefiniteError
+from .errors import ConfigError, DataFormatError, NotPositiveDefiniteError
 
 # The over-relaxation constant of the Z-step and the dual update, and the
 # relative tolerance of the dual-residual test.
@@ -134,7 +134,7 @@ class PenaltyPair:
 
     def __post_init__(self):
         if not all(math.isfinite(v) and v >= 0 for v in (self.lam, self.rho)):
-            raise DataFormatError(
+            raise ConfigError(
                 f"penalty parameters must be finite and nonnegative, got {self.lam}, {self.rho}"
             )
 
@@ -154,9 +154,9 @@ class SolverOptions:
 
     def __post_init__(self):
         if not 0 < self.tol_abs < math.inf:
-            raise DataFormatError("tol_abs must be finite and positive")
+            raise ConfigError("tol_abs must be finite and positive")
         if self.max_iter < 1:
-            raise DataFormatError("max_iter must be at least 1")
+            raise ConfigError("max_iter must be at least 1")
 
 
 @dataclass

@@ -590,3 +590,51 @@ class TestStrictJson:
         strict_json(out / "report.json")
         deltas = [pop["delta"] for pop in diagnostics["populations"]]
         assert (deltas == [None, None]) == (not flags)
+
+
+def test_cli_defaults_equal_the_library_defaults():
+    # The flags' defaults repeat the library's; a change to one side alone
+    # would make the CLI run something other than the library's default.
+    import dataclasses
+    import inspect
+
+    from multiggm import (
+        TuningGrid,
+        confidence_interval,
+        diagnostics_report,
+        test_linear_combo,
+        two_population_star_spec,
+    )
+    from multiggm.cli import _float_list, resolve_config
+    from multiggm.diagnostics import check_settings
+    from multiggm.selection import DEFAULT_GRID_VALUES
+
+    def default(function, name):
+        return inspect.signature(function).parameters[name].default
+
+    fields = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    sim = resolve_config(["simulate", "tpfp"])
+    assert (sim.c1, sim.c2) == fields["fixed_constants"]
+    for name in ("ci_level", "threads", "penalty_rule", "retune_per_replication"):
+        assert getattr(sim, name) == fields[name], name
+    chain, star = two_population_chain_spec(), two_population_star_spec()
+    assert tuple(_float_list(sim.chain_rho)) == chain.chain_rho
+    assert (sim.star_d, sim.hub_seed) == (star.star_d, star.hub_seed)
+    assert tuple(_float_list(sim.star_diag)) == star.star_diag
+    assert tuple(_float_list(sim.star_offdiag)) == star.star_offdiag
+
+    tune, grid = resolve_config(["tune"]), TuningGrid()
+    assert tune.gamma == grid.gamma
+    for flag, values in ((tune.c1_grid, grid.c1_values), (tune.c2_grid, grid.c2_values)):
+        assert tuple(_float_list(flag)) == values == DEFAULT_GRID_VALUES
+
+    test = resolve_config(["test"])
+    assert test.alpha == default(test_linear_combo, "alpha_level")
+    assert test.ci_level == default(confidence_interval, "level")
+
+    diag = resolve_config(["diagnose"])
+    assert diag.psi == default(diagnostics_report, "psi")
+    for name in ("gamma", "k1"):
+        assert getattr(diag, name) == default(diagnostics_report, name) == default(
+            check_settings, name
+        ), name

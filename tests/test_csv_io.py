@@ -384,6 +384,48 @@ class TestTypedReadErrors:
         assert err.startswith("data error: cannot read") and "Traceback" not in err
 
 
+class TestByteOrderMark:
+    """A UTF-8 byte-order mark at the start of a CSV or config file is
+    skipped: the file reads as its copy without one."""
+
+    BOM = "\ufeff"
+
+    @pytest.mark.parametrize("text", [
+        "1.5,2\n3,4\n5,6\n", "a,b\n1,2\n3,4\n", "1_000,2\n3,4\n5,6\n",
+    ], ids=["no-header", "header", "scanned"])
+    def test_csv_reads_as_without(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        write_text(plain, text)
+        write_text(marked, self.BOM + text)
+        assert outcome(_parse_csv_file, str(marked)) == outcome(parse_csv_oracle, str(plain))
+        data = ingest_csv([str(marked), str(plain)])
+        assert np.array_equal(data.data[0], data.data[1])
+
+    def test_config_reads_as_without(self, tmp_path):
+        path = tmp_path / "d.csv"
+        write_data_csv(np.random.default_rng(4).standard_normal((30, 3)), str(path),
+                       ["a", "b", "c"])
+        config = tmp_path / "config.json"
+        config.write_text(self.BOM + '{"lam": 0.1, "rho": 0.1}', encoding="utf-8")
+        assert main(["estimate", "--data", str(path), "--config", str(config),
+                     "--out-dir", str(tmp_path / "out"), "-q"]) == EXIT_OK
+
+    def test_estimate_writes_the_same_bytes(self, tmp_path):
+        rng = np.random.default_rng(5)
+        plain = [tmp_path / f"plain{k}.csv" for k in range(2)]
+        marked = [tmp_path / f"marked{k}.csv" for k in range(2)]
+        for a, b in zip(plain, marked):
+            write_data_csv(rng.standard_normal((40, 4)), str(a), ["w", "x", "y", "z"])
+            b.write_bytes(self.BOM.encode("utf-8") + a.read_bytes())
+        runs = []
+        for paths in (plain, marked):
+            out = tmp_path / paths[0].stem
+            assert main(["estimate", "--data", ",".join(map(str, paths)), "--c1", "0.5",
+                         "--c2", "1.0", "--debias", "--out-dir", str(out), "-q"]) == EXIT_OK
+            runs.append({p.name: p.read_bytes() for p in sorted(out.glob("*.csv"))})
+        assert len(runs[0]) == 4 and runs[1] == runs[0]
+
+
 class TestQuotedNames:
     @pytest.mark.parametrize(
         "names", [["last, first", "b"], ['say "hi"', "x,y,z"], ["a", "b"]]

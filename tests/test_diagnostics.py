@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from multiggm import (
+    ConfigError,
     DataFormatError,
-    DimensionMismatchError,
     PenaltyPair,
     PrecisionSet,
     check_between_group,
@@ -238,7 +238,7 @@ class TestBetweenGroup:
     ])
     def test_bad_settings_raise(self, penalty, psi, alpha):
         prec = PrecisionSet([chain_precision(4, 0.2)] * 2, positive_definite=True)
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError):
             check_between_group(prec, penalty, psi, alpha)
 
 
@@ -278,7 +278,7 @@ class TestRateDelta:
         assert expected == pytest.approx(20.06450, abs=1e-4)
 
     def test_gamma_guard(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError):
             rate_delta(100, 50, 2.0, 1.0, 1.0)
 
 
@@ -301,7 +301,7 @@ class TestReport:
     @pytest.mark.parametrize("sizes", [(0, 600), (-5, 600)])
     def test_nonpositive_sample_size_is_a_data_error(self, sizes):
         prec = PrecisionSet([chain_precision(4, 0.2)] * 2, positive_definite=True)
-        with pytest.raises(DataFormatError, match="sample sizes must be positive"):
+        with pytest.raises(ConfigError, match="sample sizes must be positive"):
             diagnostics_report(prec, PenaltyPair(0.1, 0.1), sample_sizes=sizes)
 
     @pytest.mark.parametrize("psi, lam_rho, sizes, gamma", [
@@ -318,7 +318,7 @@ class TestReport:
 
         monkeypatch.setattr(diagnostics, "_population", no_factorization)
         prec = PrecisionSet([chain_precision(4, 0.2)] * 2, positive_definite=True)
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError):
             diagnostics_report(prec, PenaltyPair(*lam_rho), psi=psi,
                                sample_sizes=sizes, gamma=gamma)
 
@@ -329,7 +329,7 @@ class TestReport:
 
         monkeypatch.setattr(diagnostics, "_population", no_factorization)
         prec = PrecisionSet([chain_precision(4, 0.2)] * 2, positive_definite=True)
-        with pytest.raises(DimensionMismatchError, match="sample sizes for 2 populations"):
+        with pytest.raises(ConfigError, match="sample sizes for 2 populations"):
             diagnostics_report(prec, PenaltyPair(0.1, 0.1), sample_sizes=sizes)
 
     def test_differing_supports_fail_with_lhs_nan_and_rhs_reported(self):

@@ -19,7 +19,7 @@ from multiggm import (
     run_tpfp,
     upper_quantile,
 )
-from multiggm.errors import ConfigError, DataFormatError
+from multiggm.errors import ConfigError
 from multiggm.graphs import GraphSpec
 from multiggm.solver import SolveReport
 
@@ -377,7 +377,7 @@ class TestConfigChecks:
         monkeypatch.setattr(experiments, "_solve", lambda *a: calls.append(a))
         star = GraphSpec(kind="star", star_d=25, star_diag=(2.0, 2.5),
                          star_offdiag=(0.3, 0.45))
-        with pytest.raises(DataFormatError, match="degree d=25"):
+        with pytest.raises(ConfigError, match="degree d=25"):
             run_tpfp(small_config(graph=star, dims=(40, 10), replications=2))
         assert calls == []
 

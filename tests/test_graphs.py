@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from multiggm import DataFormatError, NotPositiveDefiniteError, chain_precision, star_precision
+from multiggm import ConfigError, chain_precision, star_precision
 from multiggm.graphs import GraphSpec, two_population_chain_spec, two_population_star_spec
 
 
@@ -25,7 +25,7 @@ class TestChain:
         assert expected == pytest.approx(0.301, abs=5e-4)
 
     def test_non_pd_parameter_rejected(self):
-        with pytest.raises(NotPositiveDefiniteError):
+        with pytest.raises(ConfigError):
             chain_precision(30, 0.51)
 
 
@@ -58,12 +58,12 @@ class TestStar:
         assert np.array_equal(m1 != 0, m2 != 0)
 
     def test_non_pd_reports_ratio(self):
-        with pytest.raises(NotPositiveDefiniteError) as err:
+        with pytest.raises(ConfigError) as err:
             star_precision(30, 16, 1.0, 0.3, hub_seed=2)
         assert "sqrt(d)*|offdiag|/diag" in str(err.value)
 
     def test_degree_bounds(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError):
             star_precision(5, 5, 2.0, 0.3, hub_seed=0)
 
 
@@ -77,5 +77,5 @@ class TestGraphSpec:
         assert np.array_equal(star.matrices[0] != 0, star.matrices[1] != 0)
 
     def test_bad_kind_rejected(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError):
             GraphSpec(kind="lattice", chain_rho=(0.1,))

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiggm import (
+    ConfigError,
     CovarianceSet,
     DataFormatError,
     DimensionMismatchError,
@@ -173,12 +174,12 @@ class TestCombine:
 
     def test_checks_population_count_and_index_range(self):
         est, covs = _sets([np.eye(3)] * 2, [np.eye(3)] * 2, [50, 60])
-        with pytest.raises(DimensionMismatchError, match="length must equal K"):
+        with pytest.raises(ConfigError, match="length must equal K"):
             combine(est, est, covs, [1.0], [0], [1])
         with pytest.raises(DimensionMismatchError, match="do not match"):
             combine(est, est, CovarianceSet([np.eye(3)], [50]), [1.0, -1.0], [0], [1])
         for rows, cols in (([0, 3], [1, 1]), ([0, 1], [2, -1])):
-            with pytest.raises(DimensionMismatchError, match="out of range for p=3"):
+            with pytest.raises(ConfigError, match="out of range for p=3"):
                 combine(est, est, covs, [1.0, -1.0], rows, cols)
 
 
@@ -221,18 +222,21 @@ class TestLinearComboTest:
     def test_zero_standard_error_is_an_error(self):
         deb = PrecisionSet([np.eye(2)])
         est, covs = _sets([np.eye(2)], [np.eye(2)], [50])
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError):
             linear_combo_test(deb, est, covs, (0.0,), 0, 1)
+        # A nonzero coefficient whose square underflows gives a zero variance.
+        with pytest.raises(DataFormatError, match="zero standard error"):
+            linear_combo_test(deb, est, covs, (1e-200,), 0, 1)
 
     def test_all_zero_coefficients_rejected(self):
         est, covs = _sets([np.eye(2)] * 2, [np.eye(2)] * 2, [50, 50])
-        with pytest.raises(DataFormatError, match="at least one combination coefficient"):
+        with pytest.raises(ConfigError, match="at least one combination coefficient"):
             combine(est, est, covs, (0.0, 0.0), 0, 1)
 
     @pytest.mark.parametrize("coefficients", [(np.nan, 1.0), (np.inf, 1.0), (1.0, -np.inf)])
     def test_nonfinite_coefficients_rejected(self, coefficients):
         est, covs = _sets([np.eye(2)] * 2, [np.eye(2)] * 2, [50, 50])
-        with pytest.raises(DataFormatError, match="coefficients must be finite"):
+        with pytest.raises(ConfigError, match="coefficients must be finite"):
             combine(est, est, covs, coefficients, 0, 1)
 
 
@@ -298,9 +302,9 @@ class TestNormalAccuracy:
         assert upper_quantile(0.05) == pytest.approx(1.959963984540054, abs=1e-12)
 
     def test_domain_errors(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError):
             normal_quantile(0.0)
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError):
             normal_quantile(1.0)
 
 

@@ -680,6 +680,52 @@ def test_no_unused_imports_in_the_package():
     assert not unused, f"unused imports: {sorted(unused)}"
 
 
+def test_settings_checked_at_construction_raise_config_errors():
+    # Who chose the value decides the class: the fields of a settings
+    # object are the caller's choice, so every raise inside a
+    # __post_init__ raises ConfigError.
+    import ast
+
+    wrong = []
+    for path, tree, in_package in _surface_trees():
+        if not in_package:
+            continue
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "__post_init__":
+                wrong += [
+                    f"{os.path.basename(path)}:{r.lineno}"
+                    for r in ast.walk(node)
+                    if isinstance(r, ast.Raise) and not (
+                        isinstance(r.exc, ast.Call)
+                        and isinstance(r.exc.func, ast.Name)
+                        and r.exc.func.id == "ConfigError"
+                    )
+                ]
+    assert not wrong, f"raises other than ConfigError in __post_init__: {wrong}"
+
+
+def test_cli_translates_no_library_error_outside_main():
+    # A library check raises the class its caller's exit code needs, so the
+    # CLI's commands catch no data or definiteness error to re-raise it;
+    # only main maps the classes onto exit codes.
+    import ast
+
+    data_classes = {"DataFormatError", "DimensionMismatchError", "NotPositiveDefiniteError"}
+    caught = []
+    for path, tree, _ in _surface_trees():
+        if os.path.basename(path) != "cli.py":
+            continue
+        for stmt in tree.body:
+            if getattr(stmt, "name", None) == "main":
+                continue
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.ExceptHandler) and node.type is not None:
+                    named = {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}
+                    caught += [f"line {node.lineno}: {name}"
+                               for name in sorted(named & data_classes)]
+    assert not caught, f"cli.py catches library errors outside main: {caught}"
+
+
 def test_cli_runs_every_command_without_scipy(tmp_path):
     # One fresh interpreter runs every command in turn, after the import.
     # The package runs on numpy alone: no scipy module and no pandas is

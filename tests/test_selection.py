@@ -11,9 +11,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from multiggm import (
+    ConfigError,
     ConvergenceError,
     CovarianceSet,
-    DataFormatError,
     NotPositiveDefiniteError,
     PenaltyPair,
     PrecisionSet,
@@ -160,11 +160,11 @@ class TestTunePenalties:
         assert not violations or max(violations) <= 1
 
     def test_grid_validation(self):
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError):
             TuningGrid(c1_values=())
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError):
             TuningGrid(c1_values=(0.5, 0.5))
-        with pytest.raises(DataFormatError):
+        with pytest.raises(ConfigError):
             TuningGrid(c1_values=(-1.0, 0.5))
 
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from multiggm import (
+    ConfigError,
     CovarianceSet,
     DataFormatError,
     NotPositiveDefiniteError,
@@ -107,12 +108,12 @@ class TestSolveTrivial:
         (np.nan, 0.1), (0.1, np.nan), (np.inf, 0.1), (0.1, -np.inf), (-0.1, 0.1), (0.0, -1e-300),
     ])
     def test_penalty_must_be_finite_and_nonnegative(self, lam, rho):
-        with pytest.raises(DataFormatError, match="finite and nonnegative"):
+        with pytest.raises(ConfigError, match="finite and nonnegative"):
             PenaltyPair(lam, rho)
 
     @pytest.mark.parametrize("tol_abs", [np.nan, np.inf, 0.0, -1e-6])
     def test_tolerance_must_be_finite_and_positive(self, tol_abs):
-        with pytest.raises(DataFormatError, match="finite and positive"):
+        with pytest.raises(ConfigError, match="finite and positive"):
             SolverOptions(tol_abs=tol_abs)
 
     def test_nonconvergence_returns_best_iterate(self):
