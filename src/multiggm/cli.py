@@ -7,7 +7,9 @@ matrices).  Every run writes a JSON report (plus CSV tables) into
 ``--out-dir``; the report echoes the resolved arguments, so any run can be
 reproduced from it.  ``--config`` takes a JSON object keyed by the
 subcommand's argument names (``out_dir``, ``c1``, ``ci_level``, ...); flags
-override its values and unknown keys are an error.
+override its values and unknown keys are an error.  A flag's default and
+range rule are the library's: a command checks the flag by that rule, under
+the flag's name, before the solve or the first factorization.
 
 Exit codes: 0 success, 1 configuration error, 2 data error,
 3 solver non-convergence (``estimate`` and ``test`` still write their
@@ -18,8 +20,8 @@ output files are 1-based.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
-import math
 import os
 import platform
 import sys
@@ -29,9 +31,9 @@ from dataclasses import dataclass, field
 
 import numpy
 
-from . import __version__, _blas
+from . import __version__, _blas, inference
 from ._lanes import usable_cpus
-from .core import PrecisionSet, sample_covariance
+from .core import PrecisionSet, _check_sample_sizes, sample_covariance
 from .diagnostics import check_settings, diagnostics_report
 from .errors import (
     ConfigError,
@@ -41,7 +43,7 @@ from .errors import (
     NotPositiveDefiniteError,
 )
 from .experiments import RUNNERS, ExperimentConfig
-from .graphs import GraphSpec
+from .graphs import GraphSpec, two_population_chain_spec, two_population_star_spec
 from .inference import confidence_interval, debias, test_linear_combo
 from .io import (
     ColumnTable,
@@ -129,11 +131,16 @@ def _edge_list(text: str) -> list[tuple[int, int]]:
     return edges
 
 
-def build_parser() -> _Parser:
-    """The parser, holding every default; ``parser.commands`` maps names to subparsers.
+def _default(function, name: str):
+    """The default of ``function``'s parameter ``name``."""
+    return inspect.signature(function).parameters[name].default
 
-    No option is argparse-required, so that a config file can supply any of
-    them; commands check the values they need.
+
+def build_parser() -> _Parser:
+    """The parser; ``parser.commands`` maps names to subparsers.
+
+    Defaults the library holds are read from it.  No option is argparse-required,
+    so that a config file can supply any of them; commands check what they need.
     """
     parser = _Parser(prog="multiggm", description=__doc__)
     parser.add_argument(
@@ -169,36 +176,40 @@ def build_parser() -> _Parser:
     common(p_test); data_opts(p_test); penalty_opts(p_test)
     p_test.add_argument("--edges", help="semicolon-separated 1-based pairs, e.g. '1,2;2,3' (required)")
     p_test.add_argument("--coeffs", help="comma-separated combination coefficients, one per population (required)")
-    p_test.add_argument("--alpha", type=float, default=0.05)
-    p_test.add_argument("--ci-level", type=float, default=0.95)
+    p_test.add_argument("--alpha", type=float,
+                        default=_default(inference.test_linear_combo, "alpha_level"))
+    p_test.add_argument("--ci-level", type=float,
+                        default=_default(inference.confidence_interval, "level"))
 
     default_grid = ",".join(str(v) for v in DEFAULT_GRID_VALUES)
     p_tune = sub.add_parser("tune", help="e-BIC grid search over penalty constants")
     common(p_tune); data_opts(p_tune)
     p_tune.add_argument("--c1-grid", default=default_grid, help="comma-separated C1 values")
     p_tune.add_argument("--c2-grid", default=default_grid, help="comma-separated C2 values")
-    p_tune.add_argument("--gamma", type=float, default=0.5)
+    p_tune.add_argument("--gamma", type=float, default=TuningGrid.gamma)
 
+    chain, star = two_population_chain_spec(), two_population_star_spec()
     p_sim = sub.add_parser("simulate", help="Monte Carlo experiments")
     common(p_sim)
     p_sim.add_argument("experiment", choices=sorted(RUNNERS))
     p_sim.add_argument("--seed", type=int, default=0, help="base RNG seed")
-    p_sim.add_argument("--threads", type=int, default=1,
+    p_sim.add_argument("--threads", type=int, default=ExperimentConfig.threads,
                        help="most lanes (processes) replications run in")
     p_sim.add_argument("--graph", choices=["chain", "star"], default="chain")
     p_sim.add_argument("--p", default="50", help="comma-separated dimensions")
     p_sim.add_argument("--n", default="600", help="comma-separated sample sizes")
     p_sim.add_argument("--B", type=int, default=100, help="replications")
-    p_sim.add_argument("--chain-rho", default="0.2,0.35")
-    p_sim.add_argument("--star-d", type=int, default=25)
-    p_sim.add_argument("--star-diag", default="2.0,2.5")
-    p_sim.add_argument("--star-offdiag", default="0.3,0.45")
-    p_sim.add_argument("--hub-seed", type=int, default=0)
-    p_sim.add_argument("--penalty-rule", choices=["ebic_grid", "fixed"], default="ebic_grid")
-    p_sim.add_argument("--c1", type=float, default=1.0)
-    p_sim.add_argument("--c2", type=float, default=3.5)
+    p_sim.add_argument("--chain-rho", default=",".join(map(str, chain.chain_rho)))
+    p_sim.add_argument("--star-d", type=int, default=star.star_d)
+    p_sim.add_argument("--star-diag", default=",".join(map(str, star.star_diag)))
+    p_sim.add_argument("--star-offdiag", default=",".join(map(str, star.star_offdiag)))
+    p_sim.add_argument("--hub-seed", type=int, default=star.hub_seed)
+    p_sim.add_argument("--penalty-rule", choices=["ebic_grid", "fixed"],
+                       default=ExperimentConfig.penalty_rule)
+    for flag, constant in zip(("--c1", "--c2"), ExperimentConfig.fixed_constants):
+        p_sim.add_argument(flag, type=float, default=constant)
     p_sim.add_argument("--edges", default="1,2;2,3", help="edges for the normality experiment")
-    p_sim.add_argument("--ci-level", type=float, default=0.95)
+    p_sim.add_argument("--ci-level", type=float, default=ExperimentConfig.ci_level)
     p_sim.add_argument("--retune-per-replication", action="store_true")
 
     p_diag = sub.add_parser("diagnose", help="theory diagnostics on true precision matrices")
@@ -206,9 +217,8 @@ def build_parser() -> _Parser:
     p_diag.add_argument("--precision", help="comma-separated matrix CSV paths, one per population (required)")
     p_diag.add_argument("--lam", type=float, default=0.1)
     p_diag.add_argument("--rho", type=float, default=0.1)
-    p_diag.add_argument("--psi", type=float, default=0.5)
-    p_diag.add_argument("--gamma", type=float, default=2.5)
-    p_diag.add_argument("--k1", type=float, default=1.0)
+    for name in ("psi", "gamma", "k1"):
+        p_diag.add_argument(f"--{name}", type=float, default=_default(diagnostics_report, name))
     p_diag.add_argument("--eigen-bound", type=float)
     p_diag.add_argument("--sample-sizes", help="comma-separated n_k")
 
@@ -391,20 +401,11 @@ def _test(args, report: AnalysisReport) -> int:
     edges = _edge_list(_given(args.edges, "--edges"))
     coeffs = _float_list(_given(args.coeffs, "--coeffs"))
     covs = _covariances(args, report)
-    if len(coeffs) != covs.K:
-        raise ConfigError(f"{len(coeffs)} coefficients for {covs.K} populations")
-    if not all(map(math.isfinite, coeffs)):
-        raise ConfigError(f"combination coefficients must be finite, got {args.coeffs}")
-    if not any(coeffs):
-        raise ConfigError("at least one combination coefficient must be nonzero")
-    for flag, level in (("--alpha", args.alpha), ("--ci-level", args.ci_level)):
-        if not 0.0 < level < 1.0:
-            raise ConfigError(f"{flag} must lie strictly in (0, 1), got {level}")
+    inference._check_coefficients(coeffs, covs.K)
+    inference._check_level(args.alpha, "--alpha", args.alpha)
+    inference._check_level(args.ci_level, "--ci-level", 1.0 - args.ci_level)
     rows, cols = numpy.array(edges).T
-    outside = numpy.flatnonzero(numpy.maximum(rows, cols) >= covs.p)
-    if outside.size:
-        m = outside[0]
-        raise ConfigError(f"edge ({rows[m] + 1},{cols[m] + 1}) out of range for p={covs.p}")
+    inference._check_pairs(rows, cols, covs.p)
     penalty, solve, code = _fit(args, report, covs)
     with _phase(report, "inference_s"):
         deb = debias(solve.estimate, covs)
@@ -502,17 +503,13 @@ def _simulate(args, report: AnalysisReport) -> int:
 
 
 def _diagnose(args, report: AnalysisReport) -> int:
-    """Read the matrices, then check the flags with the library's own check
-    before any factorization: a bad flag is a config error even where a
-    matrix is not positive definite."""
+    """Read the matrices, then check the flags with the library's own rules
+    before any factorization: ``--sample-sizes`` by the sample-size rule,
+    under the flag's name, and the rest by ``check_settings``.  A bad flag
+    is then a config error even where a matrix is not positive definite."""
     mats = [read_matrix_csv(p) for p in _existing_paths(args.precision, "precision")]
-    sizes = None
-    if args.sample_sizes is not None:
-        sizes = _int_list(args.sample_sizes)
-        if len(sizes) != len(mats):
-            raise ConfigError(f"{len(sizes)} sample sizes for {len(mats)} populations")
-        if min(sizes) < 1:
-            raise ConfigError(f"--sample-sizes must be positive, got {min(sizes)}")
+    sizes = None if args.sample_sizes is None else _check_sample_sizes(
+        _int_list(args.sample_sizes), "--sample-sizes", len(mats))
     penalty = _penalty_flags((args.lam, args.rho), "--lam/--rho")
     check_settings(penalty, args.psi, sizes, args.gamma, args.k1, args.eigen_bound)
     precisions = PrecisionSet([(m + m.T) / 2 for m in mats], positive_definite=True)

@@ -244,6 +244,17 @@ def sample_covariance(data: MultiPopDataset) -> CovarianceSet:
     return CovarianceSet(mats, data.sample_sizes)
 
 
+def _check_sample_sizes(sample_sizes, name: str, populations: int | None = None) -> tuple:
+    """``sample_sizes`` as ints; raise :class:`ConfigError` naming ``name`` unless each
+    is positive and, where ``populations`` is given, there is one per population."""
+    sizes = tuple(int(n) for n in sample_sizes)
+    if populations is not None and len(sizes) != populations:
+        raise ConfigError(f"{len(sizes)} sample sizes for {populations} populations")
+    if sizes and min(sizes) < 1:
+        raise ConfigError(f"{name} must be positive, got {min(sizes)}")
+    return sizes
+
+
 def draw_mvn(precision: np.ndarray, n: int, seed: int) -> np.ndarray:
     """Draw ``n`` i.i.d. rows from N(0, precision^{-1}).
 
@@ -257,8 +268,7 @@ def draw_mvn(precision: np.ndarray, n: int, seed: int) -> np.ndarray:
     Identical ``(precision, n, seed)`` give bit-identical output.
     """
     precision = check_symmetric(precision, "precision")
-    if n < 1:
-        raise ConfigError("need at least one draw")
+    _check_sample_sizes((n,), "n")
     lower = cholesky_pd(precision, "precision")
     z = make_rng(seed).standard_normal((int(n), precision.shape[0]))
     x = np.linalg.solve(lower.T, z.T).T
@@ -269,9 +279,7 @@ def draw_mvn_dataset(
     precisions: PrecisionSet, sample_sizes, seed: int
 ) -> MultiPopDataset:
     """Draw one dataset per population, population ``k`` on stream ``seed ^ k``."""
-    sizes = tuple(int(n) for n in sample_sizes)
-    if len(sizes) != precisions.K:
-        raise ConfigError(f"{len(sizes)} sample sizes for {precisions.K} populations")
+    sizes = _check_sample_sizes(sample_sizes, "sample_sizes", precisions.K)
     return MultiPopDataset(
         [
             draw_mvn(m, n, population_seed(seed, k))

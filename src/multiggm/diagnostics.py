@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PrecisionSet, check_symmetric, edge_mask, invert_pd
+from .core import PrecisionSet, _check_sample_sizes, check_symmetric, edge_mask, invert_pd
 from .errors import ConfigError, DataFormatError, DimensionMismatchError
 from .solver import PenaltyPair
 
@@ -152,9 +152,10 @@ def check_settings(
     The between-group bound needs ``psi`` strictly in (0, 1) and
     ``lam + rho > 0``; the rate constants need a finite ``k1``; an eigenvalue
     bound, when given, must be finite and positive; with sample sizes, the
-    concentration radius needs each to be positive and a finite
-    ``gamma > 2``.  No matrix is read, so callers can check before any
-    factorization.
+    concentration radius needs a finite ``gamma > 2`` and each size positive,
+    by the sample-size rule :func:`~multiggm.core.draw_mvn_dataset` applies
+    too (:func:`diagnostics_report` adds its one-per-population count).  No
+    matrix is read, so callers can check before any factorization.
     """
     if not 0.0 < psi < 1.0:
         raise ConfigError("psi must lie strictly in (0, 1)")
@@ -164,8 +165,9 @@ def check_settings(
         raise ConfigError("k1 must be finite")
     if eigen_bound_l is not None and not 0.0 < eigen_bound_l < math.inf:
         raise ConfigError("eigen bound must be finite and positive")
-    for n_k in () if sample_sizes is None else sample_sizes:
-        _check_rate_settings(int(n_k), gamma)
+    if sample_sizes is not None:
+        _check_rate_gamma(gamma)
+        _check_sample_sizes(sample_sizes, "sample_sizes")
 
 
 def check_between_group(
@@ -218,7 +220,8 @@ def rate_delta(n_k: int, p: int, gamma: float, k1: float, max_diag: float) -> fl
     true covariance diagonal.  The theoretical penalty choice is
     ``lam + rho = (8 / alpha) * max_k delta_k``.
     """
-    _check_rate_settings(n_k, gamma)
+    _check_rate_gamma(gamma)
+    _check_sample_sizes((n_k,), "n_k")
     return float(
         8.0
         * (1.0 + 12.0 * k1 * k1)
@@ -227,11 +230,9 @@ def rate_delta(n_k: int, p: int, gamma: float, k1: float, max_diag: float) -> fl
     )
 
 
-def _check_rate_settings(n_k: int, gamma: float) -> None:
+def _check_rate_gamma(gamma: float) -> None:
     if not 2 < gamma < math.inf:
         raise ConfigError("gamma must exceed 2 and be finite")
-    if n_k < 1:
-        raise ConfigError("sample sizes must be positive")
 
 
 def advisory_min_samples(
@@ -300,8 +301,8 @@ def diagnostics_report(
     reported as failing.
     """
     check_settings(penalty, psi, sample_sizes, gamma, k1, eigen_bound_l)
-    if sample_sizes is not None and len(sample_sizes) != precisions.K:
-        raise ConfigError(f"{len(sample_sizes)} sample sizes for {precisions.K} populations")
+    if sample_sizes is not None:
+        _check_sample_sizes(sample_sizes, "sample_sizes", precisions.K)
     factors = [_population(m) for m in precisions.matrices]
     pops = []
     alpha = None

@@ -41,7 +41,7 @@ from .core import (
 )
 from .errors import ConfigError, DataFormatError
 from .graphs import GraphSpec
-from .inference import combine, debias, upper_quantile
+from .inference import _check_level, _check_pairs, combine, debias, upper_quantile
 from .selection import TuningGrid, rate_penalty, tune_penalties
 from .solver import solve_ggl
 
@@ -73,8 +73,7 @@ class ExperimentConfig:
             raise ConfigError(f"unknown penalty rule {self.penalty_rule!r}")
         if not self.dims or not self.sample_sizes:
             raise ConfigError("dims and sample_sizes must be nonempty")
-        if not 0 < self.ci_level < 1:
-            raise ConfigError(f"ci_level must lie strictly in (0, 1), got {self.ci_level}")
+        _check_level(self.ci_level, "ci_level", 1.0 - self.ci_level)
         if not all(math.isfinite(c) and c >= 0 for c in self.fixed_constants):
             raise ConfigError(
                 f"fixed_constants must be finite and nonnegative, got {self.fixed_constants}"
@@ -96,10 +95,8 @@ class ExperimentConfig:
             "edges_of_interest",
             tuple((int(i), int(j)) for i, j in self.edges_of_interest),
         )
-        p = min(self.dims)
-        for i, j in self.edges_of_interest:
-            if not (0 <= i < p and 0 <= j < p):
-                raise ConfigError(f"edge ({i + 1},{j + 1}) out of range for p={p}")
+        rows, cols = np.array(self.edges_of_interest, dtype=int).reshape(-1, 2).T
+        _check_pairs(rows, cols, min(self.dims))
 
 
 @dataclass

@@ -21,10 +21,12 @@ def chain_precision(p: int, rho: float) -> np.ndarray:
     """Tridiagonal precision: 1 on the diagonal, ``rho`` on the first off-diagonals.
 
     Positive definite iff ``1 - 2 |rho| cos(pi / (p + 1)) > 0``; checked
-    numerically, raising :class:`ConfigError` otherwise.
+    numerically.  A ``rho`` not finite or not PD raises :class:`ConfigError`.
     """
     if p < 1:
         raise ConfigError("dimension must be at least 1")
+    if not math.isfinite(rho):
+        raise ConfigError(f"chain parameter rho={rho} must be finite")
     m = np.eye(int(p))
     idx = np.arange(p - 1)
     m[idx, idx + 1] = rho
@@ -42,13 +44,15 @@ def star_precision(
     Returns ``(matrix, hub, spokes)``.  The hub and its ``d`` spokes are a
     uniform seeded choice without replacement, so the same ``hub_seed``
     reproduces the same support at any parameter values.  Parameters out
-    of range or not positive definite raise :class:`ConfigError`.
+    of range, not finite or not positive definite raise :class:`ConfigError`.
     """
     p, d = int(p), int(d)
     if d < 0 or d >= p:
         raise ConfigError(f"degree d={d} must satisfy 0 <= d < p={p}")
     if diag <= 0:
         raise ConfigError("diagonal value must be positive")
+    if not (math.isfinite(diag) and math.isfinite(offdiag)):
+        raise ConfigError(f"star parameters must be finite, got diag={diag}, offdiag={offdiag}")
     rng = make_rng(hub_seed)
     perm = rng.permutation(p)
     hub = int(perm[0])

@@ -66,11 +66,20 @@ _SQRT_HALF = math.sqrt(0.5)
 _erfc = np.vectorize(math.erfc, otypes=[float])
 
 
+def _check_level(value: float, name: str, alpha: float | None = None) -> None:
+    """Raise :class:`ConfigError` naming ``name`` unless ``value`` lies in (0, 1)
+    and, given the two-sided tail ``alpha`` it stands for (``1 - value`` for an
+    interval), ``upper_quantile(alpha)`` is finite: ``1 - alpha / 2 < 1``."""
+    if not 0.0 < value < 1.0:
+        raise ConfigError(f"{name} must lie strictly in (0, 1), got {value}")
+    if alpha is not None and not (alpha < 1.0 and 1.0 - alpha / 2.0 < 1.0):
+        raise ConfigError(f"{name} is too close to {round(value)} in double precision, got {value}")
+
+
 def normal_quantile(q: float) -> float:
     """Standard normal quantile: the inverse of ``Phi`` on (0, 1)."""
     q = float(q)
-    if not 0.0 < q < 1.0:
-        raise ConfigError("quantile argument must lie strictly in (0, 1)")
+    _check_level(q, "quantile argument")
     from statistics import NormalDist
 
     return NormalDist().inv_cdf(q)
@@ -78,8 +87,7 @@ def normal_quantile(q: float) -> float:
 
 def upper_quantile(alpha: float) -> float:
     """tau_{alpha/2}: the (1 - alpha/2) quantile of the standard normal."""
-    if not 0.0 < alpha < 1.0:
-        raise ConfigError("alpha must lie strictly in (0, 1)")
+    _check_level(alpha, "alpha", alpha)
     return normal_quantile(1.0 - alpha / 2.0)
 
 
@@ -109,6 +117,27 @@ def entry_variances(estimate: np.ndarray, rows, cols) -> np.ndarray:
     return estimate[rows, rows] * estimate[cols, cols] + np.square(estimate[rows, cols])
 
 
+def _check_coefficients(coefficients, K: int) -> None:
+    """Raise :class:`ConfigError` unless there are ``K`` finite coefficients, not all zero."""
+    if len(coefficients) != K:
+        raise ConfigError(f"{len(coefficients)} coefficients for {K} populations")
+    values = np.asarray(coefficients, dtype=float)
+    if not np.isfinite(values).all():
+        shown = ",".join(f"{v:g}" for v in values)
+        raise ConfigError(f"combination coefficients must be finite, got {shown}")
+    if not values.any():
+        raise ConfigError("at least one combination coefficient must be nonzero")
+
+
+def _check_pairs(rows, cols, p: int) -> None:
+    """Raise :class:`ConfigError` naming, 1-based, the first 0-based pair outside ``0 .. p-1``."""
+    rows, cols = np.asarray(rows), np.asarray(cols)
+    outside = (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= p)
+    if outside.any():
+        m = np.flatnonzero(outside)[0]
+        raise ConfigError(f"edge ({rows.flat[m] + 1},{cols.flat[m] + 1}) out of range for p={p}")
+
+
 def combine(
     debiased: PrecisionSet, estimate: PrecisionSet, covs: CovarianceSet, coefficients, rows, cols
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -118,22 +147,15 @@ def combine(
     returns two arrays of their shape.  The point combines the *debiased*
     entries; the variance ``sum_k a_k^2 * sigma_k[i, j]^2 / n_k`` combines
     the plug-in variances of the *penalized* estimates, skipping ``a_k = 0``.
+    Bad coefficients or pairs raise :class:`ConfigError`, by the rules that
+    the CLI's ``test`` applies to its flags before the solve.
     """
-    if len(coefficients) != debiased.K:
-        raise ConfigError("combination length must equal K")
+    _check_coefficients(coefficients, debiased.K)
     if not debiased.K == estimate.K == covs.K:
         raise DimensionMismatchError("debiased set, estimate and covariances do not match")
-    values = np.asarray(coefficients, dtype=float)
-    if not np.isfinite(values).all():
-        raise ConfigError(f"combination coefficients must be finite, got {values.tolist()}")
-    if not values.any():
-        raise ConfigError("at least one combination coefficient must be nonzero")
     rows = np.asarray(rows, dtype=int)
     cols = np.asarray(cols, dtype=int)
-    outside = (np.minimum(rows, cols) < 0) | (np.maximum(rows, cols) >= debiased.p)
-    if outside.any():
-        m = np.flatnonzero(outside)[0]
-        raise ConfigError(f"edge ({rows.flat[m]}, {cols.flat[m]}) out of range for p={debiased.p}")
+    _check_pairs(rows, cols, debiased.p)
     point = np.zeros(rows.shape)
     var = np.zeros(rows.shape)
     for k, a in enumerate(coefficients):
@@ -165,8 +187,7 @@ def test_linear_combo(
 ) -> EdgeTestResult:
     """Two-sided z-tests of ``H0: sum_k a_k * true_k[i, j] = 0``: the
     :func:`combine` statistic at the index pairs ``(rows[m], cols[m])``."""
-    if not 0.0 < alpha_level < 1.0:
-        raise ConfigError("alpha_level must lie strictly in (0, 1)")
+    _check_level(alpha_level, "alpha_level", alpha_level)
     point, std_error = combine(debiased, estimate, covs, coefficients, rows, cols)
     z = point / std_error
     # erfc(|z| / sqrt 2) = 2 Phi(-|z|) stays positive up to |z| = 38.5.
@@ -189,8 +210,7 @@ def confidence_interval(
     statistic of population k's unit vector."""
     if not 0 <= k < debiased.K:
         raise ConfigError(f"population {k} out of range for K={debiased.K}")
-    if not 0.0 < level < 1.0:
-        raise ConfigError("level must lie strictly in (0, 1)")
+    _check_level(level, "level", 1.0 - level)
     center, std_error = combine(debiased, estimate, covs, np.eye(debiased.K)[k], rows, cols)
     half = upper_quantile(1.0 - level) * std_error
     return ConfidenceIntervalResult((center - half)[()], (center + half)[()])

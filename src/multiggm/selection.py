@@ -58,8 +58,7 @@ class TuningGrid:
             if any(b <= a for a, b in zip(vals, vals[1:])):
                 raise ConfigError(f"{name} must be strictly increasing")
             object.__setattr__(self, name, vals)
-        if not 0 <= self.gamma < math.inf:
-            raise ConfigError("gamma must be finite and nonnegative")
+        _check_ebic_gamma(self.gamma)
 
 
 @dataclass(frozen=True)
@@ -105,10 +104,14 @@ def rate_penalty(c1: float, c2: float, p: int, sample_sizes) -> PenaltyPair:
     return PenaltyPair(c1 * scale, c2 * scale)
 
 
-def ebic(estimate: PrecisionSet, covs: CovarianceSet, gamma: float = 0.5) -> EbicScore:
-    """Extended-BIC score of a fitted precision set against its covariances."""
+def _check_ebic_gamma(gamma: float) -> None:
     if not 0 <= gamma < math.inf:
         raise ConfigError("gamma must be finite and nonnegative")
+
+
+def ebic(estimate: PrecisionSet, covs: CovarianceSet, gamma: float = 0.5) -> EbicScore:
+    """Extended-BIC score of a fitted precision set against its covariances."""
+    _check_ebic_gamma(gamma)
     if estimate.K != covs.K or estimate.p != covs.p:
         raise DataFormatError("estimate and covariance set do not match")
     n = min(covs.sample_sizes)

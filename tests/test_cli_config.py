@@ -461,6 +461,20 @@ class TestSimulateChecks:
         assert "alpha" not in err
         assert not (tmp_path / "out").exists()
 
+    def test_ci_level_without_a_finite_quantile_is_a_config_error(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        from multiggm import experiments
+
+        monkeypatch.setattr(experiments, "_solve", lambda *a: pytest.fail("solved"))
+        argv = ["simulate", "coverage", "--p", "8", "--n", "100", "--B", "1",
+                "--penalty-rule", "fixed", "--ci-level", "1e-300"]
+        assert run(argv, tmp_path / "out") == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "configuration error: ci_level is too close to 0 in double precision" in err
+        assert "alpha" not in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("flags", [["--c1", "nan"], ["--c2", "inf"], ["--c1", "-1"]])
     def test_bad_fixed_constants_are_config_errors(self, tmp_path, capsys, flags):
         argv = ["simulate", "normality", "--p", "8", "--n", "100", "--B", "1",
@@ -505,6 +519,13 @@ class TestSimulateChecks:
          "degree d=25 must satisfy 0 <= d < p=10"),
         (["--graph", "star", "--star-d", "4", "--star-offdiag", "0.3,1.5", "--p", "10"],
          "star parameters are not positive definite"),
+        (["--chain-rho", "nan,0.2"], "chain parameter rho=nan must be finite"),
+        (["--graph", "star", "--star-diag", "nan,2"],
+         "star parameters must be finite, got diag=nan, offdiag=0.3"),
+        (["--graph", "star", "--star-offdiag", "nan,0.3"],
+         "star parameters must be finite, got diag=2.0, offdiag=nan"),
+        (["--graph", "star", "--star-diag", "inf,2"],
+         "star parameters must be finite, got diag=inf, offdiag=0.3"),
     ])
     def test_graph_flags_are_config_errors(self, tmp_path, capsys, monkeypatch, flags, message):
         from multiggm import experiments

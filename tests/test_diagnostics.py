@@ -301,7 +301,7 @@ class TestReport:
     @pytest.mark.parametrize("sizes", [(0, 600), (-5, 600)])
     def test_nonpositive_sample_size_is_a_data_error(self, sizes):
         prec = PrecisionSet([chain_precision(4, 0.2)] * 2, positive_definite=True)
-        with pytest.raises(ConfigError, match="sample sizes must be positive"):
+        with pytest.raises(ConfigError, match="sample_sizes must be positive"):
             diagnostics_report(prec, PenaltyPair(0.1, 0.1), sample_sizes=sizes)
 
     @pytest.mark.parametrize("psi, lam_rho, sizes, gamma", [

@@ -29,6 +29,17 @@ class TestChain:
             chain_precision(30, 0.51)
 
 
+@pytest.mark.parametrize("build", [
+    lambda bad: chain_precision(5, bad),
+    lambda bad: star_precision(10, 3, bad, 0.3, hub_seed=0),
+    lambda bad: star_precision(10, 3, 2.0, bad, hub_seed=0),
+])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_nonfinite_parameters_rejected(build, bad):
+    with pytest.raises(ConfigError, match="must be finite"):
+        build(bad)
+
+
 class TestStar:
     def test_population_one_values(self):
         m, hub, spokes = star_precision(20, 5, 2.0, 0.3, hub_seed=1)

@@ -22,6 +22,7 @@ from multiggm import (
 )
 
 from multiggm import test_linear_combo as linear_combo_test
+from multiggm.inference import _check_level
 
 from oracles import random_covariance_set, scalar_combination, scalar_variance
 
@@ -174,7 +175,7 @@ class TestCombine:
 
     def test_checks_population_count_and_index_range(self):
         est, covs = _sets([np.eye(3)] * 2, [np.eye(3)] * 2, [50, 60])
-        with pytest.raises(ConfigError, match="length must equal K"):
+        with pytest.raises(ConfigError, match="1 coefficients for 2 populations"):
             combine(est, est, covs, [1.0], [0], [1])
         with pytest.raises(DimensionMismatchError, match="do not match"):
             combine(est, est, CovarianceSet([np.eye(3)], [50]), [1.0, -1.0], [0], [1])
@@ -306,6 +307,59 @@ class TestNormalAccuracy:
             normal_quantile(0.0)
         with pytest.raises(ConfigError):
             normal_quantile(1.0)
+
+
+def _accepts(value, alpha):
+    try:
+        _check_level(value, "level", alpha)
+    except ConfigError:
+        return False
+    return True
+
+
+def _finite_quantile(alpha):
+    """The oracle: whether the standard library's inverse CDF at
+    ``1 - alpha / 2`` returns a finite value."""
+    from statistics import NormalDist, StatisticsError
+
+    try:
+        return math.isfinite(NormalDist().inv_cdf(1.0 - alpha / 2.0))
+    except StatisticsError:
+        return False
+
+
+class TestLevelRule:
+    """One rule serves every level: a test level alpha, and a confidence
+    level that stands for alpha = 1 - level."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats() | st.floats(0.0, 1e-15) | st.floats(0.0, 1e-300))
+    @example(1.1102230246251565e-16)
+    @example(1.1102230246251568e-16)
+    @example(5e-324)
+    @example(1.5)
+    def test_accepts_a_test_level_exactly_when_its_quantile_is_finite(self, alpha):
+        accepted = _accepts(alpha, alpha)
+        assert accepted == (0.0 < alpha < 1.0 and _finite_quantile(alpha))
+        if accepted:
+            assert math.isfinite(upper_quantile(alpha))
+        else:
+            with pytest.raises(ConfigError):
+                upper_quantile(alpha)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats() | st.floats(0.0, 1e-15) | st.floats(1.0 - 1e-15, 1.0))
+    @example(1e-300)
+    @example(0.9999999999999999)
+    @example(0.9999999999999998)
+    def test_accepts_a_confidence_level_exactly_when_its_alpha_is_accepted(self, level):
+        accepted = _accepts(level, 1.0 - level)
+        alpha = 1.0 - level
+        assert accepted == (0.0 < level < 1.0 and 0.0 < alpha < 1.0 and _finite_quantile(alpha))
+        if not accepted:
+            est, covs = _sets([np.eye(2)], [np.eye(2)], [50])
+            with pytest.raises(ConfigError):
+                confidence_interval(est, est, covs, 0, 0, 1, level)
 
 
 class TestTailPValues:

@@ -521,6 +521,25 @@ class TestTestCommand:
             assert f"configuration error: {flag} must lie strictly in (0, 1)" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("flag, value, edge", [
+        ("--alpha", "1e-16", 0), ("--ci-level", "1e-300", 0),
+        ("--ci-level", "0.9999999999999999", 1),
+    ])
+    def test_levels_without_a_finite_quantile_exit_1_before_the_solve(
+        self, tmp_path, chain_pair, capsys, monkeypatch, flag, value, edge
+    ):
+        # Inside (0, 1), but 1 - alpha/2 or 1 - level rounds to 1.
+        from multiggm import cli
+
+        monkeypatch.setattr(cli, "solve_ggl", lambda *a: pytest.fail("solved"))
+        out = tmp_path / "out"
+        assert main(["test", "--data", chain_pair, "--c1", "0.5", "--c2", "1.0", "--edges", "1,2",
+                     "--coeffs", "1,-1", flag, value, "--out-dir", str(out), "-q"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err == (f"configuration error: {flag} is too close to {edge} in double "
+                       f"precision, got {float(value)}\n")
+        assert not out.exists()
+
     def test_views_run_once_per_command(self, tmp_path, chain_pair, monkeypatch):
         from multiggm import cli
 
@@ -724,6 +743,25 @@ def test_cli_translates_no_library_error_outside_main():
                     caught += [f"line {node.lineno}: {name}"
                                for name in sorted(named & data_classes)]
     assert not caught, f"cli.py catches library errors outside main: {caught}"
+
+
+def test_commands_raise_nothing_themselves():
+    # A command checks a flag by calling the library's rule with the flag's
+    # name, or a parsing helper; a raise in a command would be a second copy
+    # of a rule the library states.
+    import ast
+
+    from multiggm import cli
+
+    commands = {function.__name__ for function in cli.COMMANDS.values()}
+    with open(cli.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    raising = sorted(
+        stmt.name for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef) and stmt.name in commands
+        and any(isinstance(node, ast.Raise) for node in ast.walk(stmt))
+    )
+    assert not raising, f"commands that raise: {raising}"
 
 
 def test_cli_runs_every_command_without_scipy(tmp_path):
